@@ -819,7 +819,7 @@ let deps_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.loop_report 
   List.iter
     (fun u -> if is_scalar u then Hashtbl.replace scalar_ids u.u_slot.Ir.i_id ())
     usages;
-  let loops = Loop_info.find_loops cfg.Cfg.dom cfg.Cfg.func in
+  let loops = Loop_info.find_loops cfg.Cfg.dom in
   let ivs = List.map (fun l -> (l, recognize_iv l scalar_ids)) loops in
   let contains outer inner_loop =
     (not (outer == inner_loop))

@@ -14,27 +14,15 @@ module Loc = Mc_srcmgr.Source_location
 
 type t = {
   func : Ir.func;
-  dom : Dominators.t;
+  dom : Dominators.t; (* also holds the predecessor index *)
   rpo : Ir.block list; (* reachable blocks, entry first *)
-  preds : (int, Ir.block list) Hashtbl.t; (* b_id -> predecessors *)
 }
 
 let build func =
   let dom = Dominators.compute func in
-  let rpo = Dominators.reverse_postorder dom in
-  let preds = Hashtbl.create 16 in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun s ->
-          Hashtbl.replace preds s.Ir.b_id
-            (b :: Option.value (Hashtbl.find_opt preds s.Ir.b_id) ~default:[]))
-        (Ir.successors b))
-    func.Ir.f_blocks;
-  { func; dom; rpo; preds }
+  { func; dom; rpo = Dominators.reverse_postorder dom }
 
-let predecessors t b =
-  List.rev (Option.value (Hashtbl.find_opt t.preds b.Ir.b_id) ~default:[])
+let predecessors t b = Dominators.predecessors t.dom b
 
 let is_reachable t b = Dominators.is_reachable t.dom b
 

@@ -369,8 +369,7 @@ and emit_logical ctx op lhs rhs =
   B.set_insertion_point ctx.b merge;
   let short_circuit = Ir.i32_const (if op = B_land then 0 else 1) in
   (* The short-circuit edge may have been folded away. *)
-  let preds = Ir.predecessors f merge in
-  if List.exists (fun p -> p == from_lhs) preds && not (from_lhs == from_rhs)
+  if List.memq merge (Ir.successors from_lhs) && not (from_lhs == from_rhs)
   then B.phi ctx.b Ir.I32 [ (short_circuit, from_lhs); (r32, from_rhs) ]
   else r32
 

@@ -202,8 +202,9 @@ let single_roundtrip ~policy ~socket_path (request : Protocol.request) :
         write_failed
           (Printf.sprintf "send timed out after %gs" policy.send_timeout)
     in
-    (try close_out oc with Sys_error _ | Sys_blocked_io -> ());
-    (try close_in ic with Sys_error _ | Sys_blocked_io -> ());
+    (* One descriptor under both channels: close it once (see
+       [Server.handle_connection]). *)
+    close_out_noerr oc;
     result
 
 let roundtrip ?(policy = default_policy)

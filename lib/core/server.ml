@@ -478,8 +478,12 @@ let handle_connection ~cache ~lifetime ~lifetime_lock ~log ~request_timeout
   in
   Mutex.protect lifetime_lock (fun () ->
       Stats.Registry.merge ~into:lifetime registry);
-  (try close_out oc with Sys_error _ | Sys_blocked_io -> ());
-  try close_in ic with Sys_error _ | Sys_blocked_io -> ()
+  (* [ic] and [oc] share one descriptor: close it exactly once.  A second
+     close would hit whatever connection another worker accepted onto the
+     reused fd number in between.  [close_out_noerr] closes even when the
+     final flush fails (client gone), and leaves [oc] marked closed so
+     no exit-time flush can write to a reused fd; [ic] is dropped. *)
+  close_out_noerr oc
 
 (* ---- the daemon loop ----------------------------------------------------- *)
 
@@ -579,7 +583,7 @@ let run ?stop config =
                   retry_after = config.shed_retry_after;
                 })
          with Sys_error _ | Sys_blocked_io -> ());
-        try close_out oc with Sys_error _ | Sys_blocked_io -> ()
+        close_out_noerr oc
       in
       let last_activity = ref (Clock.now ()) in
       let finished () =

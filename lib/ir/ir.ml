@@ -287,8 +287,37 @@ let successors b =
   | Br target -> [ target ]
   | Cond_br (_, t, f) -> if t == f then [ t ] else [ t; f ]
 
-let predecessors f b =
-  List.filter (fun p -> List.exists (fun s -> s == b) (successors p)) f.f_blocks
+(* Tables keyed on [i_id]/[b_id]/[f_id].  Ids are dense positive ints,
+   so the id itself spreads well over the buckets; the polymorphic
+   [Hashtbl] pays for a generic hash and compare on every operation.
+   Iteration order follows the ids, so no caller may let
+   [Id_tbl.iter]/[fold] order reach its output. *)
+module Id_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (x : int) = x
+end)
+
+(* Every block's predecessors, built in one sweep over the function: the
+   blocks [p] of [f_blocks] with [b] among [successors p], in [f_blocks]
+   order.  A snapshot — a pass that rewires edges must update it or build
+   a new one. *)
+type pred_index = block list Id_tbl.t (* keyed on [b_id] *)
+
+let pred_index f =
+  let idx = Id_tbl.create (List.length f.f_blocks) in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun s ->
+          let prev = Option.value (Id_tbl.find_opt idx s.b_id) ~default:[] in
+          Id_tbl.replace idx s.b_id (p :: prev))
+        (successors p))
+    (List.rev f.f_blocks);
+  idx
+
+let preds idx b = Option.value (Id_tbl.find_opt idx b.b_id) ~default:[]
 
 let inst_operands i =
   match i.i_kind with
@@ -404,8 +433,9 @@ let replace_uses_in_func ?(where = fun _ -> true) f ~from ~into =
 (* Remove blocks from the function (used after loop transformations discard
    a replaced skeleton).  Only detaches; callers must have rewired CFG. *)
 let remove_blocks f blocks =
-  f.f_blocks <-
-    List.filter (fun b -> not (List.exists (fun d -> d == b) blocks)) f.f_blocks;
+  let gone = Id_tbl.create (List.length blocks) in
+  List.iter (fun b -> Id_tbl.replace gone b.b_id ()) blocks;
+  f.f_blocks <- List.filter (fun b -> not (Id_tbl.mem gone b.b_id)) f.f_blocks;
   List.iter (fun b -> b.b_parent <- None) blocks
 
 (* Number of instructions in a function, a cheap code-size proxy used by the

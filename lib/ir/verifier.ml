@@ -11,19 +11,20 @@ let verify_func f =
   if f.f_is_decl then []
   else begin
     if f.f_blocks = [] then add "<none>" "defined function has no blocks";
-    let in_func = Hashtbl.create 16 in
-    List.iter (fun b -> Hashtbl.replace in_func b.b_id ()) f.f_blocks;
+    let in_func = Id_tbl.create (List.length f.f_blocks) in
+    List.iter (fun b -> Id_tbl.replace in_func b.b_id ()) f.f_blocks;
     (* Instructions defined anywhere in the function (SSA availability is
        approximated: a full dominance check lives in the passes library). *)
-    let defined = Hashtbl.create 64 in
+    let defined = Id_tbl.create (func_inst_count f) in
     List.iter
-      (fun b ->
-        List.iter (fun i -> Hashtbl.replace defined i.i_id ()) (block_insts b))
+      (fun b -> List.iter (fun i -> Id_tbl.replace defined i.i_id ()) b.b_insts_rev)
       f.f_blocks;
+    (* Only phis consult predecessors: many functions have none. *)
+    let preds = lazy (pred_index f) in
     let check_value b v =
       match v with
       | Inst_ref i ->
-        if not (Hashtbl.mem defined i.i_id) then
+        if not (Id_tbl.mem defined i.i_id) then
           add b.b_name
             (Printf.sprintf "use of instruction %d not defined in function"
                i.i_id)
@@ -76,7 +77,7 @@ let verify_func f =
               if value_ty x <> value_ty y then
                 add b.b_name "select arm types differ"
             | Phi { incoming } ->
-              let preds = predecessors f b in
+              let preds = Ir.preds (Lazy.force preds) b in
               if List.length incoming <> List.length preds then
                 add b.b_name
                   (Printf.sprintf "phi has %d incoming values for %d predecessors"
@@ -110,7 +111,7 @@ let verify_func f =
         | Br _ | Unreachable -> ());
         List.iter
           (fun s ->
-            if not (Hashtbl.mem in_func s.b_id) then
+            if not (Id_tbl.mem in_func s.b_id) then
               add b.b_name
                 (Printf.sprintf "successor '%s' not in function" s.b_name))
           (successors b))

@@ -1,25 +1,25 @@
 open Mc_ir.Ir
 
 type mapping = {
-  bmap : (int, block) Hashtbl.t;
-  imap : (int, inst) Hashtbl.t;
+  bmap : block Id_tbl.t;
+  imap : inst Id_tbl.t;
   seed : value -> value;
   clones : block list;
 }
 
 let mapped_block m b =
-  match Hashtbl.find_opt m.bmap b.b_id with Some nb -> nb | None -> b
+  match Id_tbl.find_opt m.bmap b.b_id with Some nb -> nb | None -> b
 
 let mapped_value m v =
   match v with
   | Inst_ref i -> (
-    match Hashtbl.find_opt m.imap i.i_id with
+    match Id_tbl.find_opt m.imap i.i_id with
     | Some ni -> Inst_ref ni
     | None -> m.seed v)
   | _ -> m.seed v
 
 let clone_region f ~blocks ~seed ~suffix =
-  let m = { bmap = Hashtbl.create 16; imap = Hashtbl.create 64; seed; clones = [] } in
+  let m = { bmap = Id_tbl.create 16; imap = Id_tbl.create 64; seed; clones = [] } in
   (* Phase 1: shells.  All instructions are created with their original
      operands so that intra-region forward references (phi back edges of
      nested loops) resolve in phase 2. *)
@@ -28,11 +28,11 @@ let clone_region f ~blocks ~seed ~suffix =
       (fun b ->
         let nb = create_block ~name:(b.b_name ^ suffix) f in
         nb.b_loop_md <- b.b_loop_md;
-        Hashtbl.replace m.bmap b.b_id nb;
+        Id_tbl.replace m.bmap b.b_id nb;
         List.iter
           (fun i ->
             let ni = mk_inst ~name:i.i_name ~ty:i.i_ty i.i_kind in
-            Hashtbl.replace m.imap i.i_id ni;
+            Id_tbl.replace m.imap i.i_id ni;
             append_inst nb ni)
           (block_insts b);
         (b, nb))

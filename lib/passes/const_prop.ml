@@ -39,6 +39,63 @@ let remove_phi_edge target ~pred =
       | _ -> ())
     (block_phis target)
 
+(* [replacement] can map a phi to itself — [x = phi [x, latch]] once a
+   folded branch dropped the preheader edge of a dead loop — or close a
+   longer cycle, e.g. two swapped variables' phis mapped to each other.
+   A cycle that only [replacement] itself refers to just disappears with
+   the rest of it, but resolving a use through one would never end.  So
+   when a kept instruction or terminator reaches a cycle, the cycle's
+   members stay unfolded: they carry no value to fold to, and chains
+   into them then end at a kept phi. *)
+let drop_used_cycles f replacement =
+  let next id =
+    match Id_tbl.find replacement id with
+    | Inst_ref i when Id_tbl.mem replacement i.i_id -> Some i.i_id
+    | _ -> None
+  in
+  (* Every entry leads to at most one other, so walking from each entry
+     and stopping at anything already seen finds every cycle: a walk
+     that meets itself has just closed one. *)
+  let walk_of = Id_tbl.create 16 and cyclic = Id_tbl.create 4 in
+  let rec mark_round start id =
+    Id_tbl.replace cyclic id ();
+    match next id with Some n when n <> start -> mark_round start n | _ -> ()
+  in
+  let rec walk w id =
+    match Id_tbl.find_opt walk_of id with
+    | Some w' -> if w' = w then mark_round id id
+    | None -> (
+      Id_tbl.replace walk_of id w;
+      match next id with Some n -> walk w n | None -> ())
+  in
+  let in_program_order visit =
+    List.iter (fun b -> List.iter visit (block_insts b)) f.f_blocks
+  in
+  in_program_order (fun i ->
+      if Id_tbl.mem replacement i.i_id then walk i.i_id i.i_id);
+  if Id_tbl.length cyclic > 0 then begin
+    let rec reaches_cycle = function
+      | Inst_ref i when Id_tbl.mem cyclic i.i_id -> true
+      | Inst_ref i when Id_tbl.mem replacement i.i_id ->
+        reaches_cycle (Id_tbl.find replacement i.i_id)
+      | _ -> false
+    in
+    let used =
+      List.exists
+        (fun b ->
+          List.exists reaches_cycle (terminator_operands b.b_term)
+          || List.exists
+               (fun i ->
+                 (not (Id_tbl.mem replacement i.i_id))
+                 && List.exists reaches_cycle (inst_operands i))
+               b.b_insts_rev)
+        f.f_blocks
+    in
+    if used then
+      in_program_order (fun i ->
+          if Id_tbl.mem cyclic i.i_id then Id_tbl.remove replacement i.i_id)
+  end
+
 let run_func f =
   if f.f_is_decl then false
   else begin
@@ -47,30 +104,31 @@ let run_func f =
     while !continue_ do
       continue_ := false;
       (* Fold instructions. *)
-      let replacement = Hashtbl.create 16 in
+      let replacement = Id_tbl.create 16 in
       List.iter
         (fun b ->
           List.iter
             (fun i ->
               match fold_inst i with
-              | Some v -> Hashtbl.replace replacement i.i_id v
+              | Some v -> Id_tbl.replace replacement i.i_id v
               | None -> ())
             (block_insts b))
         f.f_blocks;
-      if Hashtbl.length replacement > 0 then begin
+      if Id_tbl.length replacement > 0 then drop_used_cycles f replacement;
+      if Id_tbl.length replacement > 0 then begin
         continue_ := true;
         changed_ever := true;
         let rec resolve v =
           match v with
-          | Inst_ref i when Hashtbl.mem replacement i.i_id ->
-            resolve (Hashtbl.find replacement i.i_id)
+          | Inst_ref i when Id_tbl.mem replacement i.i_id ->
+            resolve (Id_tbl.find replacement i.i_id)
           | _ -> v
         in
         List.iter
           (fun b ->
             List.iter
               (fun i ->
-                if not (Hashtbl.mem replacement i.i_id) then
+                if not (Id_tbl.mem replacement i.i_id) then
                   match i.i_kind with
                   | Phi { incoming } ->
                     i.i_kind <-
@@ -84,7 +142,7 @@ let run_func f =
             map_terminator_operands resolve b;
             set_block_insts b
               (List.filter
-                 (fun i -> not (Hashtbl.mem replacement i.i_id))
+                 (fun i -> not (Id_tbl.mem replacement i.i_id))
                  (block_insts b)))
           f.f_blocks
       end;

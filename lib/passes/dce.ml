@@ -11,12 +11,12 @@ let run_func f =
   if f.f_is_decl then false
   else begin
     (* Mark: roots are side-effecting instructions and terminator operands. *)
-    let live = Hashtbl.create 64 in
+    let live = Id_tbl.create 64 in
     let worklist = Queue.create () in
     let mark v =
       match v with
-      | Inst_ref i when not (Hashtbl.mem live i.i_id) ->
-        Hashtbl.add live i.i_id ();
+      | Inst_ref i when not (Id_tbl.mem live i.i_id) ->
+        Id_tbl.add live i.i_id ();
         Queue.add i worklist
       | _ -> ()
     in
@@ -36,7 +36,7 @@ let run_func f =
     List.iter
       (fun b ->
         let keep, drop =
-          List.partition (fun i -> Hashtbl.mem live i.i_id) (block_insts b)
+          List.partition (fun i -> Id_tbl.mem live i.i_id) (block_insts b)
         in
         if drop <> [] then begin
           changed := true;

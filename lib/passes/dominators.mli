@@ -7,9 +7,16 @@ open Mc_ir
 type t
 
 val compute : Ir.func -> t
+(** Builds the function's predecessor index ({!Ir.pred_index}) once and
+    keeps it: every analysis layered on this tree (loops, trip counts,
+    the dataflow CFG) reads predecessors from it. *)
 
 val reverse_postorder : t -> Ir.block list
 (** Reachable blocks only, entry first. *)
+
+val predecessors : t -> Ir.block -> Ir.block list
+(** From the index of the CFG the tree was computed on, in [f_blocks]
+    order; stale once a pass rewires an edge. *)
 
 val is_reachable : t -> Ir.block -> bool
 val idom : t -> Ir.block -> Ir.block option

@@ -80,8 +80,8 @@ let patch_exit_phis loop mapping originals =
         (successors cb))
     originals
 
-let remove_phi_incomings_for func deleted =
-  let is_deleted b = List.exists (fun d -> d == b) deleted in
+let remove_phi_incomings_from func loop =
+  let is_deleted b = Loop_info.loop_contains loop b in
   List.iter
     (fun b ->
       List.iter
@@ -106,18 +106,18 @@ let full_unroll func loop (a : Trip_count.affine) n =
   let phis = header_phis header in
   (* prev.(phi id) = the value of that loop-carried variable entering the
      next copy. *)
-  let prev = Hashtbl.create 8 in
+  let prev = Id_tbl.create 8 in
   List.iter
     (fun p ->
       match p.i_kind with
       | Phi { incoming } ->
-        Hashtbl.replace prev p.i_id
+        Id_tbl.replace prev p.i_id
           (Option.get (phi_incoming_for_pred incoming preheader))
       | _ -> ())
     phis;
   let seed v =
     match v with
-    | Inst_ref i when Hashtbl.mem prev i.i_id -> Hashtbl.find prev i.i_id
+    | Inst_ref i when Id_tbl.mem prev i.i_id -> Id_tbl.find prev i.i_id
     | _ -> v
   in
   let last_tail = ref None in
@@ -141,16 +141,16 @@ let full_unroll func loop (a : Trip_count.affine) n =
         (fun p -> (p.i_id, Clone.mapped_value mapping (latch_incoming p latch)))
         phis
     in
-    List.iter (fun (id, v) -> Hashtbl.replace prev id v) updated
+    List.iter (fun (id, v) -> Id_tbl.replace prev id v) updated
   done;
   (* Fall through to the exit, and propagate final values of the loop
      phis to their uses outside the loop. *)
   hook_entry a.Trip_count.exit_succ;
   let deleted = loop.Loop_info.blocks in
-  let outside b = not (List.exists (fun d -> d == b) deleted) in
+  let outside b = not (Loop_info.loop_contains loop b) in
   List.iter
     (fun p ->
-      replace_uses_in_func func ~from:(Inst_ref p) ~into:(Hashtbl.find prev p.i_id)
+      replace_uses_in_func func ~from:(Inst_ref p) ~into:(Id_tbl.find prev p.i_id)
         ~where:outside)
     phis;
   (* The exit block's phis must see the fall-through edge as coming from the
@@ -170,7 +170,7 @@ let full_unroll func loop (a : Trip_count.affine) n =
             }
       | _ -> ())
     (block_phis a.Trip_count.exit_succ);
-  remove_phi_incomings_for func deleted;
+  remove_phi_incomings_from func loop;
   remove_blocks func deleted
 
 (* ---- partial unrolling (Listing 1 shape) --------------------------------- *)
@@ -186,7 +186,7 @@ let partial_unroll func loop (a : Trip_count.affine) k =
   (* Guard header: carries a phi per loop phi and tests whether k full
      iterations remain: iv + (k-1)*step cmp bound. *)
   let uh = create_block ~name:(header.b_name ^ ".unrolled") func in
-  let guard_phis = Hashtbl.create 8 in
+  let guard_phis = Id_tbl.create 8 in
   List.iter
     (fun p ->
       match p.i_kind with
@@ -197,10 +197,10 @@ let partial_unroll func loop (a : Trip_count.affine) k =
             (Phi { incoming = [ (init, preheader) ] })
         in
         append_inst uh gp;
-        Hashtbl.replace guard_phis p.i_id gp
+        Id_tbl.replace guard_phis p.i_id gp
       | _ -> ())
     phis;
-  let giv = Inst_ref (Hashtbl.find guard_phis a.Trip_count.iv.i_id) in
+  let giv = Inst_ref (Id_tbl.find guard_phis a.Trip_count.iv.i_id) in
   let lookahead =
     Int64.mul (Int64.of_int (k - 1)) a.Trip_count.step
   in
@@ -225,20 +225,20 @@ let partial_unroll func loop (a : Trip_count.affine) k =
                 List.map
                   (fun (v, b) ->
                     if b == preheader then
-                      (Inst_ref (Hashtbl.find guard_phis p.i_id), uh)
+                      (Inst_ref (Id_tbl.find guard_phis p.i_id), uh)
                     else (v, b))
                   incoming;
             }
       | _ -> ())
     phis;
   (* The k body copies, chained. *)
-  let prev = Hashtbl.create 8 in
+  let prev = Id_tbl.create 8 in
   List.iter
-    (fun p -> Hashtbl.replace prev p.i_id (Inst_ref (Hashtbl.find guard_phis p.i_id)))
+    (fun p -> Id_tbl.replace prev p.i_id (Inst_ref (Id_tbl.find guard_phis p.i_id)))
     phis;
   let seed v =
     match v with
-    | Inst_ref i when Hashtbl.mem prev i.i_id -> Hashtbl.find prev i.i_id
+    | Inst_ref i when Id_tbl.mem prev i.i_id -> Id_tbl.find prev i.i_id
     | _ -> v
   in
   let first_entry = ref None in
@@ -259,7 +259,7 @@ let partial_unroll func loop (a : Trip_count.affine) k =
         (fun p -> (p.i_id, Clone.mapped_value mapping (latch_incoming p latch)))
         phis
     in
-    List.iter (fun (id, v) -> Hashtbl.replace prev id v) updated
+    List.iter (fun (id, v) -> Id_tbl.replace prev id v) updated
   done;
   let first_entry = Option.get !first_entry in
   let last_tail = Option.get !last_tail in
@@ -268,11 +268,11 @@ let partial_unroll func loop (a : Trip_count.affine) k =
   replace_successor last_tail ~from:header ~into:uh;
   List.iter
     (fun p ->
-      let gp = Hashtbl.find guard_phis p.i_id in
+      let gp = Id_tbl.find guard_phis p.i_id in
       match gp.i_kind with
       | Phi { incoming } ->
         gp.i_kind <-
-          Phi { incoming = incoming @ [ (Hashtbl.find prev p.i_id, last_tail) ] }
+          Phi { incoming = incoming @ [ (Id_tbl.find prev p.i_id, last_tail) ] }
       | _ -> ())
     phis
 
@@ -297,13 +297,13 @@ let run_func ?(threshold = 4096) func =
     (* Unrolling invalidates the analyses, so re-scan after each rewrite. *)
     let rec process () =
       let dom = Dominators.compute func in
-      let requests = Loop_info.loop_with_unroll_request dom func in
+      let requests = Loop_info.loop_with_unroll_request dom in
       match requests with
       | [] -> ()
       | (loop, md) :: _ ->
         clear_unroll_md loop;
         let retry = ref true in
-        (match Trip_count.analyze func loop with
+        (match Trip_count.analyze dom loop with
         | Some a
           when Trip_count.header_is_pure a loop
                && exit_values_manageable a func loop

@@ -34,7 +34,7 @@ let defined_in_loop loop v =
     | None -> false)
   | _ -> false
 
-let analyze func loop =
+let analyze dom loop =
   let header = loop.Loop_info.header in
   (* Follow the straight-line chain from the header to the exiting block
      (for the canonical-loop skeleton: header -> cond). *)
@@ -44,7 +44,7 @@ let analyze func loop =
     | Br next
       when Loop_info.loop_contains loop next
            && (not (next == header))
-           && List.length (predecessors func next) = 1 ->
+           && List.length (Dominators.predecessors dom next) = 1 ->
       chain (b :: acc) next
     | _ -> None
   in

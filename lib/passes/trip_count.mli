@@ -20,7 +20,7 @@ type affine = {
   exit_succ : Ir.block; (* taken when the loop exits *)
 }
 
-val analyze : Ir.func -> Loop_info.loop -> affine option
+val analyze : Dominators.t -> Loop_info.loop -> affine option
 (** Recognises while-shaped loops, including the OpenMPIRBuilder skeleton
     where the comparison lives in a dedicated cond block: a straight-line
     chain of blocks from the header ends in the loop's only exiting

@@ -304,6 +304,30 @@ let test_application_order_matters () =
   Alcotest.(check (list int64)) "same iteration set (b)"
     (List.init 8 Int64.of_int) (sorted b)
 
+(* The committed IR digests (test/irdigest): --emit-ir text must stay
+   byte-identical for examples/*.c and the fixed-seed generated units,
+   under both lowerings at -O0 and -O1.  An intended IR change
+   regenerates the file (see ir_digest.ml) and says so in CHANGES.md. *)
+let test_ir_digests () =
+  let expected =
+    In_channel.with_open_text (Filename.concat "irdigest" "ir_digests.txt")
+      In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+  in
+  let actual = Ir_digest.lines ~examples_dir:(Filename.concat ".." "examples") in
+  let differing =
+    List.filter (fun l -> not (List.mem l expected)) actual
+  in
+  if differing <> [] then
+    Alcotest.failf
+      "%d of %d IR digests differ from test/irdigest/ir_digests.txt, e.g.:\n%s\n\
+       (regenerate it only for an intended IR change; see ir_digest.ml)"
+      (List.length differing) (List.length actual)
+      (String.concat "\n" (List.filteri (fun i _ -> i < 5) differing));
+  Alcotest.(check int) "one digest per golden line" (List.length expected)
+    (List.length actual)
+
 let suite =
   [
     tc "paper 1.1: intro example equivalence" test_intro_equivalence;
@@ -317,4 +341,5 @@ let suite =
     tc "Fig 9: OMPCanonicalLoop AST dump" test_fig9_astdump;
     tc "Fig 10: IR loop skeleton" test_fig10_ir_skeleton;
     tc "Fig 8: range-for helper variables" test_fig8_rangefor_desugar;
+    tc "IR digests match the committed golden" test_ir_digests;
   ]

@@ -164,7 +164,7 @@ let test_successors_predecessors () =
   a.b_term <- Ret None;
   bb.b_term <- Ret None;
   Alcotest.(check int) "two successors" 2 (List.length (successors entry));
-  Alcotest.(check int) "a preds" 1 (List.length (predecessors f a));
+  Alcotest.(check int) "a preds" 1 (List.length (preds (pred_index f) a));
   (* Same-target cond_br counts once. *)
   entry.b_term <- Cond_br (c, a, a);
   Alcotest.(check int) "merged successor" 1 (List.length (successors entry))

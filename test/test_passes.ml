@@ -67,7 +67,7 @@ let test_dominators () =
 let test_loop_detection () =
   let _, f, _, header, _, _, merge, _ = diamond_loop () in
   let dom = Dominators.compute f in
-  match Loop_info.find_loops dom f with
+  match Loop_info.find_loops dom with
   | [ loop ] ->
     Alcotest.(check bool) "header" true (loop.Loop_info.header == header);
     Alcotest.(check (list string)) "latch" [ "merge" ]
@@ -227,9 +227,9 @@ let test_trip_count_analysis () =
   ignore (Mem2reg.run m);
   let main = Option.get (find_function m "main") in
   let dom = Dominators.compute main in
-  match Loop_info.find_loops dom main with
+  match Loop_info.find_loops dom with
   | [ loop ] -> (
-    match Trip_count.analyze main loop with
+    match Trip_count.analyze dom loop with
     | Some a ->
       Alcotest.(check int64) "step" 4L a.Trip_count.step;
       (match a.Trip_count.init with
@@ -274,7 +274,7 @@ let test_unroll_full_removes_loop () =
   let main = Option.get (find_function m "main") in
   let dom = Dominators.compute main in
   Alcotest.(check int) "no loops remain" 0
-    (List.length (Loop_info.find_loops dom main));
+    (List.length (Loop_info.find_loops dom));
   let outcome = Interp.run_main m in
   Alcotest.(check string) "value" "140" (trace_to_string outcome.Interp.trace)
 
@@ -290,7 +290,7 @@ let test_unroll_partial_structure () =
     result.Driver.unroll_stats.Loop_unroll.partially_unrolled;
   let main = Option.get (find_function m "main") in
   let dom = Dominators.compute main in
-  let loops = Loop_info.find_loops dom main in
+  let loops = Loop_info.find_loops dom in
   Alcotest.(check int) "unrolled + remainder loops" 2 (List.length loops);
   let outcome = Interp.run_main m in
   Alcotest.(check string) "value" "55" (trace_to_string outcome.Interp.trace)
@@ -372,6 +372,339 @@ let test_pass_manager () =
   | exception Invalid_argument msg -> check_contains ~what:"unknown" msg "nonsense"
   | _ -> Alcotest.fail "unknown pass should raise")
 
+(* ---- the shared predecessor index ------------------------------------ *)
+
+(* The scan the index replaced, kept as the reference: every block of
+   [f_blocks] naming [b] as a successor, in [f_blocks] order. *)
+let reference_preds f b =
+  List.filter (fun p -> List.exists (fun s -> s == b) (successors p)) f.f_blocks
+
+let check_pred_index ~what m =
+  List.iter
+    (fun f ->
+      if not f.f_is_decl then begin
+        let idx = pred_index f in
+        List.iter
+          (fun b ->
+            let got = preds idx b and want = reference_preds f b in
+            if not (List.length got = List.length want && List.for_all2 ( == ) got want)
+            then
+              let names l = String.concat "," (List.map (fun p -> p.b_name) l) in
+              Alcotest.failf "%s: @%s/%s: index [%s], reference scan [%s]" what
+                f.f_name b.b_name (names got) (names want))
+          f.f_blocks
+      end)
+    m.m_funcs
+
+(* Codegen output for the IR digest golden's inputs (examples/*.c and
+   fixed-seed generated programs) under both lowerings, then every -O1
+   pass in turn: after each, the index must list exactly the reference
+   scan's blocks, in its order. *)
+let test_pred_index_matches_scan () =
+  List.iter
+    (fun (name, source) ->
+      List.iter
+        (fun options ->
+          let diag, tu = Driver.frontend ~options ~name source in
+          if Mc_diag.Diagnostics.has_errors diag then
+            Alcotest.failf "%s does not compile:\n%s" name
+              (Mc_diag.Diagnostics.render_all diag);
+          let mode =
+            if options.Driver.use_irbuilder then Mc_codegen.Codegen.Irbuilder
+            else Mc_codegen.Codegen.Classic
+          in
+          let m = Mc_codegen.Codegen.emit_translation_unit ~mode tu in
+          let lowering = if options.Driver.use_irbuilder then "irbuilder" else "classic" in
+          check_pred_index ~what:(Printf.sprintf "%s (%s) after codegen" name lowering) m;
+          List.iter
+            (fun pass ->
+              ignore (Pass_manager.run ~verify_between:true ~passes:[ pass ] m);
+              check_pred_index
+                ~what:(Printf.sprintf "%s (%s) after %s" name lowering pass)
+                m)
+            Pass_manager.o1)
+        [ classic; irbuilder ])
+    (Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples"))
+
+(* ---- simplifycfg: one sweep vs restarting from the entry --------------- *)
+
+(* The algorithm the single-sweep [Simplify_cfg] replaced, kept as the
+   reference: predecessors by scanning, and [merge_pairs] restarting
+   from the entry block after every merge. *)
+module Reference_simplify = struct
+  let remove_unreachable f =
+    let reachable = Hashtbl.create 32 in
+    let rec dfs b =
+      if not (Hashtbl.mem reachable b.b_id) then begin
+        Hashtbl.add reachable b.b_id ();
+        List.iter dfs (successors b)
+      end
+    in
+    dfs (entry_block f);
+    let dead = List.filter (fun b -> not (Hashtbl.mem reachable b.b_id)) f.f_blocks in
+    if dead = [] then false
+    else begin
+      let is_dead b = List.exists (fun d -> d == b) dead in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun phi ->
+              match phi.i_kind with
+              | Phi { incoming } ->
+                phi.i_kind <-
+                  Phi { incoming = List.filter (fun (_, ib) -> not (is_dead ib)) incoming }
+              | _ -> ())
+            (block_phis b))
+        (List.filter (fun b -> not (is_dead b)) f.f_blocks);
+      remove_blocks f dead;
+      true
+    end
+
+  let merge_pairs f =
+    let changed = ref false in
+    let continue_ = ref true in
+    while !continue_ do
+      continue_ := false;
+      let candidate =
+        List.find_opt
+          (fun b ->
+            match b.b_term with
+            | Br s ->
+              (not (s == b))
+              && (not (s == entry_block f))
+              && (match reference_preds f s with [ p ] -> p == b | _ -> false)
+              && block_phis s = []
+            | _ -> false)
+          f.f_blocks
+      in
+      match candidate with
+      | Some ({ b_term = Br s; _ } as b) ->
+        List.iter (fun i -> append_inst b i) (block_insts s);
+        b.b_term <- s.b_term;
+        b.b_loop_md <-
+          {
+            md_unroll =
+              (match s.b_loop_md.md_unroll with
+              | Some u -> Some u
+              | None -> b.b_loop_md.md_unroll);
+            md_vectorize_width =
+              (match s.b_loop_md.md_vectorize_width with
+              | Some w -> Some w
+              | None -> b.b_loop_md.md_vectorize_width);
+          };
+        List.iter
+          (fun blk ->
+            List.iter
+              (fun phi ->
+                match phi.i_kind with
+                | Phi { incoming } ->
+                  phi.i_kind <-
+                    Phi
+                      {
+                        incoming =
+                          List.map (fun (v, ib) -> if ib == s then (v, b) else (v, ib)) incoming;
+                      }
+                | _ -> ())
+              (block_phis blk))
+          f.f_blocks;
+        remove_blocks f [ s ];
+        changed := true;
+        continue_ := true
+      | _ -> ()
+    done;
+    !changed
+
+  let forward_empty f =
+    let changed = ref false in
+    List.iter
+      (fun b ->
+        if (not (b == entry_block f)) && block_insts b = [] then begin
+          match b.b_term with
+          | Br t when (not (t == b)) && block_phis t = [] ->
+            let preds = reference_preds f b in
+            if preds <> [] then begin
+              List.iter (fun p -> replace_successor p ~from:b ~into:t) preds;
+              changed := true
+            end
+          | _ -> ()
+        end)
+      f.f_blocks;
+    !changed
+
+  let run_func f =
+    let changed = ref false in
+    let continue_ = ref true in
+    while !continue_ do
+      continue_ := false;
+      List.iter
+        (fun step ->
+          if step f then begin
+            changed := true;
+            continue_ := true
+          end)
+        [ remove_unreachable; forward_empty; remove_unreachable; merge_pairs ]
+    done;
+    !changed
+end
+
+(* A random CFG from [seed]: empty forwarding blocks, straight-line
+   blocks, opaque conditional branches, returns, self-loops, unreachable
+   islands, loop metadata on some terminators, and phis (one incoming
+   per predecessor) in some blocks.  Ids restart at zero, so two builds
+   from one seed print identically. *)
+let random_cfg seed =
+  let rng = ref seed in
+  let rand bound =
+    rng := (!rng * 1103515245) + 12345;
+    (!rng lsr 16) mod bound
+  in
+  reset_ids ();
+  let m = create_module "t" in
+  let f = define_function m ~name:"main" ~ret:Void ~args:[] in
+  let n = 3 + rand 12 in
+  let blocks = List.init n (fun i -> create_block ~name:(Printf.sprintf "b%d" i) f) in
+  let nth = List.nth blocks in
+  let opaque b =
+    let inst = mk_inst ~ty:I1 (Call { callee = Runtime "__kmpc_single"; args = [] }) in
+    append_inst b inst;
+    Inst_ref inst
+  in
+  (* Most edges continue to the next block and few blocks return, so
+     most blocks are reachable and the merge and forwarding rules fire. *)
+  let target i = if i + 1 < n && rand 3 > 0 then nth (i + 1) else nth (rand n) in
+  List.iteri
+    (fun i b ->
+      (match if i + 1 = n then 0 else 1 + rand 6 with
+      | 0 -> b.b_term <- Ret None
+      | 1 | 2 -> b.b_term <- Br (target i)
+      | 3 ->
+        ignore (opaque b);
+        b.b_term <- Br (target i)
+      | _ -> b.b_term <- Cond_br (opaque b, target i, target i));
+      if rand 4 = 0 then
+        b.b_loop_md <- { b.b_loop_md with md_unroll = Some (Unroll_count (2 + rand 3)) })
+    blocks;
+  List.iter
+    (fun b ->
+      match reference_preds f b with
+      | [] -> ()
+      | ps ->
+        if rand 3 = 0 then begin
+          let phi =
+            mk_inst ~ty:I32
+              (Phi { incoming = List.map (fun p -> (i32_const (rand 100), p)) ps })
+          in
+          phi.i_parent <- Some b;
+          set_block_insts b (phi :: block_insts b)
+        end)
+    blocks;
+  (m, f)
+
+let test_simplifycfg_matches_restart_reference () =
+  for trial = 0 to 400 do
+    let seed = 7919 * (trial + 1) in
+    let m1, f1 = random_cfg seed in
+    let changed1 = Simplify_cfg.run_func f1 in
+    let m2, f2 = random_cfg seed in
+    let changed2 = Reference_simplify.run_func f2 in
+    let text1 = Mc_ir.Printer.module_to_string m1
+    and text2 = Mc_ir.Printer.module_to_string m2 in
+    if changed1 <> changed2 || text1 <> text2 then
+      Alcotest.failf "seed %d: single sweep (changed=%b):\n%s\nreference (changed=%b):\n%s"
+        seed changed1 text1 changed2 text2
+  done
+
+(* ---- constprop on self-referencing phis -------------------------------- *)
+
+(* These used to spin forever at -O1, so a regression must fail, not
+   hang: the alarm turns a stuck compile into an exception. *)
+let with_deadline seconds f =
+  let previous =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle (fun _ -> failwith "compile did not finish"))
+  in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    f
+
+(* A folded constant-false branch drops a dead loop's preheader edge and
+   leaves [x.phi = phi [x.phi, latch]]; swapped variables leave two
+   phis feeding each other. *)
+let self_phi_source =
+  "void record(long x);\n\
+   int main(void){ int x = 5; int n = 0; if (n) { while (x < 10) { x = x; } } \
+   record(x); return 0; }"
+
+let swapped_phis_source =
+  "void record(long x);\n\
+   int main(void){ int a = 5; int b = 7; int t = 0; int n = 0;\n\
+   if (n) { while (a < 10) { t = a; a = b; b = t; } }\n\
+   record(a); record(b); return 0; }"
+
+let test_constprop_phi_cycles () =
+  List.iter
+    (fun (what, source, expected) ->
+      List.iter
+        (fun (lowering, options) ->
+          let trace =
+            with_deadline 20 (fun () -> trace_of ~options source)
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s (%s, -O1)" what lowering)
+            expected (trace_to_string trace);
+          Alcotest.(check string)
+            (Printf.sprintf "%s (%s, -O0 agrees)" what lowering)
+            expected
+            (trace_to_string (trace_of ~options:(o0 options) source)))
+        [ ("classic", classic); ("irbuilder", irbuilder) ])
+    [
+      ("self-referencing phi", self_phi_source, "5");
+      ("swapped phis", swapped_phis_source, "5;7");
+    ]
+
+(* The same on hand-built IR: a 3-cycle of phis with a fourth phi
+   chained into it.  Used by a call, the cycle stays and the chain folds
+   onto it; unused, all four fold away as they always did. *)
+let test_constprop_cycle_shapes () =
+  let build ~used =
+    let m = create_module "t" in
+    let f = define_function m ~name:"main" ~ret:Void ~args:[] in
+    let entry = create_block ~name:"entry" f in
+    let loop = create_block ~name:"loop" f in
+    let exit = create_block ~name:"exit" f in
+    entry.b_term <- Br exit;
+    let phi name = mk_inst ~name ~ty:I32 (Phi { incoming = [] }) in
+    let a = phi "a" and b = phi "b" and c = phi "c" and d = phi "d" in
+    List.iter (append_inst loop) [ a; b; c; d ];
+    let feed p v = p.i_kind <- Phi { incoming = [ (Inst_ref v, loop) ] } in
+    feed a b;
+    feed b c;
+    feed c a;
+    feed d a;
+    loop.b_term <- Br loop;
+    let call =
+      mk_inst ~ty:Void (Call { callee = Runtime "record"; args = [ Inst_ref d ] })
+    in
+    if used then append_inst exit call;
+    exit.b_term <- Ret None;
+    (f, loop, a, call)
+  in
+  let f, loop, a, call = build ~used:true in
+  Alcotest.(check bool) "changed" true
+    (with_deadline 20 (fun () -> Const_prop.run_func f));
+  Alcotest.(check (list string)) "the used cycle stays" [ "a"; "b"; "c" ]
+    (List.map (fun i -> i.i_name) (block_phis loop));
+  (match call.i_kind with
+  | Call { args = [ Inst_ref x ]; _ } when x == a -> ()
+  | _ -> Alcotest.fail "the chain into the cycle should fold onto it");
+  let f, loop, _, _ = build ~used:false in
+  ignore (with_deadline 20 (fun () -> Const_prop.run_func f));
+  Alcotest.(check int) "an unused cycle folds away" 0
+    (List.length (block_phis loop))
+
 let suite =
   [
     tc "dominator tree" test_dominators;
@@ -389,4 +722,12 @@ let suite =
     tc "while/do loops unroll via LoopHintAttr" test_while_loop_unrolls;
     tc "C4: heuristic factor choice" test_heuristic_factor;
     tc "pass manager" test_pass_manager;
+    tc "predecessor index equals the reference scan after every pass"
+      test_pred_index_matches_scan;
+    tc "constprop: phi cycles in dead loops terminate"
+      test_constprop_phi_cycles;
+    tc "constprop: used phi cycles stay, unused ones fold"
+      test_constprop_cycle_shapes;
+    tc "simplifycfg: one sweep equals the restart-from-entry reference"
+      test_simplifycfg_matches_restart_reference;
   ]

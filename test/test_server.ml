@@ -419,6 +419,83 @@ let test_shed_and_busy_retry () =
       (Stats.find snap "server.queue-depth-max" >= 1)
   end
 
+(* ---- concurrent connections ---------------------------------------- *)
+
+(* Four client domains against a 2-worker pool, each opening a fresh
+   connection per request as fast as the daemon answers.  Connection fds
+   are reused at once, so a descriptor closed twice (once per channel)
+   cuts off whichever connection took its number in between: a lost,
+   truncated or cross-wired reply.  Every request must come back whole,
+   carrying its own unit and its own value. *)
+let test_concurrent_clients () =
+  (* Under the fault matrix a torn request frame leaves its worker
+     waiting for the rest of it, so keep that run short and bounded. *)
+  let clients = 4 and per_client = if tolerant then 10 else 100 in
+  let policy =
+    if tolerant then Client.policy_with ~timeout:2.0 ()
+    else Client.default_policy
+  in
+  let value c k = (c * 100) + (k mod 5) in
+  let unit_source c k =
+    Printf.sprintf
+      "void record(long x);\nint main(void) { record(%d); return 0; }"
+      (value c k)
+  in
+  let results, snap =
+    with_daemon ~pool:2 ~queue:64 (fun socket_path ->
+        let client c =
+          Domain.spawn (fun () ->
+              List.init per_client (fun k ->
+                  let name = Printf.sprintf "stress-%d-%d.c" c k in
+                  match
+                    Client.compile ~policy ~socket_path invocation
+                      [ (name, unit_source c k) ]
+                  with
+                  | Ok
+                      {
+                        Client.response = Protocol.Resp_units { p_units = [ u ]; _ };
+                        _;
+                      } -> (
+                    let injected =
+                      match u.Protocol.r_outcome with
+                      | Protocol.R_ice { ice_exn; _ } ->
+                        has_substring ice_exn "injected"
+                      | Protocol.R_ok _ -> false
+                    in
+                    if u.Protocol.r_name <> name then
+                      Error
+                        (Printf.sprintf "wrong data: %s was answered with %s"
+                           name u.Protocol.r_name)
+                    else if injected then Ok ()
+                    else
+                      match Client.ir_of_response_unit u with
+                      | None -> Error (name ^ ": reply carried no IR")
+                      | Some m -> (
+                        match Mc_interp.Interp.run_main m with
+                        | { Mc_interp.Interp.trace = [ Mc_interp.Interp.T_int v ]; _ }
+                          when Int64.to_int v = value c k ->
+                          Ok ()
+                        | _ -> Error ("wrong data: unexpected trace for " ^ name)))
+                  | Ok _ -> Error (name ^ ": unexpected response shape")
+                  | Error e -> Error (name ^ ": " ^ e)))
+        in
+        List.init clients client |> List.concat_map Domain.join)
+  in
+  let errors =
+    List.filter_map (function Error e -> Some e | Ok () -> None) results
+  in
+  let wrong = List.filter (fun e -> has_substring e "wrong data") errors in
+  if wrong <> [] then Alcotest.failf "%s" (String.concat "\n" wrong);
+  (* Injected faults may fail a request; nothing else may. *)
+  if not tolerant then begin
+    if errors <> [] then
+      Alcotest.failf "%d of %d requests failed:\n%s" (List.length errors)
+        (List.length results)
+        (String.concat "\n" errors);
+    check_count "server.requests" (clients * per_client)
+      (Stats.find snap "server.requests")
+  end
+
 (* ---- per-request deadline ------------------------------------------- *)
 
 let test_request_deadline () =
@@ -673,6 +750,8 @@ let suite =
     tc "second daemon on a live socket is refused" test_double_start_refused;
     tc "ping reports queue depth and capacity" test_ping;
     tc "full queue sheds; client retries absorb it" test_shed_and_busy_retry;
+    tc "concurrent clients on a 2-worker pool: every reply whole"
+      test_concurrent_clients;
     tc "request deadline becomes a structured rejection"
       test_request_deadline;
     tc "client deadlines bound a wedged server" test_wedged_server_times_out;
