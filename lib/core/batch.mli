@@ -26,9 +26,9 @@ type unit_result = {
   u_trace : Pipeline.trace;
       (** per-stage outcomes for this unit ([[]] on a contained ICE) *)
   u_fn_trace : (string * Pipeline.outcome) list;
-      (** function-granular slice outcomes for this unit (see
-          {!Pipeline.exec.x_fn_trace}; [[]] on a contained ICE or on the
-          unit-granular path) *)
+      (** slice outcomes for this unit (see {!Pipeline.exec.x_fn_trace};
+          [[]] on a contained ICE or when the unit's whole AST artifact
+          was reused) *)
   u_stats : Mc_support.Stats.snapshot; (** this unit's registry snapshot *)
   u_wall : float; (** wall seconds spent on this unit *)
 }

@@ -22,10 +22,10 @@
 module Stats = Mc_support.Stats
 
 let stage_names =
-  (* Unit-granular stages first, then the per-function artifact families
-     of the granular pipeline (one artifact per top-level slice). *)
+  (* Unit-level stages first, then the per-slice artifact families (one
+     artifact per top-level slice). *)
   [ "transfo"; "lex"; "pp"; "ast"; "ir"; "optir"; "fnast"; "fnir"; "fnoptir";
-    "analysis"; "fnanalysis" ]
+    "fnanalysis" ]
 
 type stage_counters = {
   sc_hits : Stats.counter;

@@ -26,8 +26,8 @@ type t
 val stage_names : string list
 (** The stage tags, in pipeline order:
     ["transfo"; "lex"; "pp"; "ast"; "ir"; "optir"], followed by the
-    per-function artifact families of the function-granular pipeline:
-    ["fnast"; "fnir"; "fnoptir"] (one artifact per top-level slice). *)
+    per-slice artifact families: ["fnast"; "fnir"; "fnoptir";
+    "fnanalysis"] (one artifact per top-level slice). *)
 
 val create : ?store:Store.t -> unit -> t
 (** A fresh in-memory cache.  With [?store], the cache is layered over a

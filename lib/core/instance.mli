@@ -37,10 +37,10 @@ type compilation = {
       (** Per-stage outcomes, e.g. lex:run pp:run ast:hit ir:hit
           optir:hit for a comment-only edit. *)
   c_fn_trace : (string * Pipeline.outcome) list;
-      (** Function-granular slice outcomes (see
-          {!Pipeline.exec.x_fn_trace}): which top-level definitions were
-          adopted from per-function artifacts versus re-parsed.  Empty
-          on the unit-granular path. *)
+      (** Slice outcomes (see {!Pipeline.exec.x_fn_trace}): which
+          top-level definitions were adopted from per-function artifacts
+          versus parsed.  Empty when the unit's whole AST artifact was
+          reused. *)
 }
 
 val compile : t -> ?name:string -> string -> compilation

@@ -20,6 +20,14 @@
    only diagnostic-free stage outputs are ever cached, and a
    diagnostic-free run is identical under any error limit.
 
+   From the parser on, the unit is worked in top-level slices
+   ({!slice_unit}): parsed one by one against a shared sema, emitted,
+   analysed and optimised per slice, then relinked ({!link_minis}).  That
+   is the one compile algorithm, cached or not; a cache adds per-slice
+   artifacts ("fnast", "fnir", "fnanalysis", "fnoptir") under the unit
+   ones, so a body edit re-runs one slice.  Without a cache no fingerprint
+   is computed and nothing is marshalled.
+
    Caching policy: a stage artifact is stored only when the compilation
    has produced no diagnostics at all by the end of that stage (a hit
    must never swallow a warning replay), and storing is the last act of a
@@ -58,7 +66,7 @@ type options = {
   analyze : string list option;
       (* Some [] = every analysis pass; Some ps = that selection; the
          report lands in [result.analysis].  Keyed on pre-pass IR, so it
-         caches per function on the granular path. *)
+         caches per slice. *)
 }
 
 let default_options =
@@ -141,9 +149,9 @@ type exec = {
   x_trace : trace;
   x_full_hit : bool;
   x_fn_trace : (string * outcome) list;
-      (** Per-top-level-slice outcomes of a function-granular execution
-          (function name, reused or re-run), in unit order; empty when
-          the unit-granular path ran. *)
+      (** Per-slice outcomes (definition names, reused or parsed), in
+          unit order; empty when the unit's whole AST artifact was
+          reused. *)
 }
 
 (* ---- fingerprints ------------------------------------------------------- *)
@@ -196,9 +204,9 @@ let codegen_errors_counter =
   Stats.counter ~group:"driver" ~name:"codegen-errors"
     ~desc:"compilations refused by CodeGen (unsupported construct / errors)" ()
 
-(* Function-granular aggregates: one event per top-level slice of an
-   eligible unit whenever the granular path runs (a unit-granular hit
-   consults no per-function artifact and counts nothing here). *)
+(* Function-granular aggregates: one event per slice a cached
+   compilation parses or adopts (a unit-level AST hit consults no slice
+   and counts nothing here). *)
 let stat_fn_hits =
   Stats.counter ~group:"cache" ~name:"fn-hits"
     ~desc:"top-level slices whose sema'd AST was reused from a fnast artifact"
@@ -214,8 +222,7 @@ let stat_fn_relinks =
     ()
 
 (* Analysis-stage aggregates, same shape as the fn cache counters: one
-   event per per-function pre-pass IR payload whenever --analyze runs on
-   a function-granular unit. *)
+   event per slice module whenever a cached compilation runs --analyze. *)
 let stat_an_fn_hits =
   Stats.counter ~group:"analysis" ~name:"fn-hits"
     ~desc:"functions whose analysis report was reused from a fnanalysis artifact"
@@ -263,64 +270,75 @@ type pp_payload = {
   pl_includes : (string * string) list;
 }
 
-(* ---- function-granular slicing ------------------------------------------ *)
+(* ---- slicing ------------------------------------------------------------ *)
 
-(* A top-level declaration's span of the preprocessed stream.  Function
-   definitions are the unit of incremental reuse; every other top-level
-   declaration ([sl_fn_def = false]) is a slice whose full token content
-   participates in the downstream context, so editing it invalidates
-   every later slice. *)
+(* A run of top-level declarations of the preprocessed stream — the unit
+   in which the pipeline parses, caches, emits and optimises.  Usually a
+   single declaration; [sl_fn_def] marks a lone function definition,
+   whose interface to later slices stops at its body. *)
 type slice = {
-  sl_name : string; (* definition name; "" for non-definition slices *)
+  sl_defs : string list; (* the function definitions it holds, in order *)
   sl_fn_def : bool;
   sl_items : Mc_pp.Preprocessor.item list;
 }
 
-(* Split the preprocessed stream into top-level slices by bracket
-   tracking: a slice ends at a depth-0 [;] (declaration) or at the [}]
-   closing a top-level function body.  Returns [None] when the unit is
-   not eligible for granular treatment — a file-scope pragma, unbalanced
-   brackets, a top-level brace group that is not a function definition,
-   duplicate definition names, or fewer than two slices — in which case
-   the caller uses the unit-granular path unchanged. *)
+let slice_label sl =
+  match sl.sl_defs with [] -> "<decl>" | defs -> String.concat "+" defs
+
+(* Split the preprocessed stream into slices by bracket tracking: a slice
+   ends at a depth-0 [;] or at the [}] closing a top-level function body,
+   and the end-of-file token joins the last slice, so the slices always
+   concatenate back to [items].  The split is total:
+
+   - a stream it cannot split — a file-scope pragma, unbalanced brackets,
+     a top-level brace group that is no function body, tokens after the
+     last declaration — stays one slice, which the parser then sees
+     exactly as the unsplit stream;
+   - a slice declaring a function (the name before its first top-level
+     '(') is merged with every slice back to the earliest earlier
+     non-definition slice that mentions the name.  Sema writes a
+     definition's body, and a redeclaration's parameter names, into the
+     record the first prototype created; merging keeps that write inside
+     one slice, whose artifact can hold it. *)
 let slice_unit items =
   let module Tk = Mc_lexer.Token in
   let module Pp = Mc_pp.Preprocessor in
-  let exception Ineligible in
-  let slices = ref [] in
-  let cur = ref [] in
-  let paren = ref 0 and brace = ref 0 and bracket = ref 0 in
-  let name = ref None in
-  let name_locked = ref false in (* saw the depth-0 '(' that froze it *)
-  let fn_like = ref false in (* that '(' was later followed by a top-level '{' *)
-  let finish ~fn_def =
-    let nm = match !name with Some n -> n | None -> "" in
-    if fn_def && nm = "" then raise Ineligible;
-    slices :=
-      {
-        sl_name = (if fn_def then nm else "");
-        sl_fn_def = fn_def;
-        sl_items = List.rev !cur;
-      }
-      :: !slices;
-    cur := [];
-    name := None;
-    name_locked := false;
-    fn_like := false
-  in
-  let at_top () = !paren = 0 && !brace = 0 && !bracket = 0 in
-  match
+  let exception Unsliceable in
+  let split () =
+    let slices = ref [] in
+    let cur = ref [] and eof = ref [] in
+    let paren = ref 0 and brace = ref 0 and bracket = ref 0 in
+    let name = ref None in
+    let name_locked = ref false in (* saw the depth-0 '(' that froze it *)
+    let fn_like = ref false in (* that '(' was later followed by a top-level '{' *)
+    let at_top () = !paren = 0 && !brace = 0 && !bracket = 0 in
+    let finish ~fn_def =
+      let declared = if !name_locked then !name else None in
+      let sl =
+        {
+          sl_defs = (if fn_def then Option.to_list declared else []);
+          sl_fn_def = fn_def;
+          sl_items = List.rev !cur;
+        }
+      in
+      slices := (sl, declared) :: !slices;
+      cur := [];
+      name := None;
+      name_locked := false;
+      fn_like := false
+    in
     List.iter
       (fun item ->
+        if !eof <> [] then raise Unsliceable;
         match item with
         | Pp.Prag _ ->
-          (* File-scope pragmas are a parse error the slicer must not
-             reorder around; leave such units to the unit path. *)
-          if !brace = 0 && !paren = 0 then raise Ineligible;
+          if !brace = 0 && !paren = 0 then raise Unsliceable;
           cur := item :: !cur
         | Pp.Tok tok -> (
           match tok.Tk.kind with
-          | Tk.Eof -> if !cur <> [] then raise Ineligible
+          | Tk.Eof ->
+            if !cur <> [] then raise Unsliceable;
+            eof := [ item ]
           | kind ->
             cur := item :: !cur;
             (match kind with
@@ -331,49 +349,90 @@ let slice_unit items =
               incr paren
             | Tk.Punct Tk.RParen ->
               decr paren;
-              if !paren < 0 then raise Ineligible
+              if !paren < 0 then raise Unsliceable
             | Tk.Punct Tk.LBracket -> incr bracket
             | Tk.Punct Tk.RBracket ->
               decr bracket;
-              if !bracket < 0 then raise Ineligible
+              if !bracket < 0 then raise Unsliceable
             | Tk.Punct Tk.LBrace ->
               if at_top () then
-                if !name_locked then fn_like := true else raise Ineligible;
+                if !name_locked then fn_like := true else raise Unsliceable;
               incr brace
             | Tk.Punct Tk.RBrace ->
               decr brace;
-              if !brace < 0 then raise Ineligible;
+              if !brace < 0 then raise Unsliceable;
               if at_top () then begin
-                if not !fn_like then raise Ineligible;
+                if not !fn_like then raise Unsliceable;
                 finish ~fn_def:true
               end
             | Tk.Punct Tk.Semi -> if at_top () then finish ~fn_def:false
             | _ -> ())))
-      items
-  with
-  | () ->
-    if !cur <> [] || not (at_top ()) then None
-    else begin
-      let sl = List.rev !slices in
-      let rec dup = function
-        | [] -> false
-        | s :: rest ->
-          (s.sl_fn_def
-          && List.exists
-               (fun s' -> s'.sl_fn_def && String.equal s.sl_name s'.sl_name)
-               rest)
-          || dup rest
-      in
-      if List.length sl < 2 || dup sl then None else Some sl
-    end
-  | exception Ineligible -> None
+      items;
+    if !cur <> [] || not (at_top ()) then raise Unsliceable;
+    (Array.of_list (List.rev !slices), !eof)
+  in
+  let merge raw =
+    let n = Array.length raw in
+    (* reach.(i): the last slice that must share a slice with slice i. *)
+    let reach = Array.init n Fun.id in
+    let first_mention = Hashtbl.create 16 in
+    Array.iteri
+      (fun k (sl, declared) ->
+        (match declared with
+        | Some nm -> (
+          match Hashtbl.find_opt first_mention nm with
+          | Some j -> reach.(j) <- k
+          | None -> ())
+        | None -> ());
+        if not sl.sl_fn_def then
+          List.iter
+            (function
+              | Pp.Tok { Tk.kind = Tk.Ident id; _ } ->
+                if not (Hashtbl.mem first_mention id) then
+                  Hashtbl.add first_mention id k
+              | _ -> ())
+            sl.sl_items)
+      raw;
+    let rec groups i acc =
+      if i >= n then List.rev acc
+      else begin
+        let stop = ref reach.(i) and j = ref i in
+        while !j < !stop do
+          incr j;
+          stop := max !stop reach.(!j)
+        done;
+        let sl =
+          if !stop = i then fst raw.(i)
+          else
+            let members =
+              List.init (!stop - i + 1) (fun d -> fst raw.(i + d))
+            in
+            {
+              sl_defs = List.concat_map (fun s -> s.sl_defs) members;
+              sl_fn_def = false;
+              sl_items = List.concat_map (fun s -> s.sl_items) members;
+            }
+        in
+        groups (!stop + 1) (sl :: acc)
+      end
+    in
+    groups 0 []
+  in
+  match split () with
+  | exception Unsliceable ->
+    [ { sl_defs = []; sl_fn_def = false; sl_items = items } ]
+  | raw, eof -> (
+    match List.rev (merge raw) with
+    | [] -> [ { sl_defs = []; sl_fn_def = false; sl_items = eof } ]
+    | last :: earlier ->
+      List.rev ({ last with sl_items = last.sl_items @ eof } :: earlier))
 
 (* The context a slice's analysis can observe from earlier slices: full
-   token content for non-definition slices, and the tokens up to the
-   body-opening brace for function definitions — so a body edit changes
-   no later slice's context while a signature or global edit changes
-   them all. *)
-let slice_interface buf sl =
+   token content for most slices, and the tokens up to the body-opening
+   brace for a lone function definition — so a body edit changes no later
+   slice's context while a signature or global edit changes them all. *)
+let slice_interface sl =
+  let buf = Buffer.create 256 in
   if not sl.sl_fn_def then Cache.canonical_items buf sl.sl_items
   else begin
     let module Tk = Mc_lexer.Token in
@@ -390,22 +449,33 @@ let slice_interface buf sl =
          sl.sl_items
      with Exit -> ());
     Buffer.add_string buf "\x02{}"
-  end
+  end;
+  Buffer.contents buf
 
 let slice_digest sl =
   let buf = Buffer.create 512 in
   Cache.canonical_items buf sl.sl_items;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* ---- per-function IR linking -------------------------------------------- *)
+(* ---- per-slice IR -------------------------------------------------------- *)
 
-(* Link per-function mini-modules (one per slice, in unit order) into a
-   unit module reproducing exactly the function order a unit-granular
-   codegen would have built: the first module to mention a name places
-   it, later declaration copies are dropped, and a definition grafts
-   over an earlier declaration in place.  Every [Direct] callee and
-   [Fn_addr] operand is then rewired to the canonical record per name —
-   the interpreter executes calls by following that very pointer. *)
+(* One slice's pre-pass IR module: emitted by this compilation, or
+   served from the cache as its marshalled snapshot (module, IR id
+   watermark), taken before the passes mutate it. *)
+type mini_ir = Emitted of Mc_ir.Ir.modul | Cached of string
+
+type mini = {
+  mi_fp : string; (* the slice's "fnir" fingerprint ("" uncached) *)
+  mi_ir : mini_ir;
+}
+
+(* Link per-slice modules (in unit order) into a unit module reproducing
+   exactly the function order a whole-unit codegen would have built: the
+   first module to mention a name places it, later declaration copies
+   are dropped, and a definition grafts over an earlier declaration in
+   place.  Every [Direct] callee and [Fn_addr] operand is then rewired to
+   the canonical record per name — the interpreter executes calls by
+   following that very pointer. *)
 let link_minis ~module_name minis =
   let by_name : (string, Mc_ir.Ir.func) Hashtbl.t = Hashtbl.create 16 in
   let order : Mc_ir.Ir.func ref list ref = ref [] in
@@ -432,9 +502,9 @@ let link_minis ~module_name minis =
   let m = Mc_ir.Ir.create_module module_name in
   m.Mc_ir.Ir.m_funcs <- List.rev_map (fun slot -> !slot) !order;
   let resolve (f : Mc_ir.Ir.func) =
-    match Hashtbl.find_opt by_name f.Mc_ir.Ir.f_name with
-    | Some g -> g
-    | None -> f
+    match Hashtbl.find by_name f.Mc_ir.Ir.f_name with
+    | g -> g
+    | exception Not_found -> f
   in
   Mc_ir.Ir.map_function_refs resolve m;
   m
@@ -639,28 +709,36 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
   Crash_recovery.set_position_renderer (fun ~file ~offset ->
       Srcmgr.describe !srcmgr (Loc.encode ~file_id:file ~offset));
   let clean () = Diag.diagnostics !diag = [] in
-  let consult ?validate stage fp =
+  (* The memo table.  Fingerprints only address it, so a compilation
+     without a cache computes none (and keeps no input alive for one). *)
+  let memo = Option.is_some cache in
+  let fingerprint f = if memo then f () else "" in
+  let find ?validate tag fp =
     match cache with
     | None -> None
-    | Some c -> Cache.find c ~stage:(stage_tag stage) ?validate fp
+    | Some c -> Cache.find c ~stage:tag ?validate fp
   in
   (* Storing is the last act of an executed stage, and only when the
      compilation is still diagnostic-free — so an ICE mid-stage was never
      stored, and a hit never swallows a warning replay. *)
-  let save stage fp payload =
+  let store tag fp payload =
     match cache with
-    | None -> ()
-    | Some c -> if clean () then Cache.store c ~stage:(stage_tag stage) fp (payload ())
+    | Some c when clean () -> Cache.store c ~stage:tag fp (payload ())
+    | _ -> ()
   in
+  let consult ?validate stage fp = find ?validate (stage_tag stage) fp in
+  let save stage fp payload = store (stage_tag stage) fp payload in
   let buf = Buf.create ~name ~contents:source in
   (* The main buffer loads first — file id 1, always — so token locations
      inside cached artifacts stay valid whatever -D buffers or includes a
      particular compilation loads afterwards. *)
   let main_id = Srcmgr.load_main !srcmgr buf in
-  let src_fp = source_fingerprint ~name source in
+  let src_fp = fingerprint (fun () -> source_fingerprint ~name source) in
 
   (* Stage: lex. *)
-  let lex_fp = stage_fingerprint Lex options ~input:src_fp in
+  let lex_fp =
+    fingerprint (fun () -> stage_fingerprint Lex options ~input:src_fp)
+  in
   (* The token stream is only ever consumed by an *executed* preprocess
      stage, so a cached payload stays un-unmarshalled until (unless) the
      preprocessor actually needs it — on a pp hit the lex hit costs one
@@ -681,7 +759,9 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
   in
 
   (* Stage: preprocess. *)
-  let pp_fp = stage_fingerprint Preprocess options ~input:src_fp in
+  let pp_fp =
+    fingerprint (fun () -> stage_fingerprint Preprocess options ~input:src_fp)
+  in
   let adopted = ref None in
   let validate payload =
     let (p : pp_payload) = Marshal.from_string payload 0 in
@@ -735,201 +815,151 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
      Content-addressed on the canonical preprocessed stream, not on the
      source: a comment-only edit lands here with an unchanged input.
 
-     Cached compilations additionally slice the stream into top-level
-     declarations ({!slice_unit}) and consult/fill one "fnast" artifact
-     per slice, so a body edit re-parses exactly the edited function and
-     adopts every other slice's sema'd decls from the cache. *)
-  let slices = if Option.is_some cache then slice_unit items else None in
+     The stream is parsed slice by slice ({!slice_unit}) against one
+     shared sema.  Each slice has its own "fnast" artifact, addressed by
+     the interfaces of the slices before it and by its own tokens, so a
+     body edit re-parses exactly the edited function and adopts every
+     other slice's sema'd decls.  The unit's "ast" artifact keeps the
+     per-slice split, so the backend stays per slice after a unit hit. *)
   let ast_fp =
-    stage_fingerprint Parse_sema options ~input:(Cache.canonical_digest items)
+    fingerprint (fun () ->
+        stage_fingerprint Parse_sema options
+          ~input:(Cache.canonical_digest items))
   in
-  let ir_fp = stage_fingerprint Codegen options ~input:ast_fp in
+  let ir_fp =
+    fingerprint (fun () -> stage_fingerprint Codegen options ~input:ast_fp)
+  in
   let fn_trace = ref [] in
-  let mk_sema () =
-    let sema_mode =
-      if options.use_irbuilder then Mc_sema.Sema.Irbuilder
-      else Mc_sema.Sema.Classic
-    in
-    Mc_sema.Sema.create ~mode:sema_mode
-      ~loop_nest_limit:options.loop_nest_limit !diag
-  in
-  let legacy_parse () =
-    let sema = mk_sema () in
-    let tu, dt =
-      time Parse_sema (fun () ->
-          Mc_parser.Parser.parse_translation_unit
-            ~bracket_depth:options.bracket_depth sema items)
-    in
-    t_parse_sema := !t_parse_sema +. dt;
-    mark Parse_sema Executed;
-    save Parse_sema ast_fp (fun () -> marshal tu);
-    tu
-  in
-  (* Parse slice by slice against one shared sema.  A hit adopts the
-     artifact's decls (claiming its id watermark first — PR 8's counter
-     discipline at the AST layer); a miss parses just that slice and
-     stores its new decls with earlier functions' bodies stripped, so an
-     artifact carries exactly one body: its own.  Returns [None] to fall
-     back to the unit path: on any error (the unit parser's recovery and
-     diagnostics must be reproduced exactly, and nothing would be cached
-     anyway), or when a definition mutated an earlier slice's record
-     (prototype in one slice, definition in another) — a shape
-     per-function artifacts cannot represent. *)
-  let granular_parse slices =
+  (* A hit adopts the artifact's decls (claiming its AST id watermark
+     first, so ids allocated later never collide with adopted ones); a
+     miss parses just that slice and stores its new decls with earlier
+     functions' bodies stripped, so an artifact carries exactly its own
+     bodies.  After the first diagnostic the walk looks nothing up and
+     stores nothing: the remaining slices are parsed with the same sema
+     and diagnostics engine, as one stream would be. *)
+  let parse_slices slices =
     let pslice = option_slice Parse_sema options in
-    let sema = mk_sema () in
-    let iface = Buffer.create 1024 in
-    let seen_fns = ref [] in
-    let decl_count = ref 0 in
-    let acc = ref [] in
-    let slice_label sl = if sl.sl_fn_def then sl.sl_name else "<decl>" in
-    let note_fns decls =
-      List.iter
-        (function
-          | Mc_ast.Tree.Tu_fn fn -> seen_fns := fn :: !seen_fns
-          | Mc_ast.Tree.Tu_var _ -> ())
-        decls
+    let sema =
+      Mc_sema.Sema.create
+        ~mode:
+          (if options.use_irbuilder then Mc_sema.Sema.Irbuilder
+           else Mc_sema.Sema.Classic)
+        ~loop_nest_limit:options.loop_nest_limit !diag
     in
-    let rec go = function
-      | [] -> Some (List.rev !acc)
-      | sl :: rest -> (
-        let ctx = Digest.to_hex (Digest.string (Buffer.contents iface)) in
-        let fp =
-          hash ("fnast\x00" ^ ctx ^ "\x00" ^ slice_digest sl ^ "\x00" ^ pslice)
-        in
-        let cached =
-          match cache with
-          | None -> None
-          | Some c -> Cache.find c ~stage:"fnast" fp
-        in
+    (* Digest of the interfaces of the slices parsed so far. *)
+    let context = ref "" in
+    let defined = ref [] in
+    let reused = ref 0 in
+    let parse_one sl =
+      let fp =
+        fingerprint (fun () ->
+            hash
+              ("fnast\x00" ^ !context ^ "\x00" ^ slice_digest sl ^ "\x00"
+             ^ pslice))
+      in
+      context :=
+        fingerprint (fun () -> hash (!context ^ "\x00" ^ slice_interface sl));
+      let cached = if clean () then find "fnast" fp else None in
+      let decls =
         match cached with
         | Some payload ->
+          incr reused;
           Stats.incr stat_fn_hits;
           let ((wm, decls) : int * Mc_ast.Tree.tu_decl list) =
             Marshal.from_string payload 0
           in
           Mc_ast.Tree.claim_up_to wm;
           List.iter (Mc_sema.Sema.adopt_tu_decl sema) decls;
-          decl_count := !decl_count + List.length decls;
-          note_fns decls;
-          fn_trace := (slice_label sl, Cache_hit) :: !fn_trace;
-          acc := (sl, fp, decls, true) :: !acc;
-          slice_interface iface sl;
-          go rest
+          decls
         | None ->
-          Stats.incr stat_fn_misses;
+          if memo then Stats.incr stat_fn_misses;
+          let start = Mc_sema.Sema.decl_mark sema in
+          let builtins = Mc_sema.Sema.defined_builtins sema in
           let (_ : Mc_ast.Tree.translation_unit), dt =
             time Parse_sema (fun () ->
                 Mc_parser.Parser.parse_translation_unit
                   ~bracket_depth:options.bracket_depth sema sl.sl_items)
           in
           t_parse_sema := !t_parse_sema +. dt;
-          let all = (Mc_sema.Sema.translation_unit sema).Mc_ast.Tree.tu_decls in
-          let rec drop n l =
-            if n = 0 then l
-            else match l with [] -> [] | _ :: t -> drop (n - 1) t
-          in
-          let fresh = drop !decl_count all in
-          decl_count := List.length all;
-          if Diag.has_errors !diag then None
-          else if
-            sl.sl_fn_def
-            && not
-                 (List.exists
-                    (function
-                      | Mc_ast.Tree.Tu_fn fn ->
-                        String.equal fn.Mc_ast.Tree.fn_name sl.sl_name
-                        && fn.Mc_ast.Tree.fn_body <> None
-                      | Mc_ast.Tree.Tu_var _ -> false)
-                    fresh)
-          then None
-          else begin
-            (match cache with
-            | Some c when clean () ->
-              let stripped =
-                List.filter_map
-                  (fun fn ->
-                    match fn.Mc_ast.Tree.fn_body with
-                    | Some b ->
-                      fn.Mc_ast.Tree.fn_body <- None;
-                      Some (fn, b)
-                    | None -> None)
-                  !seen_fns
-              in
-              Fun.protect
-                ~finally:(fun () ->
-                  List.iter
-                    (fun (fn, b) -> fn.Mc_ast.Tree.fn_body <- Some b)
-                    stripped)
-                (fun () ->
-                  Cache.store c ~stage:"fnast" fp
-                    (marshal (Mc_ast.Tree.current_id (), fresh)))
-            | _ -> ());
-            note_fns fresh;
-            fn_trace := (slice_label sl, Executed) :: !fn_trace;
-            acc := (sl, fp, fresh, false) :: !acc;
-            slice_interface iface sl;
-            go rest
-          end)
+          let fresh = Mc_sema.Sema.decls_since sema start in
+          if clean () then begin
+            (* The merge rule in [slice_unit] keeps every definition in
+               the slice that created its record; only a builtin's record
+               predates every slice. *)
+            List.iter
+              (fun def ->
+                if
+                  not
+                    (List.exists
+                       (function
+                         | Mc_ast.Tree.Tu_fn fn ->
+                           String.equal fn.Mc_ast.Tree.fn_name def
+                           && fn.Mc_ast.Tree.fn_body <> None
+                         | Mc_ast.Tree.Tu_var _ -> false)
+                       fresh
+                    ||
+                    match Mc_sema.Sema.lookup_fn sema def with
+                    | Some fn -> fn.Mc_ast.Tree.fn_builtin
+                    | None -> false)
+                then
+                  Crash_recovery.internal_error
+                    "slice defining '%s' wrote into an earlier slice's record"
+                    def)
+              sl.sl_defs;
+            (* A body given to a builtin lives in no decl, so no artifact
+               can replay it: such a slice is parsed afresh every time. *)
+            if Mc_sema.Sema.defined_builtins sema = builtins then
+              store "fnast" fp (fun () ->
+                  let stripped =
+                    List.filter_map
+                      (fun fn ->
+                        match fn.Mc_ast.Tree.fn_body with
+                        | Some b ->
+                          fn.Mc_ast.Tree.fn_body <- None;
+                          Some (fn, b)
+                        | None -> None)
+                      !defined
+                  in
+                  Fun.protect
+                    ~finally:(fun () ->
+                      List.iter
+                        (fun (fn, b) -> fn.Mc_ast.Tree.fn_body <- Some b)
+                        stripped)
+                    (fun () -> marshal (Mc_ast.Tree.current_id (), fresh)))
+          end;
+          fresh
+      in
+      List.iter
+        (function
+          | Mc_ast.Tree.Tu_fn fn -> defined := fn :: !defined
+          | Mc_ast.Tree.Tu_var _ -> ())
+        decls;
+      fn_trace :=
+        (slice_label sl, if cached = None then Executed else Cache_hit)
+        :: !fn_trace;
+      (fp, decls)
     in
-    go slices
+    let groups = List.map parse_one slices in
+    mark Parse_sema (if !reused = 0 then Executed else Partial);
+    groups
   in
-  let unit_ast = consult Parse_sema ast_fp in
-  (* For eligible units the unit IR artifact is peeked before the parse
-     decision: its presence means the backend will never need per-slice
-     decls, so a unit-level AST hit can be adopted wholesale. *)
-  let unit_ir =
-    match slices with
-    | Some _ when (not frontend_only) && not (Diag.has_errors !diag) ->
-      Some (consult Codegen ir_fp)
-    | _ -> None
+  (* Each slice's fnast fingerprint with its decls, in unit order. *)
+  let groups =
+    match consult Parse_sema ast_fp with
+    | Some payload ->
+      mark Parse_sema Cache_hit;
+      let ((wm, groups) : int * (string * Mc_ast.Tree.tu_decl list) list) =
+        Marshal.from_string payload 0
+      in
+      Mc_ast.Tree.claim_up_to wm;
+      groups
+    | None ->
+      let groups = parse_slices (slice_unit items) in
+      save Parse_sema ast_fp (fun () ->
+          marshal (Mc_ast.Tree.current_id (), groups));
+      groups
   in
-  let need_decls = match unit_ir with Some None -> true | _ -> false in
-  let adopt_unit_ast payload =
-    mark Parse_sema Cache_hit;
-    (Marshal.from_string payload 0 : Mc_ast.Tree.translation_unit)
-  in
-  let tu, slice_sems =
-    match (unit_ast, slices) with
-    | Some payload, _ when not need_decls -> (adopt_unit_ast payload, None)
-    | _, Some sl when clean () -> (
-      match granular_parse sl with
-      | Some sems ->
-        let total = List.length sems in
-        let reused =
-          List.length (List.filter (fun (_, _, _, r) -> r) sems)
-        in
-        mark Parse_sema
-          (if reused = 0 then Executed
-           else if reused = total && Option.is_some unit_ast then Cache_hit
-           else Partial);
-        if Option.is_none unit_ast then
-          save Parse_sema ast_fp (fun () ->
-              marshal
-                {
-                  Mc_ast.Tree.tu_decls =
-                    List.concat_map (fun (_, _, d, _) -> d) sems;
-                });
-        ( {
-            Mc_ast.Tree.tu_decls =
-              List.concat_map (fun (_, _, d, _) -> d) sems;
-          },
-          Some sems )
-      | None ->
-        (* Mid-flight ineligibility: restart the unit way on a fresh
-           sema, id counter and diagnostics engine (lex/pp allocate no
-           ids, and granular parse only runs on a clean diag, so both
-           rewinds lose nothing). *)
-        fn_trace := [];
-        Mc_ast.Tree.reset_ids ();
-        diag := Diag.create !srcmgr;
-        Diag.set_error_limit !diag options.error_limit;
-        (match unit_ast with
-        | Some payload -> (adopt_unit_ast payload, None)
-        | None -> (legacy_parse (), None)))
-    | Some payload, _ -> (adopt_unit_ast payload, None)
-    | None, _ -> (legacy_parse (), None)
-  in
+  let tu = { Mc_ast.Tree.tu_decls = List.concat_map snd groups } in
 
   let timings () =
     {
@@ -988,214 +1018,148 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     if options.optimize then Mc_passes.Pass_manager.o1
     else Mc_passes.Pass_manager.o0
   in
-  (* The unit IR artifact may have been peeked before the parse stage
-     (eligible units); never consult twice, the counters would lie. *)
-  let consult_ir () =
-    match unit_ir with Some res -> res | None -> consult Codegen ir_fp
+  (* A mini's module, unmarshalled from its snapshot when this compilation
+     did not emit it.  [claim] when passes will create instructions in it. *)
+  let mini_module ~claim mi =
+    match mi.mi_ir with
+    | Emitted m -> m
+    | Cached snapshot ->
+      let ((m, wm) : Mc_ir.Ir.modul * int) = Marshal.from_string snapshot 0 in
+      if claim then Mc_ir.Ir.claim_up_to wm;
+      m
   in
   let r =
     if frontend_only || Diag.has_errors !diag then no_ir None
     else begin
-      let opt_fp = stage_fingerprint Passes options ~input:ir_fp in
+      let opt_fp =
+        fingerprint (fun () -> stage_fingerprint Passes options ~input:ir_fp)
+      in
       let cslice = option_slice Codegen options in
       let oslice = option_slice Passes options in
-      (* Legacy whole-unit codegen. *)
-      let emit_unit () =
-        match
-          time Codegen (fun () ->
-              match
-                Mc_codegen.Codegen.emit_translation_unit ~fold:options.fold
-                  ~mode tu
-              with
-              | m -> Ok m
-              | exception Mc_codegen.Codegen.Unsupported msg -> Error msg)
-        with
-        (* The time codegen spent before bailing out is still real work;
-           keep it so stage timings stay truthful on the error path. *)
-        | Error msg, dt ->
-          t_codegen := dt;
-          mark Codegen Executed;
-          Stats.incr codegen_errors_counter;
-          Error msg
-        | Ok m, dt ->
-          t_codegen := dt;
-          mark Codegen Executed;
-          verify_or_ice m;
-          (* Snapshot *before* the pass pipeline mutates m in place. *)
-          save Codegen ir_fp (fun () -> "U" ^ marshal m);
-          Ok (`Whole m)
-      in
-      (* Function-granular codegen: emit exactly the slices whose "fnir"
-         (pre-pass, chained off the slice's fnast fingerprint) artifact
-         is missing.  Gensyms reset per fresh slice, which is what makes
-         a per-function module context-free: outlined-function and
-         dispatch-site numbering restart per function (names stay unique
-         — they are prefixed by the parent function's name). *)
-      let emit_minis sems =
-        let hits = ref 0 in
+      (* Emit exactly the slices whose "fnir" artifact (pre-pass, chained
+         off the slice's fnast fingerprint) is missing.  Gensyms reset per
+         slice, which is what makes a per-slice module context-free:
+         outlined-function and dispatch-site numbering restart per slice
+         (names stay unique — they are prefixed by the parent function's
+         name).  Alongside the minis it returns each slice's (fnir
+         fingerprint, snapshot), the unit "ir" artifact — empty uncached. *)
+      let emit_minis groups =
+        let hits = ref 0 and snapshots = ref [] in
         let rec go acc = function
-          | [] -> Ok (List.rev acc, if !hits > 0 then Partial else Executed)
-          | (_, fnast_fp, decls, _) :: rest -> (
-            if decls = [] then go acc rest
-            else
-              let fnir_fp = hash ("fnir\x00" ^ fnast_fp ^ "\x00" ^ cslice) in
-              let cached =
-                match cache with
-                | None -> None
-                | Some c -> Cache.find c ~stage:"fnir" fnir_fp
-              in
-              match cached with
-              | Some payload ->
-                incr hits;
-                go ((fnir_fp, payload, None) :: acc) rest
-              | None -> (
-                Mc_codegen.Codegen.reset_gensym ();
-                Mc_ompbuilder.Omp_builder.reset_gensym ();
-                match
-                  time Codegen (fun () ->
-                      match
-                        Mc_codegen.Codegen.emit_translation_unit
-                          ~fold:options.fold ~mode
-                          { Mc_ast.Tree.tu_decls = decls }
-                      with
-                      | m -> Ok m
-                      | exception Mc_codegen.Codegen.Unsupported msg ->
-                        Error msg)
-                with
-                | Error msg, dt ->
-                  t_codegen := !t_codegen +. dt;
-                  mark Codegen Executed;
-                  Stats.incr codegen_errors_counter;
-                  Error msg
-                | Ok mini, dt ->
-                  t_codegen := !t_codegen +. dt;
-                  verify_or_ice mini;
-                  (* Snapshot before the pass pipeline mutates it. *)
-                  let payload = marshal (mini, Mc_ir.Ir.current_id ()) in
-                  (match cache with
-                  | Some c when clean () ->
-                    Cache.store c ~stage:"fnir" fnir_fp payload
-                  | _ -> ());
-                  go ((fnir_fp, payload, Some mini) :: acc) rest))
+          | [] ->
+            Ok
+              ( List.rev acc,
+                List.rev !snapshots,
+                if !hits > 0 then Partial else Executed )
+          | (_, []) :: rest -> go acc rest
+          | (fnast_fp, decls) :: rest -> (
+            let fp =
+              fingerprint (fun () ->
+                  hash ("fnir\x00" ^ fnast_fp ^ "\x00" ^ cslice))
+            in
+            match find "fnir" fp with
+            | Some snapshot ->
+              incr hits;
+              snapshots := (fp, snapshot) :: !snapshots;
+              go ({ mi_fp = fp; mi_ir = Cached snapshot } :: acc) rest
+            | None -> (
+              Mc_codegen.Codegen.reset_gensym ();
+              Mc_ompbuilder.Omp_builder.reset_gensym ();
+              match
+                time Codegen (fun () ->
+                    match
+                      Mc_codegen.Codegen.emit_translation_unit
+                        ~fold:options.fold ~mode
+                        { Mc_ast.Tree.tu_decls = decls }
+                    with
+                    | m -> Ok m
+                    | exception Mc_codegen.Codegen.Unsupported msg -> Error msg)
+              with
+              (* The time codegen spent before bailing out is still real
+                 work; keep it so stage timings stay truthful on the error
+                 path. *)
+              | Error msg, dt ->
+                t_codegen := !t_codegen +. dt;
+                mark Codegen Executed;
+                Stats.incr codegen_errors_counter;
+                Error msg
+              | Ok m, dt ->
+                t_codegen := !t_codegen +. dt;
+                verify_or_ice m;
+                (* Snapshot before the pass pipeline mutates it. *)
+                if memo then begin
+                  let snapshot = marshal (m, Mc_ir.Ir.current_id ()) in
+                  snapshots := (fp, snapshot) :: !snapshots;
+                  store "fnir" fp (fun () -> snapshot)
+                end;
+                go ({ mi_fp = fp; mi_ir = Emitted m } :: acc) rest))
         in
-        go [] sems
+        go [] groups
       in
-      (* The unit "ir" artifact carries a shape tag — 'U' for a whole
-         module, 'F' for an eligible unit's (fnir fp, payload) list — so
-         a reader never has to re-derive the eligibility decision that
-         stored it (a unit-level AST hit skips the slicer entirely, yet
-         its ir artifact may well be per-function).  The 'F' list stays
-         unopened unless the passes stage actually needs the minis: a
-         full-warm compile never deserialises pre-pass IR at all. *)
-      let pre_pass =
-        match consult_ir () with
-        | Some payload when payload.[0] = 'U' ->
-          mark Codegen Cache_hit;
-          let m : Mc_ir.Ir.modul = Marshal.from_string payload 1 in
-          (* The passes stage may still run on this module (its own
-             entry evicted or unreadable); its ids must be claimed or
-             pass-created instructions collide with cached ones. *)
-          Mc_ir.Ir.claim_ids m;
-          Ok (`Whole m)
+      (* The unit "ir" artifact is the list of (fnir fp, snapshot) pairs,
+         left unopened unless the passes stage actually needs the
+         modules: a full-warm compile never deserialises pre-pass IR. *)
+      let minis =
+        match consult Codegen ir_fp with
         | Some payload ->
           mark Codegen Cache_hit;
           Ok
-            (`Pairs
-               (lazy
-                 (List.map
-                    (fun (fp, p) -> (fp, p, None))
-                    (Marshal.from_string payload 1 : (string * string) list))))
+            (lazy
+              (List.map
+                 (fun (fp, snapshot) -> { mi_fp = fp; mi_ir = Cached snapshot })
+                 (Marshal.from_string payload 0 : (string * string) list)))
         | None -> (
-          match slice_sems with
-          | None -> emit_unit ()
-          | Some sems -> (
-            match emit_minis sems with
-            | Error msg -> Error msg
-            | Ok (pairs, outcome) ->
-              mark Codegen outcome;
-              save Codegen ir_fp (fun () ->
-                  "F" ^ marshal (List.map (fun (fp, p, _) -> (fp, p)) pairs));
-              Ok (`Pairs (Lazy.from_val pairs))))
+          match emit_minis groups with
+          | Error msg -> Error msg
+          | Ok (minis, snapshots, outcome) ->
+            mark Codegen outcome;
+            save Codegen ir_fp (fun () -> marshal snapshots);
+            Ok (Lazy.from_val minis))
       in
-      match pre_pass with
+      match minis with
       | Error msg -> no_ir (Some msg)
-      | Ok pre -> (
+      | Ok minis -> (
         (* Stage: analyze (optional).  Keyed on *pre-pass* IR — the
            analyser wants allocas, not mem2reg'd SSA — and cached per
-           function on the granular path: editing one body re-analyses
-           exactly that function, every sibling serves its cached report
-           fragment.  Report fragments are plain strings (locations are
-           rendered at analysis time), so a cached fragment is
-           byte-identical to a fresh one. *)
+           slice: editing one body re-analyses exactly that function,
+           every sibling serves its cached report fragment.  Report
+           fragments are plain strings (locations are rendered at
+           analysis time), so a cached fragment is byte-identical to a
+           fresh one. *)
         (match options.analyze with
         | None -> ()
         | Some sel ->
           let apasses = Mc_analysis.Analyzer.normalize_passes (Some sel) in
           let aslice = "analyze=" ^ String.concat "," apasses in
           let describe loc = Srcmgr.describe !srcmgr loc in
-          let run_on m =
-            Mc_analysis.Analyzer.run ~passes:apasses ~describe m
+          let frs =
+            List.concat_map
+              (fun mi ->
+                let fp =
+                  fingerprint (fun () ->
+                      hash ("fnanalysis\x00" ^ mi.mi_fp ^ "\x00" ^ aslice))
+                in
+                match find "fnanalysis" fp with
+                | Some p ->
+                  Stats.incr stat_an_fn_hits;
+                  (Marshal.from_string p 0 : Mc_analysis.Report.func_report list)
+                | None ->
+                  if memo then Stats.incr stat_an_fn_misses;
+                  (* Read-only walk: analysis creates no instructions, so
+                     no id claim is needed. *)
+                  let frs =
+                    (Mc_analysis.Analyzer.run ~passes:apasses ~describe
+                       (mini_module ~claim:false mi))
+                      .Mc_analysis.Report.r_funcs
+                  in
+                  store "fnanalysis" fp (fun () -> marshal frs);
+                  frs)
+              (Lazy.force minis)
           in
-          let report =
-            match pre with
-            | `Whole m -> (
-              let a_fp = hash ("analysis\x00" ^ ir_fp ^ "\x00" ^ aslice) in
-              let cached =
-                match cache with
-                | None -> None
-                | Some c -> Cache.find c ~stage:"analysis" a_fp
-              in
-              match cached with
-              | Some p -> (Marshal.from_string p 0 : Mc_analysis.Report.t)
-              | None ->
-                let rep = run_on m in
-                (match cache with
-                | Some c when clean () ->
-                  Cache.store c ~stage:"analysis" a_fp (marshal rep)
-                | _ -> ());
-                rep)
-            | `Pairs minis ->
-              let frs =
-                List.concat_map
-                  (fun (fnir_fp, payload, mini) ->
-                    let fa_fp =
-                      hash ("fnanalysis\x00" ^ fnir_fp ^ "\x00" ^ aslice)
-                    in
-                    let cached =
-                      match cache with
-                      | None -> None
-                      | Some c -> Cache.find c ~stage:"fnanalysis" fa_fp
-                    in
-                    match cached with
-                    | Some p ->
-                      Stats.incr stat_an_fn_hits;
-                      (Marshal.from_string p 0
-                        : Mc_analysis.Report.func_report list)
-                    | None ->
-                      Stats.incr stat_an_fn_misses;
-                      let m =
-                        match mini with
-                        | Some m -> m
-                        | None ->
-                          (* Read-only walk: analysis creates no
-                             instructions, so no id claim is needed. *)
-                          let ((m, _wm) : Mc_ir.Ir.modul * int) =
-                            Marshal.from_string payload 0
-                          in
-                          m
-                      in
-                      let frs = (run_on m).Mc_analysis.Report.r_funcs in
-                      (match cache with
-                      | Some c when clean () ->
-                        Cache.store c ~stage:"fnanalysis" fa_fp (marshal frs)
-                      | _ -> ());
-                      frs)
-                  (Lazy.force minis)
-              in
-              { Mc_analysis.Report.r_passes = apasses; r_funcs = frs }
-          in
-          analysis_ref := Some report);
-        (* Stage: passes (OptIR). *)
+          analysis_ref :=
+            Some { Mc_analysis.Report.r_passes = apasses; r_funcs = frs });
+        (* Stage: passes (OptIR), per slice — one "fnoptir" artifact each —
+           then relinked into the unit module. *)
         match consult Passes opt_fp with
         | Some payload ->
           mark Passes Cache_hit;
@@ -1203,94 +1167,54 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
             Marshal.from_string payload 0
           in
           finish m' unroll
-        | None -> (
-          match pre with
-          | `Whole m ->
-            let report, dt =
-              time Passes (fun () ->
-                  Mc_passes.Pass_manager.run ~verify_between:options.verify_ir
-                    ~passes:(passes_of ()) m)
-            in
-            t_passes := dt;
-            mark Passes Executed;
-            save Passes opt_fp (fun () ->
-                marshal (m, report.Mc_passes.Pass_manager.unroll_stats));
-            finish m report.Mc_passes.Pass_manager.unroll_stats
-          | `Pairs minis ->
-            (* Per slice — one "fnoptir" artifact each — then relink. *)
-            let hits = ref 0 in
-            let agg = ref Mc_passes.Loop_unroll.empty_stats in
-            let add (a : Mc_passes.Loop_unroll.stats)
-                (b : Mc_passes.Loop_unroll.stats) =
-              {
-                Mc_passes.Loop_unroll.fully_unrolled =
-                  a.Mc_passes.Loop_unroll.fully_unrolled
-                  + b.Mc_passes.Loop_unroll.fully_unrolled;
-                partially_unrolled =
-                  a.Mc_passes.Loop_unroll.partially_unrolled
-                  + b.Mc_passes.Loop_unroll.partially_unrolled;
-                skipped =
-                  a.Mc_passes.Loop_unroll.skipped
-                  + b.Mc_passes.Loop_unroll.skipped;
-              }
-            in
-            let finals =
-              List.map
-                (fun (fnir_fp, payload, mini) ->
-                  let fnopt_fp =
-                    hash ("fnoptir\x00" ^ fnir_fp ^ "\x00" ^ oslice)
+        | None ->
+          let hits = ref 0 in
+          let agg = ref Mc_passes.Loop_unroll.empty_stats in
+          let add unroll = agg := Mc_passes.Loop_unroll.add_stats !agg unroll in
+          let finals =
+            List.map
+              (fun mi ->
+                let fp =
+                  fingerprint (fun () ->
+                      hash ("fnoptir\x00" ^ mi.mi_fp ^ "\x00" ^ oslice))
+                in
+                match find "fnoptir" fp with
+                | Some p ->
+                  incr hits;
+                  let ((m, unroll, wm)
+                        : Mc_ir.Ir.modul * Mc_passes.Loop_unroll.stats * int) =
+                    Marshal.from_string p 0
                   in
-                  let cached =
-                    match cache with
-                    | None -> None
-                    | Some c -> Cache.find c ~stage:"fnoptir" fnopt_fp
+                  Mc_ir.Ir.claim_up_to wm;
+                  add unroll;
+                  m
+                | None ->
+                  let m = mini_module ~claim:true mi in
+                  let report, dt =
+                    time Passes (fun () ->
+                        Mc_passes.Pass_manager.run
+                          ~verify_between:options.verify_ir
+                          ~passes:(passes_of ()) m)
                   in
-                  match cached with
-                  | Some p ->
-                    incr hits;
-                    let ((mf, unroll, wm)
-                          : Mc_ir.Ir.modul * Mc_passes.Loop_unroll.stats * int)
-                        =
-                      Marshal.from_string p 0
-                    in
-                    Mc_ir.Ir.claim_up_to wm;
-                    agg := add !agg unroll;
-                    mf
-                  | None ->
-                    let m =
-                      match mini with
-                      | Some m -> m (* freshly emitted: ids already live *)
-                      | None ->
-                        let ((m, wm) : Mc_ir.Ir.modul * int) =
-                          Marshal.from_string payload 0
-                        in
-                        Mc_ir.Ir.claim_up_to wm;
-                        m
-                    in
-                    let report, dt =
-                      time Passes (fun () ->
-                          Mc_passes.Pass_manager.run
-                            ~verify_between:options.verify_ir
-                            ~passes:(passes_of ()) m)
-                    in
-                    t_passes := !t_passes +. dt;
-                    agg := add !agg report.Mc_passes.Pass_manager.unroll_stats;
-                    (match cache with
-                    | Some c when clean () ->
-                      Cache.store c ~stage:"fnoptir" fnopt_fp
-                        (marshal
-                           ( m,
-                             report.Mc_passes.Pass_manager.unroll_stats,
-                             Mc_ir.Ir.current_id () ))
-                    | _ -> ());
-                    m)
-                (Lazy.force minis)
-            in
-            mark Passes (if !hits > 0 then Partial else Executed);
-            let final = link_minis ~module_name:"a.out" finals in
-            verify_or_ice final;
-            save Passes opt_fp (fun () -> marshal (final, !agg));
-            finish final !agg))
+                  t_passes := !t_passes +. dt;
+                  let unroll = report.Mc_passes.Pass_manager.unroll_stats in
+                  add unroll;
+                  store "fnoptir" fp (fun () ->
+                      marshal (m, unroll, Mc_ir.Ir.current_id ()));
+                  m)
+              (Lazy.force minis)
+          in
+          mark Passes (if !hits > 0 then Partial else Executed);
+          let final =
+            match finals with
+            | [ m ] -> m (* one slice: nothing to link *)
+            | ms ->
+              let m = link_minis ~module_name:"a.out" ms in
+              verify_or_ice m;
+              m
+          in
+          save Passes opt_fp (fun () -> marshal (final, !agg));
+          finish final !agg)
     end
   in
   let tr = List.rev !trace in
@@ -1304,7 +1228,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
            | Transfo | Parse_sema | Codegen | Passes -> o = Cache_hit)
          tr
   in
-  if Option.is_some cache && not frontend_only then
+  if memo && not frontend_only then
     Stats.incr (if full_hit then stat_full_hits else stat_full_misses);
   (r, tr, full_hit, List.rev !fn_trace)
 

@@ -49,7 +49,7 @@ type options = {
       (** run the {!Mc_analysis} passes over the pre-pass IR: [Some []]
           selects every pass, [Some ps] a subset (unknown names are
           ignored).  The report lands in [result.analysis] and is cached
-          per function on the granular path. *)
+          per slice. *)
 }
 
 val default_options : options
@@ -110,9 +110,8 @@ val render_trace : trace -> string
     optir:partial"]. *)
 
 val render_fn_trace : (string * outcome) list -> string
-(** Render {!exec.x_fn_trace} the same way, one token per top-level
-    slice: e.g. ["<decl>:hit f:hit main:run"] after an edit inside
-    [main]'s body. *)
+(** Render {!exec.x_fn_trace} the same way, one token per slice: e.g.
+    ["<decl>:hit f:hit main:run"] after an edit inside [main]'s body. *)
 
 type exec = {
   x_result : result;
@@ -122,12 +121,13 @@ type exec = {
           the whole-pipeline notion of a cache hit that [cache.hits]
           counts and {!Batch} reports. *)
   x_fn_trace : (string * outcome) list;
-      (** Function-granular slice outcomes in unit order (definition
-          name, or ["<decl>"] for non-definition slices): [Cache_hit]
-          when the slice's sema'd AST was adopted from a "fnast"
-          artifact, [Executed] when it was re-parsed.  Empty whenever
-          the unit-granular path ran (uncached execution, ineligible
-          unit, or a whole-unit hit that never consulted slices). *)
+      (** Slice outcomes in unit order, labelled by the function
+          definitions a slice holds (joined by ['+'] for a merged
+          prototype-to-definition range) or ["<decl>"] when it holds
+          none: [Cache_hit] when the slice's sema'd AST was adopted from
+          a "fnast" artifact, [Executed] when it was parsed (always, in
+          an uncached execution).  Empty only when the unit's whole AST
+          artifact was reused, so no slice was consulted. *)
 }
 
 val option_slice : stage -> options -> string
@@ -145,7 +145,12 @@ val stage_fingerprint : stage -> options -> input:string -> string
 val execute :
   ?cache:Cache.t -> ?options:options -> ?name:string -> string -> exec
 (** Run the pipeline over a source string, consulting [cache] at every
-    stage when given.  Never raises on invalid input (diagnostics land
+    stage when given.  There is one algorithm, cached or not: the
+    preprocessed stream is split into top-level slices, parsed slice by
+    slice against one sema, emitted and optimized per slice and
+    relinked; [cache] only adds the memo table (without it no
+    fingerprint is computed and nothing is marshalled).  Never raises
+    on invalid input (diagnostics land
     in [x_result.diag]); lexer/parser/sema/codegen bugs may raise — see
     {!Instance} for containment. *)
 

@@ -44,8 +44,12 @@ let fault_write = Fault.point "store.write"
    per-function payloads (see Pipeline); bumping makes pre-granular
    stores miss cleanly instead of unmarshalling the wrong shape.
    v3: instructions grew an [i_loc] source location for the analysis
-   subsystem, changing the marshalled IR layout. *)
-let schema_version = 3
+   subsystem, changing the marshalled IR layout.
+   v4: one compile algorithm — the "ast" artifact became the unit's
+   per-slice split (id watermark, (fnast fp, decls) list), the "ir"
+   artifact is always the untagged per-slice list, and the whole-unit
+   "analysis" family is gone. *)
+let schema_version = 4
 let magic = "MCST"
 let default_max_bytes = 512 * 1024 * 1024
 

@@ -76,6 +76,10 @@ type team = {
   mutable team_tid : int;
   dispatch_regions : (int * int, dispatch_region) Hashtbl.t;
   dispatch_visits : (int * int, int) Hashtbl.t; (* (tid, site) -> visits *)
+  dispatch_cursor : (int * int, int) Hashtbl.t;
+      (* (tid, site) -> the instance that member is draining; per team, so
+         a nested team's thread 0 never moves its enclosing team's
+         thread-0 cursor for the same site *)
 }
 
 type state = {
@@ -93,7 +97,6 @@ type state = {
   mutable teams : team list; (* innermost team first *)
   mutable pushed_num_threads : int option;
   mutable orphan_team : team option; (* worksharing outside any parallel *)
-  dispatch_cursor : (int * int, int) Hashtbl.t; (* (tid, site) -> instance *)
 }
 
 let canon ty v = Int_ops.truncate (int_width ~signed:true ty) v
@@ -434,7 +437,7 @@ and call_runtime state name args =
     state.pushed_num_threads <- None;
     let t =
       { team_size = size; team_tid = 0; dispatch_regions = Hashtbl.create 4;
-        dispatch_visits = Hashtbl.create 4 }
+        dispatch_visits = Hashtbl.create 4; dispatch_cursor = Hashtbl.create 4 }
     in
     state.teams <- t :: state.teams;
     Stats.incr stat_parallel;
@@ -496,7 +499,8 @@ and call_runtime state name args =
         | None ->
           let t =
             { team_size = 1; team_tid = 0; dispatch_regions = Hashtbl.create 4;
-              dispatch_visits = Hashtbl.create 4 }
+              dispatch_visits = Hashtbl.create 4;
+              dispatch_cursor = Hashtbl.create 4 }
           in
           state.orphan_team <- Some t;
           t)
@@ -517,7 +521,7 @@ and call_runtime state name args =
         { queue; guided = kind = 3; drained_by = 0 }
     end;
     (* Remember which instance this thread is currently in. *)
-    Hashtbl.replace state.dispatch_cursor (tid, site) visit;
+    Hashtbl.replace t.dispatch_cursor (tid, site) visit;
     None
   | "__kmpc_dispatch_next_4u" | "__kmpc_dispatch_next_8u" ->
     let ty = if name = "__kmpc_dispatch_next_8u" then I64 else I32 in
@@ -531,7 +535,7 @@ and call_runtime state name args =
     in
     let tid = t.team_tid in
     let visit =
-      match Hashtbl.find_opt state.dispatch_cursor (tid, site) with
+      match Hashtbl.find_opt t.dispatch_cursor (tid, site) with
       | Some v -> v
       | None -> trap "dispatch_next without dispatch_init (site %d)" site
     in
@@ -621,7 +625,6 @@ let fresh_state config m =
     teams = [];
     pushed_num_threads = None;
     orphan_team = None;
-    dispatch_cursor = Hashtbl.create 8;
   }
 
 let finish state result =

@@ -181,25 +181,12 @@ let reset_ids () =
 
 (* An unmarshalled module (store hit, daemon reply) carries ids from the
    process that built it, while this domain's counter is wherever the
-   current compilation left it — usually 0.  Claim the module's ids so
-   anything allocated afterwards (pass-created phis and casts) can never
-   collide with an existing id; passes key def-use maps on [i_id], and a
-   collision silently cross-wires two instructions. *)
-let claim_ids m =
-  let r = Domain.DLS.get id_counter in
-  let bump id = if id > !r then r := id in
-  List.iter
-    (fun f ->
-      bump f.f_id;
-      List.iter (fun a -> bump a.a_id) f.f_args;
-      List.iter
-        (fun b -> List.iter (fun i -> bump i.i_id) b.b_insts_rev)
-        f.f_blocks)
-    m.m_funcs
-
-(* Watermark variants of the same discipline for function-granular
-   artifacts: a cached per-function module records [current_id] at store
-   time and a consumer claims up to that mark before allocating. *)
+   current compilation left it — usually 0.  A cached module records
+   [current_id] at store time and a consumer claims up to that mark
+   before allocating, so anything allocated afterwards (pass-created phis
+   and casts) can never collide with an existing id; passes key def-use
+   maps on [i_id], and a collision silently cross-wires two
+   instructions. *)
 let current_id () = !(Domain.DLS.get id_counter)
 
 let claim_up_to n =
@@ -365,9 +352,35 @@ let map_terminator_operands f b =
    independently cached per-function modules leaves each call pointing
    at its own mini-module's copy of the callee record; the interpreter
    executes [Direct f] by following that very pointer, so the linker
-   must redirect all references to the one canonical record per name. *)
+   must redirect all references to the one canonical record per name.
+   Almost every reference already is canonical, so the walk only checks
+   (allocation-free) and rewrites just the instructions and terminators
+   that hold a stale one. *)
 let map_function_refs resolve m =
-  let value v = match v with Fn_addr f -> Fn_addr (resolve f) | _ -> v in
+  let stale v = match v with Fn_addr f -> resolve f != f | _ -> false in
+  let value v =
+    match v with Fn_addr f when stale v -> Fn_addr (resolve f) | _ -> v
+  in
+  let rec stale_args = function
+    | [] -> false
+    | v :: r -> stale v || stale_args r
+  in
+  let rec stale_incoming = function
+    | [] -> false
+    | (v, _) :: r -> stale v || stale_incoming r
+  in
+  let stale_operand i =
+    match i.i_kind with
+    | Alloca _ -> false
+    | Load { ptr } -> stale ptr
+    | Store { ptr; v } -> stale ptr || stale v
+    | Binop (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b) -> stale a || stale b
+    | Cast (_, v) -> stale v
+    | Gep { base; index; _ } -> stale base || stale index
+    | Select (c, a, b) -> stale c || stale a || stale b
+    | Call { args; _ } -> stale_args args
+    | Phi { incoming } -> stale_incoming incoming
+  in
   List.iter
     (fun f ->
       List.iter
@@ -379,9 +392,12 @@ let map_function_refs resolve m =
                 let g' = resolve g in
                 if g' != g then i.i_kind <- Call { callee = Direct g'; args }
               | _ -> ());
-              map_inst_operands value i)
+              if stale_operand i then map_inst_operands value i)
             b.b_insts_rev;
-          map_terminator_operands value b)
+          match b.b_term with
+          | Ret (Some v) | Cond_br (v, _, _) when stale v ->
+            map_terminator_operands value b
+          | _ -> ())
         f.f_blocks)
     m.m_funcs
 

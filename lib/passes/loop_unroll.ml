@@ -4,6 +4,13 @@ type stats = { fully_unrolled : int; partially_unrolled : int; skipped : int }
 
 let empty_stats = { fully_unrolled = 0; partially_unrolled = 0; skipped = 0 }
 
+let add_stats a b =
+  {
+    fully_unrolled = a.fully_unrolled + b.fully_unrolled;
+    partially_unrolled = a.partially_unrolled + b.partially_unrolled;
+    skipped = a.skipped + b.skipped;
+  }
+
 let clear_unroll_md loop =
   List.iter
     (fun l -> l.b_loop_md <- { l.b_loop_md with md_unroll = None })
@@ -358,12 +365,6 @@ let run_func ?(threshold = 4096) func =
 
 let run ?threshold m =
   List.fold_left
-    (fun acc f ->
-      let s = run_func ?threshold f in
-      {
-        fully_unrolled = acc.fully_unrolled + s.fully_unrolled;
-        partially_unrolled = acc.partially_unrolled + s.partially_unrolled;
-        skipped = acc.skipped + s.skipped;
-      })
+    (fun acc f -> add_stats acc (run_func ?threshold f))
     empty_stats
     (List.filter (fun f -> not f.f_is_decl) m.m_funcs)

@@ -28,6 +28,9 @@ type stats = {
 
 val empty_stats : stats
 
+val add_stats : stats -> stats -> stats
+(** Field-wise sum. *)
+
 val run_func : ?threshold:int -> Mc_ir.Ir.func -> stats
 (** [threshold] caps the number of cloned instructions per full unroll
     (default 4096). *)

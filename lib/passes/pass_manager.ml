@@ -66,15 +66,7 @@ let run ?(verify_between = false) ~passes m =
             Stats.add stat_full s.Loop_unroll.fully_unrolled;
             Stats.add stat_partial s.Loop_unroll.partially_unrolled;
             Stats.add stat_skipped s.Loop_unroll.skipped;
-            unroll_stats :=
-              {
-                Loop_unroll.fully_unrolled =
-                  !unroll_stats.Loop_unroll.fully_unrolled + s.Loop_unroll.fully_unrolled;
-                partially_unrolled =
-                  !unroll_stats.Loop_unroll.partially_unrolled
-                  + s.Loop_unroll.partially_unrolled;
-                skipped = !unroll_stats.Loop_unroll.skipped + s.Loop_unroll.skipped;
-              };
+            unroll_stats := Loop_unroll.add_stats !unroll_stats s;
             s.Loop_unroll.fully_unrolled > 0 || s.Loop_unroll.partially_unrolled > 0
           | other -> invalid_arg (Printf.sprintf "unknown pass '%s'" other)
         in

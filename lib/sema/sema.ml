@@ -234,6 +234,27 @@ let finish_function_definition t fn body =
 
 let translation_unit t = { tu_decls = List.rev t.decls }
 
+(* [t.decls] is newest-first and only ever grows at the head, so the
+   list itself marks a point in the unit. *)
+type decl_mark = tu_decl list
+
+let decl_mark t = t.decls
+
+let decls_since t mark =
+  let rec take acc l =
+    if l == mark then acc
+    else match l with [] -> acc | d :: rest -> take (d :: acc) rest
+  in
+  take [] t.decls
+
+let defined_builtins t =
+  List.fold_left
+    (fun n (name, _, _, _) ->
+      match Hashtbl.find_opt t.fns name with
+      | Some fn when fn.fn_builtin && fn.fn_body <> None -> n + 1
+      | _ -> n)
+    0 builtin_signatures
+
 (* Adopt a top-level declaration unmarshalled from a per-function cache
    artifact, as if this sema had just analysed it: register the symbol
    for lookup by later slices and append it to the unit's decl list.

@@ -147,3 +147,19 @@ val mk_ref : var -> expr
 
 val translation_unit : t -> translation_unit
 (** All top-level declarations seen so far, in order. *)
+
+type decl_mark
+(** A point in the unit's top-level declaration sequence. *)
+
+val decl_mark : t -> decl_mark
+(** The current end of the sequence. *)
+
+val decls_since : t -> decl_mark -> tu_decl list
+(** The top-level declarations added after [mark] was taken, in order —
+    in time proportional to their number, not to the unit's size. *)
+
+val defined_builtins : t -> int
+(** How many builtins ([record], [omp_get_thread_num], ...) a definition
+    has given a body so far.  Such a body lands in the record [create]
+    made, which belongs to no declaration; it is never emitted, and only
+    makes a later definition of the same name an error. *)

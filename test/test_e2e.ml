@@ -647,6 +647,95 @@ let all_differentials =
   @ List.map (fun (n, s) -> differential n s) range_for_programs
   @ List.map (fun (n, s) -> differential n s) edge_programs
 
+(* ---- dynamic worksharing in nested teams --------------------------------- *)
+
+(* A team whose members enter another team that reaches a dispatch site
+   with the same id: a callee's site in [nested] (sites are numbered per
+   function), the function's own site in [recursive].  Each team must keep
+   its own dispatch cursor, or the inner team's thread 0 moves the outer
+   team's thread-0 cursor.  Checked against the pragma-free reference
+   under both lowerings, at -O0 and -O1, uncached and through the stage
+   cache. *)
+let nested_dispatch_programs =
+  [
+    ( "dynamic loops in nested teams (callee site)",
+      "void record(long x);\n\
+       long g(int n) {\n\
+       long b[4];\n\
+       #pragma omp parallel for schedule(dynamic)\n\
+       for (int i = 0; i < 4; i += 1) b[i] = i + n;\n\
+       return b[0] + b[1] + b[2] + b[3];\n\
+       }\n\
+       long f(int n) {\n\
+       long a[8];\n\
+       for (int i = 0; i < 8; i += 1) a[i] = 0;\n\
+       #pragma omp parallel\n\
+       {\n\
+       for (int r = 0; r < 2; r += 1) {\n\
+       #pragma omp for schedule(dynamic)\n\
+       for (int i = 0; i < 8; i += 1) a[i] += g(i + r) * n;\n\
+       }\n\
+       }\n\
+       long s = 0;\n\
+       for (int i = 0; i < 8; i += 1) s += a[i];\n\
+       return s;\n\
+       }\n\
+       int main(void) { record(f(1)); return 0; }\n" );
+    ( "dynamic loops in recursive teams (own site)",
+      "void record(long x);\n\
+       long f(int d, int n) {\n\
+       if (d == 0) return n;\n\
+       long a[8];\n\
+       for (int i = 0; i < 8; i += 1) a[i] = 0;\n\
+       #pragma omp parallel\n\
+       {\n\
+       for (int r = 0; r < 2; r += 1) {\n\
+       #pragma omp for schedule(dynamic)\n\
+       for (int i = 0; i < 8; i += 1) a[i] += f(d - 1, i + r);\n\
+       }\n\
+       }\n\
+       long s = 0;\n\
+       for (int i = 0; i < 8; i += 1) s += a[i];\n\
+       return s;\n\
+       }\n\
+       int main(void) { record(f(2, 1)); return 0; }\n" );
+  ]
+
+let test_nested_dispatch source () =
+  let expected =
+    trace_of ~options:(o0 classic) (Mc_fuzz.Differential.strip_pragmas source)
+  in
+  let cached_trace options =
+    let x =
+      Mc_core.Pipeline.execute ~cache:(Mc_core.Cache.create ()) ~options source
+    in
+    match x.Mc_core.Pipeline.x_result.Mc_core.Pipeline.ir with
+    | None ->
+      Alcotest.failf "cached compile failed:\n%s"
+        (Diag.render_all x.Mc_core.Pipeline.x_result.Mc_core.Pipeline.diag)
+    | Some m -> (
+      match Interp.run_main m with
+      | o -> o.Interp.trace
+      | exception Interp.Trap msg -> Alcotest.failf "cached run trapped: %s" msg)
+  in
+  List.iter
+    (fun (label, options) ->
+      List.iter
+        (fun (how, trace) ->
+          if not (Interp.trace_equal expected trace) then
+            Alcotest.failf "%s %s: expected %s, got %s" label how
+              (trace_to_string expected) (trace_to_string trace))
+        [
+          ("uncached", trace_of ~options source);
+          ("cached", cached_trace options);
+        ])
+    [
+      ("classic -O0", o0 classic);
+      ("classic -O1", classic);
+      ("irbuilder -O0", o0 irbuilder);
+      ("irbuilder -O1", irbuilder);
+    ]
+
 (* ---- non-trace checks --------------------------------------------------- *)
 
 let test_thread_count_affects_teams () =
@@ -674,6 +763,9 @@ let test_print_output () =
 
 let suite =
   all_differentials
+  @ List.map
+      (fun (n, s) -> tc n (test_nested_dispatch s))
+      nested_dispatch_programs
   @ [
       tc "team size changes trace length" test_thread_count_affects_teams;
       tc "main return value" test_return_value;

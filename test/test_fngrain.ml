@@ -285,6 +285,154 @@ let test_ice_never_caches_siblings_reusable () =
   Alcotest.(check string) "byte-identical IR after recovery" (ir_text cold)
     (ir_text c)
 
+(* ---- one algorithm: uncached and cached compiles agree ------------------ *)
+
+(* Outlined regions in two functions, one with a dynamic-schedule dispatch
+   loop: outlined-function names and dispatch-site ids are numbered per
+   slice, with or without a cache. *)
+let two_parallel_fns =
+  "void record(long x);\n\
+   long f(int n) {\n\
+   long a[8];\n\
+   #pragma omp parallel for\n\
+   for (int i = 0; i < 8; i += 1) a[i] = i * n;\n\
+   return a[0] + a[7]; }\n\
+   long g(int n) {\n\
+   long b[8];\n\
+   #pragma omp parallel for schedule(dynamic)\n\
+   for (int i = 0; i < 8; i += 1) b[i] = i + n;\n\
+   return b[1] + b[6]; }\n\
+   int main(void) { record(f(2) + g(3)); return 0; }\n"
+
+let test_uncached_equals_cached_ir () =
+  List.iter
+    (fun use_irbuilder ->
+      let label = if use_irbuilder then "irbuilder" else "classic" in
+      let inv = { Invocation.default with Invocation.use_irbuilder } in
+      let uncached = compile (Instance.create inv) two_parallel_fns in
+      let cached =
+        compile
+          (Instance.create { inv with Invocation.cache_enabled = true })
+          two_parallel_fns
+      in
+      Alcotest.(check string)
+        (label ^ ": uncached IR == cached IR")
+        (ir_text uncached) (ir_text cached))
+    [ false; true ]
+
+(* A prototype, a caller, then the definition: the definition is merged
+   with every slice back to its prototype, so sema's write of the body
+   into the prototype's record stays inside one slice and the unit stays
+   function granular.  [edit] expands only inside h's body, outside the
+   merged range; [inner] inside g's, within it. *)
+let proto_unit ?(inner = 0) ~edit () =
+  Printf.sprintf
+    "void record(long x);\n\
+     long g(int n);\n\
+     long f(int n) { return g(n) + 1; }\n\
+     long g(int n) { long a = %d; for (int i = 0; i < n; i += 1) a += i; \
+     return a; }\n\
+     long h(int n) { long a = %d; for (int i = 0; i < n; i += 1) a += i * \
+     2; return a; }\n\
+     int main(void) { record(f(4) + h(5)); return 0; }\n"
+    inner edit
+
+let test_prototype_then_definition_is_granular () =
+  let inst = Instance.create cached_invocation in
+  let first = compile inst (proto_unit ~edit:1 ()) in
+  Alcotest.(check string) "cold: prototype, caller and definition share a slice"
+    "<decl>:run f+g:run h:run main:run"
+    (Pipeline.render_fn_trace first.Instance.c_fn_trace);
+  let edited = proto_unit ~edit:40 () in
+  let c = compile inst edited in
+  Alcotest.(check string) "only h re-ran" "<decl>:hit f+g:hit h:run main:hit"
+    (Pipeline.render_fn_trace c.Instance.c_fn_trace);
+  Alcotest.(check string) "every stage partial"
+    "lex:run pp:run ast:partial ir:partial optir:partial" (trace_of c);
+  let cold = compile (Instance.create Invocation.default) edited in
+  Alcotest.(check string) "IR equals a cold compile" (ir_text cold) (ir_text c);
+  (* A body edit inside the merged range re-runs that slice, and re-keys
+     every later one: a merged slice's interface includes its bodies. *)
+  let inner = proto_unit ~inner:7 ~edit:40 () in
+  let c = compile inst inner in
+  Alcotest.(check string) "in-range edit: earlier reused, later re-keyed"
+    "<decl>:hit f+g:run h:run main:run"
+    (Pipeline.render_fn_trace c.Instance.c_fn_trace);
+  let cold = compile (Instance.create Invocation.default) inner in
+  Alcotest.(check string) "in-range edit: IR equals a cold compile"
+    (ir_text cold) (ir_text c)
+
+(* A definition of a builtin's name (a serial stub) gives the builtin's
+   own record a body, as the whole stream would: the unit compiles, the
+   runtime builtin still answers the call, and uncached and cached agree.
+   That body lives in no decl, so its slice is never stored: a later
+   redefinition stays an error on a warm cache. *)
+let builtin_stub =
+  "void record(long x);\n\
+   int omp_get_thread_num(void) { return 0; }\n\
+   int main(void) { record(omp_get_thread_num() + 5); return 0; }\n"
+
+let builtin_twice =
+  "void record(long x);\n\
+   int omp_get_thread_num(void) { return 0; }\n\
+   int omp_get_thread_num(void) { return 1; }\n\
+   int main(void) { record(omp_get_thread_num() + 5); return 0; }\n"
+
+let test_builtin_definition_compiles () =
+  let uncached_inst = Instance.create Invocation.default in
+  let uncached = compile uncached_inst builtin_stub in
+  Alcotest.(check string) "runs" "5" (run_trace uncached_inst uncached);
+  let cache = Cache.create () in
+  let inst = Instance.create ~cache cached_invocation in
+  List.iter
+    (fun pass ->
+      let c = compile inst builtin_stub in
+      Alcotest.(check string) (pass ^ ": IR equals uncached") (ir_text uncached)
+        (ir_text c))
+    [ "cold"; "warm" ];
+  let render src inst =
+    Mc_diag.Diagnostics.render_all
+      (Instance.compile inst src).Instance.c_result.Driver.diag
+  in
+  let expected = render builtin_twice (Instance.create Invocation.default) in
+  if not (contains_substring expected "redefinition of 'omp_get_thread_num'")
+  then Alcotest.failf "no redefinition error:\n%s" expected;
+  Alcotest.(check string) "redefinition on a warm cache" expected
+    (render builtin_twice inst)
+
+(* A file-scope error in the first function: later slices are still
+   parsed (the unsplit stream's recovery would skip to end of file), the
+   diagnostics are exactly the error's, and nothing from the parse stage
+   onward is cached. *)
+let erroneous_first =
+  "widget broken(int n) { return n; }\n\
+   long w0(int n) { return n + 1; }\n\
+   int main(void) { return (int)w0(1); }\n"
+
+let test_erroneous_slice_keeps_later_functions () =
+  let cache = Cache.create () in
+  let inst = Instance.create ~cache cached_invocation in
+  let c = Instance.compile inst ~name:"err.c" erroneous_first in
+  let diag = c.Instance.c_result.Driver.diag in
+  Alcotest.(check string) "diagnostics"
+    "err.c:1:1: error: expected a declaration at file scope\n\
+     widget broken(int n) { return n; }\n\
+     ^\n"
+    (Mc_diag.Diagnostics.render_all diag);
+  Alcotest.(check string) "every slice parsed" "broken:run w0:run main:run"
+    (Pipeline.render_fn_trace c.Instance.c_fn_trace);
+  List.iter
+    (fun stage ->
+      Alcotest.(check int) (stage ^ " not stored") 0
+        (Cache.stage_length cache ~stage))
+    [ "ast"; "fnast"; "ir"; "fnir"; "optir"; "fnoptir"; "fnanalysis" ];
+  let dump = Driver.ast_dump erroneous_first in
+  List.iter
+    (fun fn ->
+      if not (contains_substring dump ("FunctionDecl " ^ fn ^ " ")) then
+        Alcotest.failf "-ast-dump lost %s:\n%s" fn dump)
+    [ "w0"; "main" ]
+
 (* ---- string interner ------------------------------------------------------ *)
 
 let test_interner_shares_strings () =
@@ -324,6 +472,14 @@ let suite =
       test_daemon_body_edit_reuses_functions;
     tc "ICE in one function never caches; siblings reusable"
       test_ice_never_caches_siblings_reusable;
+    tc "uncached and cached IR agree (outlined regions in two functions)"
+      test_uncached_equals_cached_ir;
+    tc "prototype, caller, definition: granular, no restart"
+      test_prototype_then_definition_is_granular;
+    tc "erroneous slice: later functions parsed, nothing cached"
+      test_erroneous_slice_keeps_later_functions;
+    tc "definition of a builtin's name: compiles, uncached and cached"
+      test_builtin_definition_compiles;
     tc "interner shares identifier spellings"
       test_interner_shares_strings;
   ]

@@ -380,7 +380,8 @@ let test_lost_optir_entry_reruns_passes () =
      Regression test for an id collision found by the fault harness:
      pass-created instructions drew from a rewound counter and
      cross-wired the id-keyed def-use maps (IR verification failure
-     after mem2reg).  Fixed by Ir.claim_ids on the codegen-hit path. *)
+     after mem2reg).  Fixed by claiming each cached slice module's id
+     watermark (Ir.claim_up_to) before its passes run. *)
   let store_faults () =
     Fault.armed "store.read" || Fault.armed "store.write"
   in
