@@ -27,7 +27,7 @@ type unit_result = {
       (** per-stage outcomes for this unit ([[]] on a contained ICE) *)
   u_fn_trace : (string * Pipeline.outcome) list;
       (** slice outcomes for this unit (see {!Pipeline.exec.x_fn_trace};
-          [[]] on a contained ICE or when the unit's whole AST artifact
+          [[]] on a contained ICE or when the unit's AST manifest
           was reused) *)
   u_stats : Mc_support.Stats.snapshot; (** this unit's registry snapshot *)
   u_wall : float; (** wall seconds spent on this unit *)

@@ -142,6 +142,15 @@ let find t ~stage ?validate fp =
         Stats.incr c.sc_misses;
         None))
 
+(* A hit whose artifact proved unusable once read — a manifest naming a
+   member the cache no longer holds.  The lookup is re-counted as a
+   validation would have counted it: an invalidation and a miss. *)
+let reject ~stage =
+  let c = counters_for stage in
+  Stats.add c.sc_hits (-1);
+  Stats.incr c.sc_invalidations;
+  Stats.incr c.sc_misses
+
 let store t ~stage fp payload =
   let c = counters_for stage in
   let added =

@@ -54,6 +54,12 @@ val find : t -> stage:string -> ?validate:(string -> bool) -> string -> string o
     the lookup counts an invalidation plus a miss and returns [None] —
     the entries are kept for later revalidation. *)
 
+val reject : stage:string -> unit
+(** Re-count the current compilation's hit on a [stage] artifact as an
+    invalidation plus a miss: what {!Pipeline} does when a manifest it
+    was served names a member the cache no longer holds (evicted,
+    corrupt, or lost to a faulted read). *)
+
 val store : t -> stage:string -> string -> string -> unit
 (** [store t ~stage fp payload] adds a stage artifact as the newest
     candidate under the fingerprint (deduplicating byte-identical

@@ -32,7 +32,6 @@ type timings = Pipeline.timings = {
 type result = Pipeline.result = {
   diag : Diag.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
-  tu : Mc_ast.Tree.translation_unit option;
   ir : Mc_ir.Ir.modul option;
   codegen_error : string option;
   timings : timings;

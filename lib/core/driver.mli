@@ -43,7 +43,6 @@ type timings = Pipeline.timings = {
 type result = Pipeline.result = {
   diag : Mc_diag.Diagnostics.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
-  tu : Mc_ast.Tree.translation_unit option; (* None on hard parse failure *)
   ir : Mc_ir.Ir.modul option; (* None when errors or codegen unsupported *)
   codegen_error : string option;
   timings : timings;

@@ -39,7 +39,7 @@ type compilation = {
   c_fn_trace : (string * Pipeline.outcome) list;
       (** Slice outcomes (see {!Pipeline.exec.x_fn_trace}): which
           top-level definitions were adopted from per-function artifacts
-          versus parsed.  Empty when the unit's whole AST artifact was
+          versus parsed.  Empty when the unit's AST manifest was
           reused. *)
 }
 
@@ -50,8 +50,9 @@ val compile : t -> ?name:string -> string -> compilation
     comment-only edit re-runs lex/pp and reuses AST, IR and OptIR, and
     an option change invalidates exactly the stages whose fingerprint
     slice it touches.  Cached artifacts carry no diagnostics (only
-    diagnostic-free stage outputs are stored), and a hit at the AST
-    stage still yields [tu = Some _] — a fresh unmarshalled copy.
+    diagnostic-free stage outputs are stored).  The result holds no AST:
+    {!Driver.frontend} (or {!frontend}) parses one when a caller needs
+    it.
 
     The instance registry is cumulative: the pipeline runs each
     compilation in its own scoped registry and merges it into the

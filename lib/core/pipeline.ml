@@ -28,6 +28,29 @@
    ones, so a body edit re-runs one slice.  Without a cache no fingerprint
    is computed and nothing is marshalled.
 
+   Warm paths read and write only what their callers use:
+
+   - the unit "ast" and "ir" artifacts are manifests.  "ast" holds the
+     AST id watermark and the fnast fingerprints of the slices that
+     declare something; "ir" holds those slices' fnir fingerprints.
+     Decls and pre-pass snapshots are stored once, per slice;
+   - the "pp" artifact carries the canonical digest of its item stream,
+     which keys the AST stage, and keeps the items as bytes that only a
+     parse opens;
+   - past the AST stage the per-slice lookup order is fnoptir → fnir →
+     fnast.  Each declaring slice looks up "fnoptir" (and "fnanalysis")
+     first; it reads its "fnir" snapshot only when its passes or analysis
+     must run, and its "fnast" decls only when its codegen must run.  A
+     hit on the ast, ir and optir unit artifacts reads no per-slice
+     artifact at all.
+
+   A manifest member may be missing when it is needed: evicted, corrupt,
+   or lost to a faulted read.  The stage that served the manifest then
+   counts a miss after all ({!Cache.reject}): a missing fnir snapshot is
+   re-emitted from the slice's decls, and a missing fnast artifact re-runs
+   the per-slice walk in unit order, which re-parses exactly the slices
+   whose artifacts are gone.  The IR is the same either way.
+
    Caching policy: a stage artifact is stored only when the compilation
    has produced no diagnostics at all by the end of that stage (a hit
    must never swallow a warning replay), and storing is the last act of a
@@ -96,7 +119,6 @@ type timings = {
 type result = {
   diag : Diag.t;
   srcmgr : Srcmgr.t;
-  tu : Mc_ast.Tree.translation_unit option;
   ir : Mc_ir.Ir.modul option;
   codegen_error : string option;
   timings : timings;
@@ -150,8 +172,7 @@ type exec = {
   x_full_hit : bool;
   x_fn_trace : (string * outcome) list;
       (** Per-slice outcomes (definition names, reused or parsed), in
-          unit order; empty when the unit's whole AST artifact was
-          reused. *)
+          unit order; empty when the unit's AST manifest was reused. *)
 }
 
 (* ---- fingerprints ------------------------------------------------------- *)
@@ -260,12 +281,21 @@ let reset_compilation_state () =
 
 let marshal v = Marshal.to_string v []
 
-(* The PPTokens artifact: the parser-ready stream plus the source manager
-   that its token locations refer to, plus the #include set (path +
-   content digest) the preprocessing actually entered — validated against
-   the current file manager before the entry may be reused. *)
-type pp_payload = {
-  pl_items : Mc_pp.Preprocessor.item list;
+(* An artifact in two parts: a head, read on every hit, then a body that
+   stays bytes until [body] unmarshals it. *)
+let pack head body = marshal head ^ marshal body
+let head payload = Marshal.from_string payload 0
+let body payload =
+  Marshal.from_string payload
+    (Marshal.total_size (Bytes.unsafe_of_string payload) 0)
+
+(* The PPTokens artifact's head: the canonical digest of the parser-ready
+   stream (the AST stage's input), the source manager its token locations
+   refer to, and the #include set (path + content digest) the
+   preprocessing actually entered — validated against the current file
+   manager before the entry may be reused.  Its body is the stream. *)
+type pp_head = {
+  pl_digest : string;
   pl_srcmgr : Srcmgr.t;
   pl_includes : (string * string) list;
 }
@@ -457,17 +487,41 @@ let slice_digest sl =
   Cache.canonical_items buf sl.sl_items;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-(* ---- per-slice IR -------------------------------------------------------- *)
+(* ---- per-slice artifacts ------------------------------------------------- *)
+
+(* A slice past the AST stage: its "fnast" fingerprint ("" uncached) and
+   its sema'd decls, as far as this compilation has read them — held in
+   memory, still the bytes of a fnast artifact the walk looked up, or not
+   yet looked up because the unit's AST manifest named the slice. *)
+type decls = Held of Mc_ast.Tree.tu_decl list | Stored of string | Unread
+
+type ast_slice = { a_fp : string; mutable a_decls : decls }
+
+(* A fnast artifact: head (AST id watermark, whether the slice declares
+   anything), body the decls. *)
+let fnast_payload decls = pack (Mc_ast.Tree.current_id (), decls <> []) decls
+
+(* The manifest lists only slices that declare something: the others
+   emit nothing and have no backend artifacts. *)
+let declares s =
+  match s.a_decls with
+  | Held decls -> decls <> []
+  | Stored payload -> snd (head payload : int * bool)
+  | Unread -> true
+
+(* Open a fnast payload: claim its watermark, so ids allocated later never
+   collide with the adopted nodes, and keep the decls. *)
+let unpack s payload =
+  let ((wm, _) : int * bool) = head payload in
+  Mc_ast.Tree.claim_up_to wm;
+  let decls : Mc_ast.Tree.tu_decl list = body payload in
+  s.a_decls <- Held decls;
+  decls
 
 (* One slice's pre-pass IR module: emitted by this compilation, or
    served from the cache as its marshalled snapshot (module, IR id
    watermark), taken before the passes mutate it. *)
 type mini_ir = Emitted of Mc_ir.Ir.modul | Cached of string
-
-type mini = {
-  mi_fp : string; (* the slice's "fnir" fingerprint ("" uncached) *)
-  mi_ir : mini_ir;
-}
 
 (* Link per-slice modules (in unit order) into a unit module reproducing
    exactly the function order a whole-unit codegen would have built: the
@@ -538,20 +592,23 @@ let rec walk ?cache ~frontend_only ~options ~name source =
       let d = Diag.create sm in
       Diag.error d ~loc:Loc.invalid msg;
       ( {
-          diag = d;
-          srcmgr = sm;
-          tu = None;
-          ir = None;
-          codegen_error = None;
-          timings = zero_timings;
-          unroll_stats = Mc_passes.Loop_unroll.empty_stats;
-          stats = [];
-          transformed = None;
-          analysis = None;
+          x_result =
+            {
+              diag = d;
+              srcmgr = sm;
+              ir = None;
+              codegen_error = None;
+              timings = zero_timings;
+              unroll_stats = Mc_passes.Loop_unroll.empty_stats;
+              stats = [];
+              transformed = None;
+              analysis = None;
+            };
+          x_trace = [ (Transfo, Executed) ];
+          x_full_hit = false;
+          x_fn_trace = [];
         },
-        [ (Transfo, Executed) ],
-        false,
-        [] )
+        None )
     | Ok (outc, source', tr) ->
       let options = { options with transfo_script = None } in
       walk_stages ?cache ~frontend_only ~options ~name
@@ -758,36 +815,39 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       Lazy.from_val toks
   in
 
-  (* Stage: preprocess. *)
+  (* Stage: preprocess.  Its output is the parser-ready stream and the
+     stream's canonical digest, which keys the AST stage; on a hit the
+     stream stays bytes until a parse needs it. *)
   let pp_fp =
     fingerprint (fun () -> stage_fingerprint Preprocess options ~input:src_fp)
   in
   let adopted = ref None in
   let validate payload =
-    let (p : pp_payload) = Marshal.from_string payload 0 in
+    let (h : pp_head) = head payload in
     let ok =
       List.for_all
         (fun (path, dg) ->
           match Fmgr.get_file fmgr path with
           | Some b -> String.equal (Buf.digest b) dg
           | None -> false)
-        p.pl_includes
+        h.pl_includes
     in
-    if ok then adopted := Some p;
+    if ok then adopted := Some (h, payload);
     ok
   in
-  let items =
+  let items, items_digest =
     match consult ~validate Preprocess pp_fp with
     | Some _ ->
-      let p = Option.get !adopted in
+      let h, payload = Option.get !adopted in
       mark Preprocess Cache_hit;
       (* Adopt the cached compilation state wholesale: the marshalled
          source manager already holds the main buffer, -D buffers and
          every include, and the replayed tokens point into it. *)
-      srcmgr := p.pl_srcmgr;
-      diag := Diag.create p.pl_srcmgr;
+      srcmgr := h.pl_srcmgr;
+      diag := Diag.create h.pl_srcmgr;
       Diag.set_error_limit !diag options.error_limit;
-      p.pl_items
+      ( lazy (body payload : Mc_pp.Preprocessor.item list),
+        Lazy.from_val h.pl_digest )
     | None ->
       let pp = Mc_pp.Preprocessor.create !diag !srcmgr fmgr in
       List.iter
@@ -801,14 +861,16 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       in
       t_preprocess := dt;
       mark Preprocess Executed;
+      let digest = lazy (Cache.canonical_digest items) in
       save Preprocess pp_fp (fun () ->
-          marshal
+          pack
             {
-              pl_items = items;
+              pl_digest = Lazy.force digest;
               pl_srcmgr = !srcmgr;
               pl_includes = Mc_pp.Preprocessor.include_digests pp;
-            });
-      items
+            }
+            items);
+      (Lazy.from_val items, digest)
   in
 
   (* Stage: parse + sema (the parser drives sema, so they are one stage).
@@ -819,24 +881,23 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
      shared sema.  Each slice has its own "fnast" artifact, addressed by
      the interfaces of the slices before it and by its own tokens, so a
      body edit re-parses exactly the edited function and adopts every
-     other slice's sema'd decls.  The unit's "ast" artifact keeps the
-     per-slice split, so the backend stays per slice after a unit hit. *)
+     other slice's sema'd decls.  The unit's "ast" artifact is the
+     manifest of the declaring slices' fnast artifacts. *)
   let ast_fp =
     fingerprint (fun () ->
-        stage_fingerprint Parse_sema options
-          ~input:(Cache.canonical_digest items))
+        stage_fingerprint Parse_sema options ~input:(Lazy.force items_digest))
   in
   let ir_fp =
     fingerprint (fun () -> stage_fingerprint Codegen options ~input:ast_fp)
   in
   let fn_trace = ref [] in
-  (* A hit adopts the artifact's decls (claiming its AST id watermark
-     first, so ids allocated later never collide with adopted ones); a
-     miss parses just that slice and stores its new decls with earlier
-     functions' bodies stripped, so an artifact carries exactly its own
-     bodies.  After the first diagnostic the walk looks nothing up and
-     stores nothing: the remaining slices are parsed with the same sema
-     and diagnostics engine, as one stream would be. *)
+  (* A hit stays bytes until a later slice must be parsed against it; it
+     is then adopted into the sema.  A miss parses just that slice and
+     stores its new decls with earlier functions' bodies stripped, so an
+     artifact carries exactly its own bodies.  After the first diagnostic
+     the walk looks nothing up and stores nothing: the remaining slices
+     are parsed with the same sema and diagnostics engine, as one stream
+     would be. *)
   let parse_slices slices =
     let pslice = option_slice Parse_sema options in
     let sema =
@@ -849,7 +910,16 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     (* Digest of the interfaces of the slices parsed so far. *)
     let context = ref "" in
     let defined = ref [] in
+    let define decls =
+      List.iter
+        (function
+          | Mc_ast.Tree.Tu_fn fn -> defined := fn :: !defined
+          | Mc_ast.Tree.Tu_var _ -> ())
+        decls
+    in
     let reused = ref 0 in
+    (* Hits not yet adopted, newest first. *)
+    let pending = ref [] in
     let parse_one sl =
       let fp =
         fingerprint (fun () ->
@@ -859,107 +929,145 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       in
       context :=
         fingerprint (fun () -> hash (!context ^ "\x00" ^ slice_interface sl));
+      let s = { a_fp = fp; a_decls = Unread } in
       let cached = if clean () then find "fnast" fp else None in
-      let decls =
-        match cached with
-        | Some payload ->
-          incr reused;
-          Stats.incr stat_fn_hits;
-          let ((wm, decls) : int * Mc_ast.Tree.tu_decl list) =
-            Marshal.from_string payload 0
-          in
-          Mc_ast.Tree.claim_up_to wm;
-          List.iter (Mc_sema.Sema.adopt_tu_decl sema) decls;
-          decls
-        | None ->
-          if memo then Stats.incr stat_fn_misses;
-          let start = Mc_sema.Sema.decl_mark sema in
-          let builtins = Mc_sema.Sema.defined_builtins sema in
-          let (_ : Mc_ast.Tree.translation_unit), dt =
-            time Parse_sema (fun () ->
-                Mc_parser.Parser.parse_translation_unit
-                  ~bracket_depth:options.bracket_depth sema sl.sl_items)
-          in
-          t_parse_sema := !t_parse_sema +. dt;
-          let fresh = Mc_sema.Sema.decls_since sema start in
-          if clean () then begin
-            (* The merge rule in [slice_unit] keeps every definition in
-               the slice that created its record; only a builtin's record
-               predates every slice. *)
-            List.iter
-              (fun def ->
-                if
-                  not
-                    (List.exists
-                       (function
-                         | Mc_ast.Tree.Tu_fn fn ->
-                           String.equal fn.Mc_ast.Tree.fn_name def
-                           && fn.Mc_ast.Tree.fn_body <> None
-                         | Mc_ast.Tree.Tu_var _ -> false)
-                       fresh
-                    ||
-                    match Mc_sema.Sema.lookup_fn sema def with
-                    | Some fn -> fn.Mc_ast.Tree.fn_builtin
-                    | None -> false)
-                then
-                  Crash_recovery.internal_error
-                    "slice defining '%s' wrote into an earlier slice's record"
-                    def)
-              sl.sl_defs;
-            (* A body given to a builtin lives in no decl, so no artifact
-               can replay it: such a slice is parsed afresh every time. *)
-            if Mc_sema.Sema.defined_builtins sema = builtins then
-              store "fnast" fp (fun () ->
-                  let stripped =
-                    List.filter_map
-                      (fun fn ->
-                        match fn.Mc_ast.Tree.fn_body with
-                        | Some b ->
-                          fn.Mc_ast.Tree.fn_body <- None;
-                          Some (fn, b)
-                        | None -> None)
-                      !defined
-                  in
-                  Fun.protect
-                    ~finally:(fun () ->
-                      List.iter
-                        (fun (fn, b) -> fn.Mc_ast.Tree.fn_body <- Some b)
-                        stripped)
-                    (fun () -> marshal (Mc_ast.Tree.current_id (), fresh)))
-          end;
-          fresh
-      in
-      List.iter
-        (function
-          | Mc_ast.Tree.Tu_fn fn -> defined := fn :: !defined
-          | Mc_ast.Tree.Tu_var _ -> ())
-        decls;
+      (match cached with
+      | Some payload ->
+        incr reused;
+        Stats.incr stat_fn_hits;
+        s.a_decls <- Stored payload;
+        pending := (s, payload) :: !pending
+      | None ->
+        if memo then Stats.incr stat_fn_misses;
+        List.iter
+          (fun (s, payload) ->
+            let decls = unpack s payload in
+            List.iter (Mc_sema.Sema.adopt_tu_decl sema) decls;
+            define decls)
+          (List.rev !pending);
+        pending := [];
+        let start = Mc_sema.Sema.decl_mark sema in
+        let builtins = Mc_sema.Sema.defined_builtins sema in
+        let (_ : Mc_ast.Tree.translation_unit), dt =
+          time Parse_sema (fun () ->
+              Mc_parser.Parser.parse_translation_unit
+                ~bracket_depth:options.bracket_depth sema sl.sl_items)
+        in
+        t_parse_sema := !t_parse_sema +. dt;
+        let fresh = Mc_sema.Sema.decls_since sema start in
+        if clean () then begin
+          (* The merge rule in [slice_unit] keeps every definition in
+             the slice that created its record; only a builtin's record
+             predates every slice. *)
+          List.iter
+            (fun def ->
+              if
+                not
+                  (List.exists
+                     (function
+                       | Mc_ast.Tree.Tu_fn fn ->
+                         String.equal fn.Mc_ast.Tree.fn_name def
+                         && fn.Mc_ast.Tree.fn_body <> None
+                       | Mc_ast.Tree.Tu_var _ -> false)
+                     fresh
+                  ||
+                  match Mc_sema.Sema.lookup_fn sema def with
+                  | Some fn -> fn.Mc_ast.Tree.fn_builtin
+                  | None -> false)
+              then
+                Crash_recovery.internal_error
+                  "slice defining '%s' wrote into an earlier slice's record"
+                  def)
+            sl.sl_defs;
+          (* A body given to a builtin lives in no decl, so no artifact
+             can replay it: such a slice is parsed afresh every time. *)
+          if Mc_sema.Sema.defined_builtins sema = builtins then
+            store "fnast" fp (fun () ->
+                let stripped =
+                  List.filter_map
+                    (fun fn ->
+                      match fn.Mc_ast.Tree.fn_body with
+                      | Some b ->
+                        fn.Mc_ast.Tree.fn_body <- None;
+                        Some (fn, b)
+                      | None -> None)
+                    !defined
+                in
+                Fun.protect
+                  ~finally:(fun () ->
+                    List.iter
+                      (fun (fn, b) -> fn.Mc_ast.Tree.fn_body <- Some b)
+                      stripped)
+                  (fun () -> fnast_payload fresh))
+        end;
+        s.a_decls <- Held fresh;
+        define fresh);
       fn_trace :=
         (slice_label sl, if cached = None then Executed else Cache_hit)
         :: !fn_trace;
-      (fp, decls)
+      s
     in
-    let groups = List.map parse_one slices in
-    mark Parse_sema (if !reused = 0 then Executed else Partial);
-    groups
+    let slices = List.map parse_one slices in
+    (slices, if !reused = 0 then Executed else Partial)
   in
-  (* Each slice's fnast fingerprint with its decls, in unit order. *)
-  let groups =
+  let slice_walk () = parse_slices (slice_unit (Lazy.force items)) in
+  (* Every slice, in unit order, and the walk again after a manifest hit:
+     it rebuilds the members the cache no longer holds.  Otherwise nothing
+     keeps the token stream alive past this stage. *)
+  let slices, walk_again =
     match consult Parse_sema ast_fp with
     | Some payload ->
       mark Parse_sema Cache_hit;
-      let ((wm, groups) : int * (string * Mc_ast.Tree.tu_decl list) list) =
-        Marshal.from_string payload 0
-      in
+      let ((wm, fps) : int * string list) = Marshal.from_string payload 0 in
       Mc_ast.Tree.claim_up_to wm;
-      groups
+      (List.map (fun fp -> { a_fp = fp; a_decls = Unread }) fps, Some slice_walk)
     | None ->
-      let groups = parse_slices (slice_unit items) in
+      let slices, outcome = slice_walk () in
+      mark Parse_sema outcome;
       save Parse_sema ast_fp (fun () ->
-          marshal (Mc_ast.Tree.current_id (), groups));
-      groups
+          marshal
+            ( Mc_ast.Tree.current_id (),
+              List.filter_map
+                (fun s -> if declares s then Some s.a_fp else None)
+                slices ));
+      (slices, None)
   in
-  let tu = { Mc_ast.Tree.tu_decls = List.concat_map snd groups } in
+  let declaring = Array.of_list (List.filter declares slices) in
+  (* A slice's decls, read on first use.  A fnast member that the manifest
+     names but the cache no longer holds sends the AST stage back to the
+     per-slice walk, once: the stage counts a miss after all, and the walk
+     re-parses exactly the slices whose artifacts are gone. *)
+  let rec decls_of s =
+    match s.a_decls with
+    | Held decls -> decls
+    | Stored payload -> unpack s payload
+    | Unread ->
+      (match find "fnast" s.a_fp with
+      | Some payload -> s.a_decls <- Stored payload
+      | None -> rewalk (Option.get walk_again));
+      decls_of s
+  and rewalk slice_walk =
+    Cache.reject ~stage:(stage_tag Parse_sema);
+    let walked, outcome = slice_walk () in
+    trace :=
+      List.map
+        (fun (st, o) -> if st = Parse_sema then (st, outcome) else (st, o))
+        !trace;
+    let walked = Array.of_list (List.filter declares walked) in
+    if
+      Array.map (fun s -> s.a_fp) walked
+      <> Array.map (fun s -> s.a_fp) declaring
+    then
+      Crash_recovery.internal_error
+        "the per-slice walk disagrees with the unit's AST manifest";
+    Array.iteri (fun i w -> declaring.(i).a_decls <- w.a_decls) walked
+  in
+  (* Only the frontend reads the AST. *)
+  let ast =
+    if frontend_only then
+      Some { Mc_ast.Tree.tu_decls = List.concat_map decls_of slices }
+    else None
+  in
 
   let timings () =
     {
@@ -977,7 +1085,6 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     {
       diag = !diag;
       srcmgr = !srcmgr;
-      tu = Some tu;
       ir = None;
       codegen_error;
       timings = timings ();
@@ -991,7 +1098,6 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     {
       diag = !diag;
       srcmgr = !srcmgr;
-      tu = Some tu;
       ir = Some ir;
       codegen_error = None;
       timings = timings ();
@@ -1018,16 +1124,6 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     if options.optimize then Mc_passes.Pass_manager.o1
     else Mc_passes.Pass_manager.o0
   in
-  (* A mini's module, unmarshalled from its snapshot when this compilation
-     did not emit it.  [claim] when passes will create instructions in it. *)
-  let mini_module ~claim mi =
-    match mi.mi_ir with
-    | Emitted m -> m
-    | Cached snapshot ->
-      let ((m, wm) : Mc_ir.Ir.modul * int) = Marshal.from_string snapshot 0 in
-      if claim then Mc_ir.Ir.claim_up_to wm;
-      m
-  in
   let r =
     if frontend_only || Diag.has_errors !diag then no_ir None
     else begin
@@ -1036,89 +1132,131 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       in
       let cslice = option_slice Codegen options in
       let oslice = option_slice Passes options in
-      (* Emit exactly the slices whose "fnir" artifact (pre-pass, chained
-         off the slice's fnast fingerprint) is missing.  Gensyms reset per
-         slice, which is what makes a per-slice module context-free:
-         outlined-function and dispatch-site numbering restart per slice
-         (names stay unique — they are prefixed by the parent function's
-         name).  Alongside the minis it returns each slice's (fnir
-         fingerprint, snapshot), the unit "ir" artifact — empty uncached. *)
-      let emit_minis groups =
-        let hits = ref 0 and snapshots = ref [] in
-        let rec go acc = function
-          | [] ->
-            Ok
-              ( List.rev acc,
-                List.rev !snapshots,
-                if !hits > 0 then Partial else Executed )
-          | (_, []) :: rest -> go acc rest
-          | (fnast_fp, decls) :: rest -> (
-            let fp =
-              fingerprint (fun () ->
-                  hash ("fnir\x00" ^ fnast_fp ^ "\x00" ^ cslice))
-            in
-            match find "fnir" fp with
-            | Some snapshot ->
-              incr hits;
-              snapshots := (fp, snapshot) :: !snapshots;
-              go ({ mi_fp = fp; mi_ir = Cached snapshot } :: acc) rest
-            | None -> (
-              Mc_codegen.Codegen.reset_gensym ();
-              Mc_ompbuilder.Omp_builder.reset_gensym ();
-              match
-                time Codegen (fun () ->
-                    match
-                      Mc_codegen.Codegen.emit_translation_unit
-                        ~fold:options.fold ~mode
-                        { Mc_ast.Tree.tu_decls = decls }
-                    with
-                    | m -> Ok m
-                    | exception Mc_codegen.Codegen.Unsupported msg -> Error msg)
-              with
-              (* The time codegen spent before bailing out is still real
-                 work; keep it so stage timings stay truthful on the error
-                 path. *)
-              | Error msg, dt ->
-                t_codegen := !t_codegen +. dt;
-                mark Codegen Executed;
-                Stats.incr codegen_errors_counter;
-                Error msg
-              | Ok m, dt ->
-                t_codegen := !t_codegen +. dt;
-                verify_or_ice m;
-                (* Snapshot before the pass pipeline mutates it. *)
-                if memo then begin
-                  let snapshot = marshal (m, Mc_ir.Ir.current_id ()) in
-                  snapshots := (fp, snapshot) :: !snapshots;
-                  store "fnir" fp (fun () -> snapshot)
-                end;
-                go ({ mi_fp = fp; mi_ir = Emitted m } :: acc) rest))
-        in
-        go [] groups
-      in
-      (* The unit "ir" artifact is the list of (fnir fp, snapshot) pairs,
-         left unopened unless the passes stage actually needs the
-         modules: a full-warm compile never deserialises pre-pass IR. *)
-      let minis =
+      let n = Array.length declaring in
+      (* Each declaring slice's "fnir" fingerprint, chained off its fnast
+         one: the unit "ir" manifest names them on a hit. *)
+      let ir_hit, fnir =
         match consult Codegen ir_fp with
         | Some payload ->
-          mark Codegen Cache_hit;
-          Ok
-            (lazy
-              (List.map
-                 (fun (fp, snapshot) -> { mi_fp = fp; mi_ir = Cached snapshot })
-                 (Marshal.from_string payload 0 : (string * string) list)))
-        | None -> (
-          match emit_minis groups with
-          | Error msg -> Error msg
-          | Ok (minis, snapshots, outcome) ->
-            mark Codegen outcome;
-            save Codegen ir_fp (fun () -> marshal snapshots);
-            Ok (Lazy.from_val minis))
+          (true, Array.of_list (Marshal.from_string payload 0 : string list))
+        | None ->
+          ( false,
+            Array.map
+              (fun s ->
+                fingerprint (fun () ->
+                    hash ("fnir\x00" ^ s.a_fp ^ "\x00" ^ cslice)))
+              declaring )
       in
-      match minis with
-      | Error msg -> no_ir (Some msg)
-      | Ok minis -> (
+      (* What each slice already has stored downstream of its pre-pass IR:
+         a slice missing its analysis fragment or its post-pass module
+         needs its pre-pass module. *)
+      let need = Array.make n false in
+      let lookup tag i fp =
+        match find tag fp with
+        | Some payload -> Ok payload
+        | None ->
+          need.(i) <- true;
+          Error fp
+      in
+      let analysis =
+        Option.map
+          (fun sel ->
+            let apasses = Mc_analysis.Analyzer.normalize_passes (Some sel) in
+            let aslice = "analyze=" ^ String.concat "," apasses in
+            ( apasses,
+              Array.mapi
+                (fun i fnir_fp ->
+                  lookup "fnanalysis" i
+                    (fingerprint (fun () ->
+                         hash ("fnanalysis\x00" ^ fnir_fp ^ "\x00" ^ aslice))))
+                fnir ))
+          options.analyze
+      in
+      let opt_hit = consult Passes opt_fp in
+      let fnoptir =
+        if Option.is_some opt_hit then [||]
+        else
+          Array.mapi
+            (fun i fnir_fp ->
+              lookup "fnoptir" i
+                (fingerprint (fun () ->
+                     hash ("fnoptir\x00" ^ fnir_fp ^ "\x00" ^ oslice))))
+            fnir
+      in
+      (* Stage: codegen, for exactly the slices that need a pre-pass module
+         and have no "fnir" snapshot.  Gensyms reset per slice, which is
+         what makes a per-slice module context-free: outlined-function and
+         dispatch-site numbering restart per slice (names stay unique —
+         they are prefixed by the parent function's name). *)
+      let modules = Array.make n None in
+      let emitted = ref 0 and ir_rejected = ref false in
+      let rec emit i =
+        if i = n then Ok ()
+        else if not need.(i) then emit (i + 1)
+        else
+          match find "fnir" fnir.(i) with
+          | Some snapshot ->
+            modules.(i) <- Some (Cached snapshot);
+            emit (i + 1)
+          | None -> (
+            if ir_hit && not !ir_rejected then begin
+              Cache.reject ~stage:(stage_tag Codegen);
+              ir_rejected := true
+            end;
+            let decls = decls_of declaring.(i) in
+            Mc_codegen.Codegen.reset_gensym ();
+            Mc_ompbuilder.Omp_builder.reset_gensym ();
+            match
+              time Codegen (fun () ->
+                  match
+                    Mc_codegen.Codegen.emit_translation_unit ~fold:options.fold
+                      ~mode
+                      { Mc_ast.Tree.tu_decls = decls }
+                  with
+                  | m -> Ok m
+                  | exception Mc_codegen.Codegen.Unsupported msg -> Error msg)
+            with
+            (* The time codegen spent before bailing out is still real
+               work; keep it so stage timings stay truthful on the error
+               path. *)
+            | Error msg, dt ->
+              t_codegen := !t_codegen +. dt;
+              Stats.incr codegen_errors_counter;
+              Error msg
+            | Ok m, dt ->
+              t_codegen := !t_codegen +. dt;
+              verify_or_ice m;
+              incr emitted;
+              (* Snapshot before the pass pipeline mutates it. *)
+              store "fnir" fnir.(i) (fun () ->
+                  marshal (m, Mc_ir.Ir.current_id ()));
+              modules.(i) <- Some (Emitted m);
+              emit (i + 1))
+      in
+      match emit 0 with
+      | Error msg ->
+        mark Codegen Executed;
+        no_ir (Some msg)
+      | Ok () -> (
+        mark Codegen
+          (if ir_hit && not !ir_rejected then Cache_hit
+           else if !emitted < n then Partial
+           else Executed);
+        if not ir_hit then
+          save Codegen ir_fp (fun () -> marshal (Array.to_list fnir));
+        (* A slice's pre-pass module, unmarshalled from its snapshot when
+           this compilation did not emit it.  [claim] when passes will
+           create instructions in it. *)
+        let pre_pass ~claim i =
+          match Option.get modules.(i) with
+          | Emitted m -> m
+          | Cached snapshot ->
+            let ((m, wm) : Mc_ir.Ir.modul * int) =
+              Marshal.from_string snapshot 0
+            in
+            if claim then Mc_ir.Ir.claim_up_to wm;
+            m
+        in
         (* Stage: analyze (optional).  Keyed on *pre-pass* IR — the
            analyser wants allocas, not mem2reg'd SSA — and cached per
            slice: editing one body re-analyses exactly that function,
@@ -1126,41 +1264,36 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
            fragments are plain strings (locations are rendered at
            analysis time), so a cached fragment is byte-identical to a
            fresh one. *)
-        (match options.analyze with
+        (match analysis with
         | None -> ()
-        | Some sel ->
-          let apasses = Mc_analysis.Analyzer.normalize_passes (Some sel) in
-          let aslice = "analyze=" ^ String.concat "," apasses in
+        | Some (apasses, frags) ->
           let describe loc = Srcmgr.describe !srcmgr loc in
           let frs =
-            List.concat_map
-              (fun mi ->
-                let fp =
-                  fingerprint (fun () ->
-                      hash ("fnanalysis\x00" ^ mi.mi_fp ^ "\x00" ^ aslice))
-                in
-                match find "fnanalysis" fp with
-                | Some p ->
-                  Stats.incr stat_an_fn_hits;
-                  (Marshal.from_string p 0 : Mc_analysis.Report.func_report list)
-                | None ->
-                  if memo then Stats.incr stat_an_fn_misses;
-                  (* Read-only walk: analysis creates no instructions, so
-                     no id claim is needed. *)
-                  let frs =
-                    (Mc_analysis.Analyzer.run ~passes:apasses ~describe
-                       (mini_module ~claim:false mi))
-                      .Mc_analysis.Report.r_funcs
-                  in
-                  store "fnanalysis" fp (fun () -> marshal frs);
-                  frs)
-              (Lazy.force minis)
+            List.concat
+              (List.mapi
+                 (fun i -> function
+                   | Ok payload ->
+                     Stats.incr stat_an_fn_hits;
+                     (Marshal.from_string payload 0
+                       : Mc_analysis.Report.func_report list)
+                   | Error fp ->
+                     if memo then Stats.incr stat_an_fn_misses;
+                     (* Read-only walk: analysis creates no instructions,
+                        so no id claim is needed. *)
+                     let frs =
+                       (Mc_analysis.Analyzer.run ~passes:apasses ~describe
+                          (pre_pass ~claim:false i))
+                         .Mc_analysis.Report.r_funcs
+                     in
+                     store "fnanalysis" fp (fun () -> marshal frs);
+                     frs)
+                 (Array.to_list frags))
           in
           analysis_ref :=
             Some { Mc_analysis.Report.r_passes = apasses; r_funcs = frs });
         (* Stage: passes (OptIR), per slice — one "fnoptir" artifact each —
            then relinked into the unit module. *)
-        match consult Passes opt_fp with
+        match opt_hit with
         | Some payload ->
           mark Passes Cache_hit;
           let (m', unroll) : Mc_ir.Ir.modul * Mc_passes.Loop_unroll.stats =
@@ -1172,24 +1305,19 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
           let agg = ref Mc_passes.Loop_unroll.empty_stats in
           let add unroll = agg := Mc_passes.Loop_unroll.add_stats !agg unroll in
           let finals =
-            List.map
-              (fun mi ->
-                let fp =
-                  fingerprint (fun () ->
-                      hash ("fnoptir\x00" ^ mi.mi_fp ^ "\x00" ^ oslice))
-                in
-                match find "fnoptir" fp with
-                | Some p ->
+            List.mapi
+              (fun i -> function
+                | Ok payload ->
                   incr hits;
                   let ((m, unroll, wm)
                         : Mc_ir.Ir.modul * Mc_passes.Loop_unroll.stats * int) =
-                    Marshal.from_string p 0
+                    Marshal.from_string payload 0
                   in
                   Mc_ir.Ir.claim_up_to wm;
                   add unroll;
                   m
-                | None ->
-                  let m = mini_module ~claim:true mi in
+                | Error fp ->
+                  let m = pre_pass ~claim:true i in
                   let report, dt =
                     time Passes (fun () ->
                         Mc_passes.Pass_manager.run
@@ -1202,7 +1330,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
                   store "fnoptir" fp (fun () ->
                       marshal (m, unroll, Mc_ir.Ir.current_id ()));
                   m)
-              (Lazy.force minis)
+              (Array.to_list fnoptir)
           in
           mark Passes (if !hits > 0 then Partial else Executed);
           let final =
@@ -1230,31 +1358,30 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
   in
   if memo && not frontend_only then
     Stats.incr (if full_hit then stat_full_hits else stat_full_misses);
-  (r, tr, full_hit, List.rev !fn_trace)
+  ( {
+      x_result = r;
+      x_trace = tr;
+      x_full_hit = full_hit;
+      x_fn_trace = List.rev !fn_trace;
+    },
+    ast )
 
 and execute ?cache ?(options = default_options) ?(name = "input.c") source =
-  let (r, tr, full_hit, fn_trace), registry =
+  let (x, _), registry =
     Stats.with_scoped_registry (fun () ->
         walk ?cache ~frontend_only:false ~options ~name source)
   in
-  {
-    x_result = { r with stats = Stats.snapshot ~registry () };
-    x_trace = tr;
-    x_full_hit = full_hit;
-    x_fn_trace = fn_trace;
-  }
+  { x with x_result = { x.x_result with stats = Stats.snapshot ~registry () } }
 
 and frontend ?(options = default_options) ?(name = "input.c") source =
-  let (r, _, _, _), _registry =
+  let (x, tu), _registry =
     Stats.with_scoped_registry (fun () ->
         walk ~frontend_only:true ~options ~name source)
   in
-  ( r.diag,
+  ( x.x_result.diag,
     (* A failed transfo script yields no AST at all; frontend callers
        still get the diagnostics. *)
-    match r.tu with
-    | Some tu -> tu
-    | None -> { Mc_ast.Tree.tu_decls = [] } )
+    Option.value tu ~default:{ Mc_ast.Tree.tu_decls = [] } )
 
 (* The transfo pre-stage alone, for the daemon's transform requests and
    for embedders that want the rewritten source without compiling it:

@@ -20,6 +20,15 @@
     slice for the same reason: a diagnostic-free run is identical under
     any error limit.
 
+    Warm paths read only what their caller uses.  The unit AST and IR
+    artifacts are manifests naming per-slice artifacts ("fnast",
+    "fnir"), and each slice looks up its post-pass module ("fnoptir")
+    first: it reads its pre-pass IR only when its passes or analysis
+    must run, and its decls only when its codegen must run.  A member
+    missing when it is needed (evicted, corrupt, a faulted read) turns
+    the manifest's hit into a counted miss ({!Cache.reject}) and is
+    rebuilt; the IR is the same either way.
+
     Each execution runs in its own scoped stats registry (merged into
     the caller's on the way out, even on an ICE), so [result.stats] is
     exactly this compilation's events and concurrent domains never
@@ -67,7 +76,6 @@ type timings = {
 type result = {
   diag : Mc_diag.Diagnostics.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
-  tu : Mc_ast.Tree.translation_unit option;
   ir : Mc_ir.Ir.modul option;
   codegen_error : string option;
   timings : timings;
@@ -80,6 +88,9 @@ type result = {
       (** When [options.analyze] was set and IR was produced: the
           dataflow analysis report. *)
 }
+(** A compilation's outcome.  It holds no AST: a compilation served from
+    the cache never builds one.  {!frontend} (or {!Driver.frontend})
+    returns a unit's AST. *)
 
 type stage = Transfo | Lex | Preprocess | Parse_sema | Codegen | Passes
 
@@ -126,8 +137,8 @@ type exec = {
           prototype-to-definition range) or ["<decl>"] when it holds
           none: [Cache_hit] when the slice's sema'd AST was adopted from
           a "fnast" artifact, [Executed] when it was parsed (always, in
-          an uncached execution).  Empty only when the unit's whole AST
-          artifact was reused, so no slice was consulted. *)
+          an uncached execution).  Empty only when the unit's AST
+          manifest was reused, so no slice was walked. *)
 }
 
 val option_slice : stage -> options -> string
@@ -160,7 +171,7 @@ val frontend :
   string ->
   Mc_diag.Diagnostics.t * Mc_ast.Tree.translation_unit
 (** Source through the AST stage only (-fsyntax-only / -ast-dump); never
-    cached.  When the options carry a [transfo_script], the script is
+    cached, and the one way to get a unit's AST.  When the options carry a [transfo_script], the script is
     applied first and the AST is that of the rewritten program; a failed
     script yields an empty translation unit plus the error diagnostic. *)
 

@@ -4,7 +4,8 @@
    Layout: <dir>/v<schema_version>/<stage>/<fingerprint>, one file per
    (stage, fingerprint) key holding that key's full candidate list (the
    PPTokens stage can carry several candidates per fingerprint,
-   ccache-manifest style; every other stage has one).
+   ccache-manifest style; every other stage has one).  Opening a
+   directory removes the trees of older schema versions.
 
    File format: a Binio frame (magic "MCST", version = schema_version)
    whose payload is a 32-char payload digest followed by the marshalled
@@ -48,8 +49,12 @@ let fault_write = Fault.point "store.write"
    v4: one compile algorithm — the "ast" artifact became the unit's
    per-slice split (id watermark, (fnast fp, decls) list), the "ir"
    artifact is always the untagged per-slice list, and the whole-unit
-   "analysis" family is gone. *)
-let schema_version = 4
+   "analysis" family is gone.
+   v5: the "ast" and "ir" artifacts became manifests of per-slice
+   fingerprints, the "pp" artifact carries its stream's digest, and a
+   "fnast" artifact has a head that says whether the slice declares
+   anything. *)
+let schema_version = 5
 let magic = "MCST"
 let default_max_bytes = 512 * 1024 * 1024
 
@@ -101,6 +106,8 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
+let remove_file path = try Sys.remove path with Sys_error _ -> ()
+
 (* Opening an existing directory adopts whatever complete entries are on
    disk, ordering their recency by mtime so a restarted process evicts
    the same way a long-running one would have. *)
@@ -128,9 +135,64 @@ let scan t =
       t.total_bytes <- t.total_bytes + size)
     (List.sort (fun (_, _, a) (_, _, b) -> compare a b) !files)
 
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (try Sys.readdir path with Sys_error _ -> [||]);
+    (try Sys.rmdir path with Sys_error _ -> ())
+  | _ -> remove_file path
+  | exception Unix.Unix_error _ -> ()
+
+(* Whether [path] has the layout a store writes: stage directories
+   holding framed entries (plus dot-named temporaries).  A directory the
+   cache directory merely shares a name with is not a store tree. *)
+let is_store_tree path =
+  let entries p = try Sys.readdir p with Sys_error _ -> [||] in
+  let framed file =
+    match
+      In_channel.with_open_bin file (fun ic ->
+          In_channel.really_input_string ic (String.length magic))
+    with
+    | Some head -> String.equal head magic
+    | None -> false
+    | exception Sys_error _ -> false
+  in
+  match
+    Array.for_all
+      (fun stage ->
+        let sdir = Filename.concat path stage in
+        Sys.is_directory sdir
+        && Array.for_all
+             (fun f -> f.[0] = '.' || framed (Filename.concat sdir f))
+             (entries sdir))
+      (entries path)
+  with
+  | ok -> ok
+  | exception Sys_error _ -> false
+
+(* Trees of older schemas are unreachable from this binary and outside
+   its byte budget, so they are removed.  A still-running older binary
+   sees that as eviction: a miss, nothing worse.  Newer trees belong to
+   newer binaries and are left alone. *)
+let remove_older_schemas dir =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      match Scanf.sscanf_opt name "v%u%!" Fun.id with
+      | Some k
+        when k < schema_version
+             && name = Printf.sprintf "v%d" k
+             && is_store_tree path ->
+        remove_tree path
+      | _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
 let create ~dir ?(max_bytes = default_max_bytes) () =
   let root = Filename.concat dir (Printf.sprintf "v%d" schema_version) in
   Binio.mkdir_p root;
+  remove_older_schemas dir;
   let t =
     {
       root;
@@ -156,8 +218,6 @@ let forget_unlocked t key =
     t.total_bytes <- t.total_bytes - slot.sl_bytes;
     Hashtbl.remove t.slots key
   | None -> ()
-
-let remove_file path = try Sys.remove path with Sys_error _ -> ()
 
 (* ---- load ---------------------------------------------------------------- *)
 

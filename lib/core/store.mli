@@ -31,7 +31,10 @@ val create : dir:string -> ?max_bytes:int -> unit -> t
 (** Opens (creating if needed) the store rooted at
     [dir/v<schema_version>].  Existing entries are adopted with recency
     seeded from file mtimes, so a restarted process continues the same
-    LRU order. *)
+    LRU order.  Sibling trees [dir/v<k>] of older schemas ([k <
+    schema_version]) are removed: nothing can read them, and they count
+    against no byte budget.  Newer ones, and any [v<k>] directory
+    without a store's layout, are left alone. *)
 
 val dir : t -> string
 (** The directory [create] was given. *)

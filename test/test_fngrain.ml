@@ -152,6 +152,73 @@ let test_store_restart_reuses_functions () =
       Alcotest.(check string) "byte-identical IR across the restart"
         (ir_text cold) (ir_text warm))
 
+(* ---- warm paths read only what they use ---------------------------------- *)
+
+(* 24 workers and main; [edit] expands only inside w11's body. *)
+let wide_unit ~edit =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "void record(long x);\n";
+  for fn = 0 to 23 do
+    Buffer.add_string buf
+      (Printf.sprintf
+         "long w%d(int n) { long a = %d; for (int i = 0; i < n + %d; i += 1) \
+          a += i * %d; return a; }\n"
+         fn
+         (if fn = 11 then edit else fn)
+         (fn + 2) (fn + 1))
+  done;
+  Buffer.add_string buf
+    "int main(void) { record(w0(3) + w11(3) + w23(3)); return 0; }\n";
+  Buffer.contents buf
+
+let lookups c stage =
+  counter c ("cache." ^ stage ^ "-hits") + counter c ("cache." ^ stage ^ "-misses")
+
+let test_warm_paths_read_only_what_they_use () =
+  (* A rebuild reads the per-slice artifacts only of the slices whose
+     stages must run: none on a same-source rebuild, whose five unit
+     artifacts are all it reads, and for a body edit one fnir lookup, the
+     edited slice's miss.  Each compile runs in a fresh process over the
+     same store, so every read comes from disk. *)
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
+    (fun () ->
+      let compile_fresh src =
+        compile
+          (Instance.create
+             ~cache:(Cache.create ~store:(Store.create ~dir ()) ())
+             cached_invocation)
+          src
+      in
+      let base = wide_unit ~edit:11 and edited = wide_unit ~edit:99 in
+      ignore (compile_fresh base);
+      let same = compile_fresh base in
+      let edit = compile_fresh edited in
+      if not (store_faults ()) then begin
+        Alcotest.(check string) "same source: every stage hit"
+          "lex:hit pp:hit ast:hit ir:hit optir:hit" (trace_of same);
+        List.iter
+          (fun stage ->
+            Alcotest.(check int)
+              ("same source: no " ^ stage ^ " lookup")
+              0 (lookups same stage))
+          [ "fnast"; "fnir"; "fnoptir" ];
+        Alcotest.(check int) "same source: five store hits" 5
+          (counter same "store.hits");
+        Alcotest.(check string) "body edit: every stage partial"
+          "lex:run pp:run ast:partial ir:partial optir:partial" (trace_of edit);
+        Alcotest.(check int) "body edit: one fnir lookup" 1
+          (lookups edit "fnir");
+        Alcotest.(check int) "body edit: the edited slice's miss" 1
+          (counter edit "cache.fnir-misses")
+      end;
+      let cold src = compile (Instance.create Invocation.default) src in
+      Alcotest.(check string) "same source: IR equals a cold compile"
+        (ir_text (cold base)) (ir_text same);
+      Alcotest.(check string) "body edit: IR equals a cold compile"
+        (ir_text (cold edited)) (ir_text edit))
+
 (* ---- daemon: a warm mccd re-runs only the edited function ---------------- *)
 
 let tolerant = Sys.getenv_opt "MCC_FAULTS" <> None
@@ -468,6 +535,8 @@ let suite =
       test_warm_ir_byte_identical_both_modes;
     tc "per-function reuse survives a store restart"
       test_store_restart_reuses_functions;
+    tc "warm paths read only what they use"
+      test_warm_paths_read_only_what_they_use;
     tc "warm daemon re-runs only the edited function"
       test_daemon_body_edit_reuses_functions;
     tc "ICE in one function never caches; siblings reusable"

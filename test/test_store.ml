@@ -423,6 +423,108 @@ let test_lost_optir_entry_reruns_passes () =
       Alcotest.(check string) "byte-identical IR after re-running passes"
         (ir cold) (ir warm))
 
+(* Remove every entry of the given stages, as eviction would. *)
+let purge dir stages =
+  List.iter
+    (fun stage ->
+      let d =
+        Filename.concat
+          (Filename.concat dir (Printf.sprintf "v%d" Store.schema_version))
+          stage
+      in
+      if Sys.file_exists d then
+        Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d))
+    stages
+
+(* The definition of a builtin's name: its slice is never stored as a
+   fnast artifact. *)
+let builtin_stub =
+  "void record(long x);\n\
+   int omp_get_thread_num(void) { return 0; }\n\
+   int main(void) { record(omp_get_thread_num() + 5); return 0; }\n"
+
+let test_missing_manifest_member_is_a_counted_miss () =
+  (* The unit "ast" and "ir" artifacts name per-slice members.  With the
+     members gone, a rebuild that hits a manifest and then needs a member
+     must count a miss for that stage and rebuild the member — no ICE, and
+     the IR of an uncached compile. *)
+  List.iter
+    (fun (unit_label, src) ->
+      with_store_dir (fun dir ->
+          let compile inv =
+            let cache = Cache.create ~store:(Store.create ~dir ()) () in
+            match Instance.compile_safe (Instance.create ~cache inv) src with
+            | Ok c ->
+              if Mc_diag.Diagnostics.has_errors c.Instance.c_result.Driver.diag
+              then
+                Alcotest.failf "%s: compile failed:\n%s" unit_label
+                  (Mc_diag.Diagnostics.render_all
+                     c.Instance.c_result.Driver.diag);
+              c
+            | Error f ->
+              Alcotest.failf "%s: internal compiler error: %s" unit_label
+                f.Instance.f_ice.Mc_support.Crash_recovery.ice_exn
+          in
+          let ir c =
+            Mc_ir.Printer.module_to_string
+              (Option.get c.Instance.c_result.Driver.ir)
+          in
+          ignore (compile invocation);
+          purge dir [ "fnast"; "fnir" ];
+          List.iter
+            (fun (label, inv, stage) ->
+              let warm = compile inv in
+              let uncached =
+                compile { inv with Invocation.cache_enabled = false }
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s: IR equals an uncached compile"
+                   unit_label label)
+                (ir uncached) (ir warm);
+              let stat name = Stats.find warm.Instance.c_result.Driver.stats name in
+              check_count
+                (Printf.sprintf "%s, %s: cache.%s-misses" unit_label label
+                   stage)
+                1
+                (stat ("cache." ^ stage ^ "-misses")))
+            [
+              ("fold off (ast hits, ir misses)",
+               { invocation with Invocation.fold = false }, "ast");
+              ("-O0 (ir hits, optir misses)",
+               { invocation with Invocation.opt_level = 0 }, "ir");
+            ]))
+    [ ("loop unit", source); ("builtin stub", builtin_stub) ]
+
+let test_older_schemas_removed () =
+  with_store_dir (fun dir ->
+      let put tree contents =
+        let path = List.fold_left Filename.concat dir [ tree; "ast"; "x" ] in
+        Binio.mkdir_p (Filename.dirname path);
+        write_file path contents;
+        path
+      in
+      let entry version =
+        Binio.frame ~magic:"MCST" ~version (String.make 40 'e')
+      in
+      let tree version = Printf.sprintf "v%d" version in
+      let older =
+        put (tree (Store.schema_version - 1))
+          (entry (Store.schema_version - 1))
+      in
+      let newer =
+        put (tree (Store.schema_version + 1))
+          (entry (Store.schema_version + 1))
+      in
+      (* An older version's name over something the store did not write. *)
+      let foreign = put "v1" "not a store entry" in
+      ignore (Store.create ~dir ());
+      Alcotest.(check bool) "older schema tree removed" false
+        (Sys.file_exists (Filename.dirname (Filename.dirname older)));
+      Alcotest.(check bool) "newer schema tree left alone" true
+        (Sys.file_exists newer);
+      Alcotest.(check bool) "foreign v1 tree left alone" true
+        (Sys.file_exists foreign))
+
 let test_batch_domains_share_store () =
   (* Batch worker domains write through one store-backed cache; a fresh
      cache over the same directory then serves the whole batch warm. *)
@@ -462,5 +564,8 @@ let suite =
     tc "store-backed cache survives restart" test_cache_survives_restart;
     tc "lost optir entry re-runs passes on cached ir"
       test_lost_optir_entry_reruns_passes;
+    tc "missing manifest member is a counted miss"
+      test_missing_manifest_member_is_a_counted_miss;
+    tc "older schema trees removed on open" test_older_schemas_removed;
     tc "batch domains share one store" test_batch_domains_share_store;
   ]
