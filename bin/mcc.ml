@@ -7,10 +7,12 @@
    compiling and executing the program on the IR interpreter.
 
    The CLI is a thin shell over the reentrant API: argv becomes an
-   [Invocation.t], one [Instance.t] owns the stats registry the reports
-   render from, and multiple FILE arguments compile as a [Batch] over
-   [-j N] domains (sharing a content-addressed compile cache under
-   [--cache]). *)
+   [Invocation.t] through [Invocation.of_argv] (the one flag grammar, whose
+   inverse writes an ICE bundle's repro.sh), one [Instance.t] owns the
+   stats registry the reports render from, and multiple FILE arguments
+   compile as a [Batch] over [-j N] domains (sharing a content-addressed
+   compile cache under [--cache]).  Under [--daemon], every action a
+   daemon serves makes its round-trip through [ask_daemon]. *)
 
 module Driver = Mc_core.Driver
 module Invocation = Mc_core.Invocation
@@ -110,7 +112,100 @@ let run_frontend_action inst units =
     units;
   if !failed then exit 1
 
-let run_compile_action inst units =
+(* One line per transfo-script step, greppable like the daemon traces. *)
+let print_transfo_trace name trace =
+  List.iter
+    (fun line -> Printf.eprintf "[mcc transfo: %s: %s]\n%!" name line)
+    (List.filter
+       (fun l -> String.trim l <> "")
+       (String.split_on_char '\n' trace))
+
+(* The end of a Run or -emit-ir compile, wherever the IR came from (the
+   in-process batch or a daemon reply): -emit-ir prints the unit's IR,
+   Run executes it on the local interpreter.  [false] when the unit has
+   no IR or trapped. *)
+let emit_or_run inst ~name ~codegen_error ir =
+  let inv = Instance.invocation inst in
+  match ir with
+  | None ->
+    (match codegen_error with
+    | Some e -> Printf.eprintf "codegen error: %s\n" e
+    | None -> Printf.eprintf "mcc: no IR was produced for %s\n" name);
+    false
+  | Some m when inv.Invocation.action = Invocation.Emit_ir ->
+    multi_header inv name;
+    print_string (Mc_ir.Printer.module_to_string m);
+    true
+  | Some m -> (
+    let config =
+      {
+        Mc_interp.Interp.default_config with
+        Mc_interp.Interp.num_threads = inv.Invocation.num_threads;
+      }
+    in
+    match Instance.in_registry inst (fun () -> Mc_interp.Interp.run_main ~config m) with
+    | outcome ->
+      print_string outcome.Mc_interp.Interp.output;
+      List.iter
+        (function
+          | Mc_interp.Interp.T_int v -> Printf.printf "record: %Ld\n" v
+          | Mc_interp.Interp.T_float f -> Printf.printf "record: %g\n" f)
+        outcome.Mc_interp.Interp.trace;
+      Printf.eprintf "[%s: exit %s after %d steps]\n" name
+        (match outcome.Mc_interp.Interp.return_value with
+        | Some v -> Int64.to_string v
+        | None -> "void")
+        outcome.Mc_interp.Interp.steps;
+      true
+    | exception Mc_interp.Interp.Trap msg ->
+      prerr_endline ("trap: " ^ msg);
+      false)
+
+let daemon_socket inv =
+  Option.value inv.Invocation.daemon_socket ~default:(Client.default_socket ())
+
+(* --daemon: the one round-trip of every action a daemon serves.  The
+   request is built from the invocation and sent under the instance
+   registry, so -print-stats counts busy retries too.  [expect] picks the
+   stats snapshot and the payload out of the reply kind the request asks
+   for; the snapshot is folded into the instance registry.  Every
+   non-answer — no usable daemon, a rejection, a reply of another kind —
+   is one counted fallback for this request's units: [None], and the
+   caller does them in-process, with the same output and exit code.
+   Without --daemon the answer is [None] at once. *)
+let ask_daemon inst request expect =
+  let inv = Instance.invocation inst in
+  if not inv.Invocation.daemon then None
+  else begin
+    let policy =
+      Client.policy_with ?timeout:inv.Invocation.daemon_timeout
+        ?retries:inv.Invocation.daemon_retries ()
+    in
+    let fall_back reason =
+      let outcome =
+        Instance.in_registry inst (fun () -> Client.note_fallback reason)
+      in
+      Printf.eprintf "mcc: note: %s; falling back in-process\n%!"
+        (Client.render_outcome outcome);
+      None
+    in
+    match
+      Instance.in_registry inst (fun () ->
+          Client.roundtrip ~policy ~socket_path:(daemon_socket inv)
+            (request inv))
+    with
+    | Error reason -> fall_back reason
+    | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
+      fall_back ("daemon rejected the request: " ^ reason)
+    | Ok reply -> (
+      match expect reply with
+      | None -> fall_back "daemon sent an unexpected response kind"
+      | Some (stats, answer) ->
+        Instance.in_registry inst (fun () -> Client.absorb_snapshot stats);
+        Some answer)
+  end
+
+let run_local_compile inst units =
   let inv = Instance.invocation inst in
   let batch = Batch.compile_into inst units in
   let failed = ref false in
@@ -139,61 +234,23 @@ let run_compile_action inst units =
       | Error _ -> () (* already reported; siblings proceed *)
       | Ok r when Diag.has_errors r.Driver.diag -> ()
       | Ok r ->
-      if inv.Invocation.stage_timings then begin
-        let t = r.Driver.timings in
-        Printf.eprintf
-          "%s: stage timings: lex %.6fs, preprocess %.6fs, parse+sema %.6fs, \
-           codegen %.6fs, passes %.6fs%s\n"
-          u.Batch.u_name t.Driver.t_lex t.Driver.t_preprocess
-          t.Driver.t_parse_sema t.Driver.t_codegen t.Driver.t_passes
-          (if u.Batch.u_cache_hit then " (cache hit)" else "")
-      end;
-      (* One line per script step, greppable like the daemon traces. *)
-      (match r.Driver.transformed with
-      | Some (_, trace) ->
-        List.iter
-          (fun line ->
-            Printf.eprintf "[mcc transfo: %s: %s]\n%!" u.Batch.u_name line)
-          (List.filter
-             (fun l -> String.trim l <> "")
-             (String.split_on_char '\n' trace))
-      | None -> ());
-      match inv.Invocation.action with
-      | Invocation.Emit_ir -> (
-        match r.Driver.ir with
-        | Some m ->
-          multi_header inv u.Batch.u_name;
-          print_string (Mc_ir.Printer.module_to_string m)
-        | None ->
-          (match r.Driver.codegen_error with
-          | Some e -> Printf.eprintf "codegen error: %s\n" e
-          | None -> ());
-          failed := true)
-      | Invocation.Run -> (
-        let config =
-          {
-            Mc_interp.Interp.default_config with
-            Mc_interp.Interp.num_threads = inv.Invocation.num_threads;
-          }
-        in
-        match Instance.run inst ~config r with
-        | Ok outcome ->
-          print_string outcome.Mc_interp.Interp.output;
-          List.iter
-            (fun entry ->
-              match entry with
-              | Mc_interp.Interp.T_int v -> Printf.printf "record: %Ld\n" v
-              | Mc_interp.Interp.T_float f -> Printf.printf "record: %g\n" f)
-            outcome.Mc_interp.Interp.trace;
-          Printf.eprintf "[%s: exit %s after %d steps]\n" u.Batch.u_name
-            (match outcome.Mc_interp.Interp.return_value with
-            | Some v -> Int64.to_string v
-            | None -> "void")
-            outcome.Mc_interp.Interp.steps
-        | Error msg ->
-          prerr_endline msg;
-          failed := true)
-      | _ -> assert false)
+        if inv.Invocation.stage_timings then begin
+          let t = r.Driver.timings in
+          Printf.eprintf
+            "%s: stage timings: lex %.6fs, preprocess %.6fs, parse+sema \
+             %.6fs, codegen %.6fs, passes %.6fs%s\n"
+            u.Batch.u_name t.Driver.t_lex t.Driver.t_preprocess
+            t.Driver.t_parse_sema t.Driver.t_codegen t.Driver.t_passes
+            (if u.Batch.u_cache_hit then " (cache hit)" else "")
+        end;
+        Option.iter
+          (fun (_, trace) -> print_transfo_trace u.Batch.u_name trace)
+          r.Driver.transformed;
+        if
+          not
+            (emit_or_run inst ~name:u.Batch.u_name
+               ~codegen_error:r.Driver.codegen_error r.Driver.ir)
+        then failed := true)
     batch.Batch.units;
   (* --incremental: recompile the whole batch against the instance's
      stage cache and report, per unit, how much of the pipeline the warm
@@ -243,152 +300,88 @@ let run_compile_action inst units =
   end;
   if !failed then exit 1
 
-(* --daemon: ship the request to a running mccd and render its response
-   with the same semantics (and exit codes) as the in-process path; the
-   IR comes back marshalled so Run still executes on the local
-   interpreter.  Returns [Error] when no usable daemon answered — the
-   caller falls back to [run_compile_action]. *)
-let client_policy inv =
-  Client.policy_with ?timeout:inv.Invocation.daemon_timeout
-    ?retries:inv.Invocation.daemon_retries ()
-
-let run_daemon_action inst units =
-  let inv = Instance.invocation inst in
-  let socket_path =
-    match inv.Invocation.daemon_socket with
-    | Some p -> p
-    | None -> Client.default_socket ()
-  in
-  match Client.compile ~policy:(client_policy inv) ~socket_path inv units with
-  | Error msg -> Error msg
-  | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
-    Error ("daemon rejected the request: " ^ reason)
-  | Ok
-      {
-        Client.response =
-          ( Protocol.Resp_transformed _ | Protocol.Resp_analysis _
-          | Protocol.Resp_pong _ );
-        _;
-      } ->
-    Error "daemon sent an unexpected response kind to a compile request"
-  | Ok { Client.response = Protocol.Resp_busy _; _ } ->
-    (* Unreachable: the client absorbs busy replies or errors out. *)
-    Error "daemon busy"
-  | Ok
-      {
-        Client.response = Protocol.Resp_units { p_units; p_stats; p_wall };
-        busy_retries;
-      } ->
-    (* Fold the server-side pipeline counters into the instance registry
-       so -print-stats / -ftime-report stay transparent. *)
-    Instance.in_registry inst (fun () -> Client.absorb_snapshot p_stats);
-    let failed = ref false in
-    List.iter
-      (fun (u : Protocol.response_unit) ->
-        match u.Protocol.r_outcome with
-        | Protocol.R_ice { ice_phase; ice_exn; ice_location; ice_reproducer }
-          ->
+(* A daemon's answer to a compile request, rendered with the semantics
+   (and exit codes) of the in-process path; the IR comes back
+   marshalled, so Run still executes on the local interpreter. *)
+let render_daemon_units inst ~socket_path (p_units, p_wall, busy_retries) =
+  let failed = ref false in
+  List.iter
+    (fun (u : Protocol.response_unit) ->
+      match u.Protocol.r_outcome with
+      | Protocol.R_ice { ice_phase; ice_exn; ice_location; ice_reproducer } ->
+        Printf.eprintf
+          "mcc: internal compiler error compiling %s: %s (phase: %s%s) \
+           [contained by daemon]\n"
+          u.Protocol.r_name ice_exn ice_phase
+          (match ice_location with Some l -> ", near " ^ l | None -> "");
+        (match ice_reproducer with
+        | Some dir ->
           Printf.eprintf
-            "mcc: internal compiler error compiling %s: %s (phase: %s%s) \
-             [contained by daemon]\n"
-            u.Protocol.r_name ice_exn ice_phase
-            (match ice_location with Some l -> ", near " ^ l | None -> "");
-          (match ice_reproducer with
-          | Some dir ->
-            Printf.eprintf
-              "mcc: note: reproducer bundle written server-side to %s\n" dir
-          | None -> ());
-          failed := true
-        | Protocol.R_ok { ok_diag; ok_errors; _ } ->
-          prerr_string ok_diag;
-          if ok_errors then failed := true)
-      p_units;
-    (* One line per unit with the server's stage trace, then a summary —
-       greppable by the CI daemon smoke job. *)
-    List.iter
-      (fun (u : Protocol.response_unit) ->
-        Printf.eprintf "[mcc --daemon: %s: %s%s, server %.6fs]\n%!"
-          u.Protocol.r_name
-          (Mc_core.Pipeline.render_trace u.Protocol.r_trace)
-          (if u.Protocol.r_cache_hit then " (full hit)" else "")
-          u.Protocol.r_wall)
-      p_units;
-    Printf.eprintf "[mcc --daemon: %d unit(s) via %s, %d full hit(s), %s, \
-                    server %.3fs]\n%!"
-      (List.length p_units) socket_path
-      (List.length
-         (List.filter (fun u -> u.Protocol.r_cache_hit) p_units))
-      (Client.render_outcome
-         (if busy_retries = 0 then Client.Served
-          else Client.Shed_then_served busy_retries))
-      p_wall;
-    List.iter
-      (fun (u : Protocol.response_unit) ->
-        match u.Protocol.r_outcome with
-        | Protocol.R_ice _ -> ()
-        | Protocol.R_ok { ok_errors = true; _ } -> ()
-        | Protocol.R_ok { ok_ir; ok_codegen_error; _ } -> (
-          match inv.Invocation.action with
-          | Invocation.Emit_ir -> (
-            match Client.ir_of_response_unit u with
-            | Some m ->
-              multi_header inv u.Protocol.r_name;
-              print_string (Mc_ir.Printer.module_to_string m)
-            | None ->
-              (match ok_codegen_error with
-              | Some e -> Printf.eprintf "codegen error: %s\n" e
-              | None -> ());
-              failed := true)
-          | Invocation.Run -> (
-            match Client.ir_of_response_unit u with
-            | None ->
-              (match ok_codegen_error with
-              | Some e -> Printf.eprintf "codegen error: %s\n" e
-              | None ->
-                Printf.eprintf "mcc: daemon response for %s carried no IR\n"
-                  u.Protocol.r_name);
-              failed := true
-            | Some m -> (
-              let config =
-                {
-                  Mc_interp.Interp.default_config with
-                  Mc_interp.Interp.num_threads = inv.Invocation.num_threads;
-                }
-              in
-              ignore ok_ir;
-              match
-                Instance.in_registry inst (fun () ->
-                    Mc_interp.Interp.run_main ~config m)
-              with
-              | outcome ->
-                print_string outcome.Mc_interp.Interp.output;
-                List.iter
-                  (fun entry ->
-                    match entry with
-                    | Mc_interp.Interp.T_int v ->
-                      Printf.printf "record: %Ld\n" v
-                    | Mc_interp.Interp.T_float f ->
-                      Printf.printf "record: %g\n" f)
-                  outcome.Mc_interp.Interp.trace;
-                Printf.eprintf "[%s: exit %s after %d steps]\n%!"
-                  u.Protocol.r_name
-                  (match outcome.Mc_interp.Interp.return_value with
-                  | Some v -> Int64.to_string v
-                  | None -> "void")
-                  outcome.Mc_interp.Interp.steps
-              | exception Mc_interp.Interp.Trap msg ->
-                prerr_endline ("trap: " ^ msg);
-                failed := true))
-          | _ -> assert false))
-      p_units;
-    if !failed then exit 1;
-    Ok ()
+            "mcc: note: reproducer bundle written server-side to %s\n" dir
+        | None -> ());
+        failed := true
+      | Protocol.R_ok { ok_diag; ok_errors; _ } ->
+        prerr_string ok_diag;
+        if ok_errors then failed := true)
+    p_units;
+  (* One line per unit with the server's stage trace, then a summary —
+     greppable by the CI daemon smoke job. *)
+  List.iter
+    (fun (u : Protocol.response_unit) ->
+      Printf.eprintf "[mcc --daemon: %s: %s%s, server %.6fs]\n%!"
+        u.Protocol.r_name
+        (Mc_core.Pipeline.render_trace u.Protocol.r_trace)
+        (if u.Protocol.r_cache_hit then " (full hit)" else "")
+        u.Protocol.r_wall)
+    p_units;
+  Printf.eprintf
+    "[mcc --daemon: %d unit(s) via %s, %d full hit(s), %s, server %.3fs]\n%!"
+    (List.length p_units) socket_path
+    (List.length (List.filter (fun u -> u.Protocol.r_cache_hit) p_units))
+    (Client.render_outcome
+       (if busy_retries = 0 then Client.Served
+        else Client.Shed_then_served busy_retries))
+    p_wall;
+  List.iter
+    (fun (u : Protocol.response_unit) ->
+      match u.Protocol.r_outcome with
+      | Protocol.R_ice _ | Protocol.R_ok { ok_errors = true; _ } -> ()
+      | Protocol.R_ok { ok_codegen_error; _ } ->
+        if
+          not
+            (emit_or_run inst ~name:u.Protocol.r_name
+               ~codegen_error:ok_codegen_error
+               (Client.ir_of_response_unit u))
+        then failed := true)
+    p_units;
+  if !failed then exit 1
+
+(* Run and -emit-ir: one daemon request for every unit, else the
+   in-process batch. *)
+let run_compile_action inst units =
+  match
+    ask_daemon inst
+      (fun inv -> Protocol.request_of_units inv units)
+      (function
+        | {
+            Client.response = Protocol.Resp_units { p_units; p_stats; p_wall };
+            busy_retries;
+          } ->
+          Some (p_stats, (p_units, p_wall, busy_retries))
+        | _ -> None)
+  with
+  | Some answer ->
+    render_daemon_units inst
+      ~socket_path:(daemon_socket (Instance.invocation inst))
+      answer
+  | None -> run_local_compile inst units
 
 (* -emit-transformed: apply the transfo script and print the rewritten
    program — the source-to-source view of the scripted pipeline, without
-   compiling the result.  In daemon mode this ships a [Req_transform]
-   (the v2 request kind) so script authors iterate against the daemon's
-   warm transfo cache; otherwise the pre-stage runs in-process. *)
+   compiling the result.  Under --daemon each unit is its own
+   [Req_transform], so script authors iterate against the daemon's warm
+   transfo cache and a daemon lost mid-batch costs only the units it
+   never answered. *)
 let run_transform_action inst units =
   let inv = Instance.invocation inst in
   let options = Invocation.to_driver_options inv in
@@ -398,99 +391,61 @@ let run_transform_action inst units =
     | None -> die "-emit-transformed requires --transfo-script FILE"
   in
   let options = { options with Driver.transfo_script = None } in
-  let local name source =
-    match
-      Mc_core.Pipeline.transform ?cache:(Instance.cache inst) ~options ~name
-        ~script source
-    with
-    | Ok (outcome, src, trace) ->
-      Ok (src, trace, outcome = Mc_core.Pipeline.Cache_hit)
-    | Error msg -> Error msg
-  in
-  let remote name source =
-    let socket_path =
-      match inv.Invocation.daemon_socket with
-      | Some p -> p
-      | None -> Client.default_socket ()
-    in
-    match
-      Client.transform ~policy:(client_policy inv) ~socket_path inv ~name
-        source
-    with
-    | Error msg -> Error (`Fallback msg)
-    | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
-      Error (`Fallback ("daemon rejected the request: " ^ reason))
-    | Ok
-        {
-          Client.response =
-            ( Protocol.Resp_units _ | Protocol.Resp_analysis _
-            | Protocol.Resp_busy _ | Protocol.Resp_pong _ );
-          _;
-        } ->
-      Error
-        (`Fallback "daemon sent an unexpected response kind to a transform \
-                    request")
-    | Ok
-        {
-          Client.response = Protocol.Resp_transformed { p_result; p_stats; p_wall };
-          _;
-        } -> (
-      Instance.in_registry inst (fun () -> Client.absorb_snapshot p_stats);
-      match p_result with
-      | Ok t ->
-        Printf.eprintf "[mcc --daemon: transformed %s%s, server %.6fs]\n%!"
-          name
-          (if t.Protocol.x_cache_hit then " (hit)" else "")
-          p_wall;
-        Ok (t.Protocol.x_source, t.Protocol.x_trace, t.Protocol.x_cache_hit)
-      | Error msg -> Error (`Script msg))
-  in
   let failed = ref false in
   List.iter
     (fun (name, source) ->
       let result =
-        if inv.Invocation.daemon then
-          match remote name source with
-          | Ok r -> Ok r
-          | Error (`Script msg) -> Error msg
-          | Error (`Fallback msg) ->
-            Printf.eprintf "mcc: note: %s; falling back in-process\n%!" msg;
-            local name source
-        else local name source
+        match
+          ask_daemon inst
+            (fun inv -> Protocol.request_of_transform inv ~name source)
+            (function
+              | {
+                  Client.response =
+                    Protocol.Resp_transformed { p_result; p_stats; p_wall };
+                  _;
+                } ->
+                Some (p_stats, (p_result, p_wall))
+              | _ -> None)
+        with
+        | Some (Ok t, p_wall) ->
+          Printf.eprintf "[mcc --daemon: transformed %s%s, server %.6fs]\n%!"
+            name
+            (if t.Protocol.x_cache_hit then " (hit)" else "")
+            p_wall;
+          Ok (t.Protocol.x_source, t.Protocol.x_trace)
+        | Some (Error msg, _) -> Error msg
+        | None -> (
+          match
+            Mc_core.Pipeline.transform ?cache:(Instance.cache inst) ~options
+              ~name ~script source
+          with
+          | Ok (_, src, trace) -> Ok (src, trace)
+          | Error msg -> Error msg)
       in
       match result with
       | Error msg ->
         prerr_endline ("mcc: " ^ msg);
         failed := true
-      | Ok (src, trace, _hit) ->
+      | Ok (src, trace) ->
         multi_header inv name;
         print_string src;
-        List.iter
-          (fun line -> Printf.eprintf "[mcc transfo: %s: %s]\n%!" name line)
-          (List.filter
-             (fun l -> String.trim l <> "")
-             (String.split_on_char '\n' trace)))
+        print_transfo_trace name trace)
     units;
   if !failed then exit 1
 
 (* --analyze: compile each unit as far as pre-pass IR, run the selected
    dataflow analyses and print the report instead of executing anything.
    Exit 1 on compile errors or on any finding, so a CI job can gate on a
-   clean report.  In daemon mode this ships a [Req_analyze] (the v4
-   request kind) so editors and CI poll a warm per-function analysis
-   cache; no usable daemon means an in-process fallback, same output,
-   same exit code. *)
+   clean report.  Under --daemon each unit is its own [Req_analyze]
+   against the daemon's warm per-function analysis cache; a unit the
+   daemon does not answer is analysed in-process, same output, same exit
+   code. *)
 let run_analyze_action inst units =
   let inv = Instance.invocation inst in
   let json = inv.Invocation.analyze_format = "json" in
-  let eprint_block msg =
-    prerr_string msg;
-    if msg <> "" && msg.[String.length msg - 1] <> '\n' then prerr_newline ()
-  in
-  let local () =
-    let batch = Batch.compile_into inst units in
-    let failed = ref false in
-    let findings = ref 0 in
+  let failed = ref false in
+  let findings = ref 0 in
+  let local units =
     List.iter
       (fun u ->
         match u.Batch.u_result with
@@ -504,143 +459,56 @@ let run_analyze_action inst units =
             match r.Driver.analysis with
             | Some report ->
               multi_header inv u.Batch.u_name;
-              findings :=
-                !findings + Mc_analysis.Report.finding_count report;
+              findings := !findings + Mc_analysis.Report.finding_count report;
               print_string
                 (if json then Mc_analysis.Report.render_json report
                  else Mc_analysis.Report.render_text report)
             | None ->
-              (match r.Driver.codegen_error with
-              | Some e ->
-                Printf.eprintf "mcc: cannot analyse %s: %s\n" u.Batch.u_name e
-              | None ->
-                Printf.eprintf "mcc: cannot analyse %s: no IR was produced\n"
-                  u.Batch.u_name);
+              Printf.eprintf "mcc: cannot analyse %s: %s\n" u.Batch.u_name
+                (Option.value r.Driver.codegen_error
+                   ~default:"no IR was produced");
               failed := true))
-      batch.Batch.units;
-    (!failed, !findings)
+      (Batch.compile_into inst units).Batch.units
   in
-  let remote () =
-    let socket_path =
-      match inv.Invocation.daemon_socket with
-      | Some p -> p
-      | None -> Client.default_socket ()
-    in
-    let failed = ref false in
-    let findings = ref 0 in
-    let rec go = function
-      | [] -> Ok (!failed, !findings)
-      | (name, source) :: rest -> (
-        match
-          Client.analyze ~policy:(client_policy inv) ~socket_path inv ~name
-            source
-        with
-        | Error msg -> Error msg
-        | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
-          Error ("daemon rejected the request: " ^ reason)
-        | Ok
-            {
-              Client.response =
-                ( Protocol.Resp_units _ | Protocol.Resp_transformed _
-                | Protocol.Resp_busy _ | Protocol.Resp_pong _ );
-              _;
-            } ->
-          Error
-            "daemon sent an unexpected response kind to an analyze request"
-        | Ok
-            {
+  let remote ((name, source) as unit) =
+    match
+      ask_daemon inst
+        (fun inv -> Protocol.request_of_analyze inv ~name source)
+        (function
+          | {
               Client.response =
                 Protocol.Resp_analysis { p_result; p_stats; p_wall };
               _;
-            } -> (
-          Instance.in_registry inst (fun () -> Client.absorb_snapshot p_stats);
-          match p_result with
-          | Ok a ->
-            Printf.eprintf
-              "[mcc --daemon: analysed %s: %d finding(s)%s, server %.6fs]\n%!"
-              name a.Protocol.an_findings
-              (if a.Protocol.an_cache_hit then " (full hit)" else "")
-              p_wall;
-            multi_header inv name;
-            print_string
-              (if json then a.Protocol.an_json else a.Protocol.an_text);
-            findings := !findings + a.Protocol.an_findings;
-            go rest
-          | Error msg ->
-            (* A unit-level failure (diagnostics, codegen refusal), not a
-               daemon failure: report it and keep going, like the local
-               path does. *)
-            eprint_block msg;
-            failed := true;
-            go rest))
-    in
-    go units
+            } ->
+            Some (p_stats, (p_result, p_wall))
+          | _ -> None)
+    with
+    | Some (Ok a, p_wall) ->
+      Printf.eprintf
+        "[mcc --daemon: analysed %s: %d finding(s)%s, server %.6fs]\n%!" name
+        a.Protocol.an_findings
+        (if a.Protocol.an_cache_hit then " (full hit)" else "")
+        p_wall;
+      multi_header inv name;
+      print_string (if json then a.Protocol.an_json else a.Protocol.an_text);
+      findings := !findings + a.Protocol.an_findings
+    | Some (Error msg, _) ->
+      (* A unit-level failure (diagnostics, codegen refusal), not a
+         daemon failure: report it, like the local path does. *)
+      prerr_string msg;
+      if msg <> "" && msg.[String.length msg - 1] <> '\n' then prerr_newline ();
+      failed := true
+    | None -> local [ unit ]
   in
-  let failed, findings =
-    if inv.Invocation.daemon then
-      match remote () with
-      | Ok r -> r
-      | Error msg ->
-        Printf.eprintf "mcc: note: %s; falling back in-process\n%!" msg;
-        local ()
-    else local ()
-  in
-  if failed || findings > 0 then exit 1
+  (* In-process, the units compile as one batch over -j domains. *)
+  if inv.Invocation.daemon then List.iter remote units else local units;
+  if !failed || !findings > 0 then exit 1
 
-let main files action irbuilder opt_level no_fold num_threads jobs use_cache
-    cache_dir incremental daemon daemon_socket daemon_timeout daemon_retries
-    defines transfo_script no_transfo_check analyze analyze_format
-    stage_timings time_report
-    print_stats error_limit bracket_depth loop_nest_limit gen_reproducer =
-  let defines =
-    List.map
-      (fun d ->
-        match String.index_opt d '=' with
-        | Some i ->
-          (String.sub d 0 i, String.sub d (i + 1) (String.length d - i - 1))
-        | None -> (d, "1"))
-      defines
-  in
+let () =
   let inv =
-    {
-      Invocation.default with
-      Invocation.inputs = List.map (fun p -> Invocation.File p) files;
-      action =
-        (* --analyze is an action in its own right; it wins over the
-           default Run but composes with the shared flags (cache,
-           daemon, -j, ...). *)
-        (match analyze with None -> action | Some _ -> Invocation.Analyze);
-      analyze =
-        Option.map
-          (fun s ->
-            List.filter (fun p -> p <> "") (String.split_on_char ',' s))
-          analyze;
-      analyze_format;
-      use_irbuilder = irbuilder;
-      opt_level;
-      fold = not no_fold;
-      defines;
-      jobs;
-      cache_enabled = use_cache || incremental || cache_dir <> None;
-      cache_dir;
-      incremental;
-      daemon =
-        daemon || daemon_socket <> None || daemon_timeout <> None
-        || daemon_retries <> None;
-      daemon_socket;
-      daemon_timeout;
-      daemon_retries;
-      transfo_script = Option.map (fun p -> Invocation.File p) transfo_script;
-      transfo_check = not no_transfo_check;
-      num_threads;
-      stage_timings;
-      time_report;
-      print_stats;
-      error_limit = max 0 error_limit;
-      bracket_depth = max 1 bracket_depth;
-      loop_nest_limit = max 1 loop_nest_limit;
-      gen_reproducer;
-    }
+    match Invocation.of_argv Sys.argv with
+    | Ok inv -> inv
+    | Error msg -> die "%s" msg
   in
   (* Load the script eagerly: the contents must travel by value to a
      daemon, and an unreadable script should die like an unreadable
@@ -659,295 +527,9 @@ let main files action irbuilder opt_level no_fold num_threads jobs use_cache
   | Error msg -> die "%s" msg
   | Ok units -> (
     match inv.Invocation.action with
-    | Invocation.Run | Invocation.Emit_ir ->
-      if inv.Invocation.daemon then begin
-        match run_daemon_action inst units with
-        | Ok () -> ()
-        | Error msg ->
-          (* No usable daemon (unreachable, busy past the retry budget,
-             timed out…): compile in-process, same flags, same
-             behaviour, same exit code — but counted and classified, not
-             silent. *)
-          let outcome =
-            Instance.in_registry inst (fun () -> Client.note_fallback msg)
-          in
-          Printf.eprintf "mcc: note: %s; falling back in-process\n%!"
-            (Client.render_outcome outcome);
-          run_compile_action inst units
-      end
-      else run_compile_action inst units
+    | Invocation.Run | Invocation.Emit_ir -> run_compile_action inst units
     | Invocation.Emit_transformed -> run_transform_action inst units
     | Invocation.Analyze -> run_analyze_action inst units
     | Invocation.Ast_dump | Invocation.Ast_dump_shadow | Invocation.Ast_print
     | Invocation.Print_transformed | Invocation.Syntax_only ->
       run_frontend_action inst units)
-
-open Cmdliner
-
-let files_arg =
-  Arg.(
-    non_empty & pos_all string []
-    & info [] ~docv:"FILE" ~doc:"C source files ('-' for stdin)")
-
-let action_arg =
-  let flags =
-    [
-      (Invocation.Ast_dump, Arg.info [ "ast-dump" ] ~doc:"Print the (syntactic) AST");
-      ( Invocation.Ast_dump_shadow,
-        Arg.info [ "ast-dump-shadow" ]
-          ~doc:"Print the AST including hidden shadow-AST children" );
-      (Invocation.Ast_print, Arg.info [ "ast-print" ] ~doc:"Unparse the AST back to C");
-      ( Invocation.Print_transformed,
-        Arg.info [ "print-transformed" ]
-          ~doc:"Unparse every transformation's generated (shadow) loop" );
-      (Invocation.Emit_ir, Arg.info [ "emit-ir" ] ~doc:"Print the generated IR");
-      ( Invocation.Emit_transformed,
-        Arg.info [ "emit-transformed" ]
-          ~doc:
-            "Apply the $(b,--transfo-script) and print the rewritten program \
-             without compiling it" );
-      ( Invocation.Syntax_only,
-        Arg.info [ "syntax-only" ] ~doc:"Stop after semantic analysis" );
-      ( Invocation.Syntax_only,
-        Arg.info [ "fsyntax-only" ]
-          ~doc:"Stop after semantic analysis (Clang spelling)" );
-    ]
-  in
-  Arg.(value & vflag Invocation.Run flags)
-
-let irbuilder_arg =
-  Arg.(
-    value & flag
-    & info [ "fopenmp-enable-irbuilder" ]
-        ~doc:"Use the OpenMPIRBuilder lowering path (paper §3)")
-
-let opt_arg =
-  Arg.(value & opt int 1 & info [ "O" ] ~docv:"LEVEL" ~doc:"Optimization level (0 or 1)")
-
-let no_fold_arg =
-  Arg.(
-    value & flag
-    & info [ "no-builder-folding" ]
-        ~doc:"Disable the IRBuilder's on-the-fly simplification (ablation)")
-
-let threads_arg =
-  Arg.(value & opt int 4 & info [ "num-threads" ] ~doc:"Simulated OpenMP team size")
-
-let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:"Compile the input files in parallel on $(docv) domains")
-
-let cache_arg =
-  Arg.(
-    value & flag
-    & info [ "cache" ]
-        ~doc:
-          "Enable the content-addressed compile cache (hash of the \
-           preprocessed unit + backend options)")
-
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "cache-dir" ] ~docv:"DIR"
-        ~doc:
-          "Persist the stage cache in $(docv) (content-addressed, \
-           version-checked; corrupt entries are treated as misses), so warm \
-           starts survive restarts and are shareable across processes \
-           (implies $(b,--cache))")
-
-let daemon_arg =
-  Arg.(
-    value & flag
-    & info [ "daemon" ]
-        ~doc:
-          "Compile through a running $(b,mccd) compile server, falling back \
-           to the in-process pipeline when none is reachable")
-
-let daemon_socket_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "daemon-socket" ] ~docv:"PATH"
-        ~doc:
-          "Unix-domain socket of the $(b,mccd) server (implies \
-           $(b,--daemon); default \\$MCCD_SOCKET or mccd-<uid>.sock in the \
-           temp directory)")
-
-let daemon_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "daemon-timeout" ] ~docv:"SECONDS"
-        ~doc:
-          "Deadline for each daemon round-trip (connect, send and receive); \
-           a deadline miss falls back to the in-process pipeline (implies \
-           $(b,--daemon))")
-
-let daemon_retries_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "daemon-retries" ] ~docv:"N"
-        ~doc:
-          "Retry up to $(docv) times, with exponential backoff, when the \
-           daemon sheds the request with a busy reply (default 3; implies \
-           $(b,--daemon))")
-
-let incremental_arg =
-  Arg.(
-    value & flag
-    & info [ "incremental" ]
-        ~doc:
-          "After the cold batch, recompile every unit against the stage \
-           cache and report per-unit cold/warm times and the per-stage \
-           reuse trace (implies $(b,--cache))")
-
-let defines_arg =
-  Arg.(
-    value & opt_all string []
-    & info [ "D" ] ~docv:"NAME=VALUE"
-        ~doc:"Predefine an object-like macro (VALUE defaults to 1)")
-
-let transfo_script_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "transfo-script" ] ~docv:"FILE"
-        ~doc:
-          "Apply the transformation script in $(docv) (one '<op> [params] @ \
-           <target>' step per line) to every input before compiling it; each \
-           step is checked by a differential run on the IR interpreter \
-           unless $(b,--no-transfo-check) is given")
-
-let no_transfo_check_arg =
-  Arg.(
-    value & flag
-    & info [ "no-transfo-check" ]
-        ~doc:
-          "Skip the differential semantic check after each transfo-script \
-           step")
-
-let analyze_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some "") (some string) None
-    & info [ "analyze" ] ~docv:"PASSES"
-        ~doc:
-          "Run the dataflow analyses and print the report instead of \
-           executing anything: bare $(b,--analyze) runs every pass, \
-           $(b,--analyze=)$(docv) a comma-separated subset of uninit, \
-           unreachable, leak, deps.  Exits 1 when any finding is reported")
-
-let analyze_format_arg =
-  Arg.(
-    value
-    & opt (enum [ ("text", "text"); ("json", "json") ]) "text"
-    & info [ "analyze-format" ] ~docv:"FORMAT"
-        ~doc:"Analysis report rendering: $(b,text) (default) or $(b,json)")
-
-let timings_arg =
-  Arg.(value & flag & info [ "stage-timings" ] ~doc:"Report per-layer times (Fig. 1)")
-
-let time_report_arg =
-  Arg.(
-    value & flag
-    & info [ "ftime-report" ]
-        ~doc:"Print a per-stage wall-clock time report (Clang's -ftime-report)")
-
-let print_stats_arg =
-  Arg.(
-    value & flag
-    & info [ "print-stats" ]
-        ~doc:"Print the pipeline's statistic counters (Clang's -print-stats)")
-
-let error_limit_arg =
-  Arg.(
-    value
-    & opt int Invocation.default.Invocation.error_limit
-    & info [ "ferror-limit" ] ~docv:"N"
-        ~doc:"Stop emitting diagnostics after $(docv) errors (0 = unlimited)")
-
-let bracket_depth_arg =
-  Arg.(
-    value
-    & opt int Invocation.default.Invocation.bracket_depth
-    & info [ "fbracket-depth" ] ~docv:"N"
-        ~doc:"Maximum expression/statement nesting depth the parser accepts")
-
-let loop_nest_limit_arg =
-  Arg.(
-    value
-    & opt int Invocation.default.Invocation.loop_nest_limit
-    & info [ "floop-nest-limit" ] ~docv:"N"
-        ~doc:"Maximum loop-nest depth a directive may request (collapse/sizes)")
-
-let gen_reproducer_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( false,
-            info [ "fno-crash-diagnostics" ]
-              ~doc:"Do not write ICE reproducer bundles" );
-          ( true,
-            info [ "gen-reproducer" ]
-              ~doc:"Write an ICE reproducer bundle on crashes (the default)" );
-        ])
-
-let cmd =
-  let doc = "mini-Clang with OpenMP loop transformations (paper reproduction)" in
-  Cmd.v
-    (Cmd.info "mcc" ~doc)
-    Term.(
-      const main $ files_arg $ action_arg $ irbuilder_arg $ opt_arg
-      $ no_fold_arg $ threads_arg $ jobs_arg $ cache_arg $ cache_dir_arg
-      $ incremental_arg $ daemon_arg $ daemon_socket_arg $ daemon_timeout_arg
-      $ daemon_retries_arg $ defines_arg
-      $ transfo_script_arg $ no_transfo_check_arg
-      $ analyze_arg $ analyze_format_arg
-      $ timings_arg $ time_report_arg $ print_stats_arg $ error_limit_arg
-      $ bracket_depth_arg $ loop_nest_limit_arg $ gen_reproducer_arg)
-
-(* Clang spells long options with a single dash (-ftime-report, -emit-ir);
-   cmdliner only parses them with two.  Accept the Clang spelling by
-   promoting known single-dash long flags to their double-dash form. *)
-let long_flags =
-  [
-    "ast-dump"; "ast-dump-shadow"; "ast-print"; "print-transformed";
-    "emit-ir"; "emit-transformed"; "syntax-only"; "fsyntax-only";
-    "fopenmp-enable-irbuilder";
-    "no-builder-folding"; "num-threads"; "stage-timings"; "ftime-report";
-    "print-stats"; "cache"; "cache-dir"; "incremental"; "daemon";
-    "daemon-socket"; "daemon-timeout"; "daemon-retries"; "transfo-script";
-    "no-transfo-check"; "jobs"; "analyze"; "analyze-format";
-    "ferror-limit";
-    "fbracket-depth";
-    "floop-nest-limit"; "fno-crash-diagnostics"; "gen-reproducer";
-  ]
-
-let normalize_argv argv =
-  Array.map
-    (fun arg ->
-      let arg =
-        if String.length arg > 2 && arg.[0] = '-' && arg.[1] <> '-' then begin
-          let body = String.sub arg 1 (String.length arg - 1) in
-          let name =
-            match String.index_opt body '=' with
-            | Some i -> String.sub body 0 i
-            | None -> body
-          in
-          if List.mem name long_flags then "-" ^ arg else arg
-        end
-        else arg
-      in
-      (* Bare --analyze must not swallow the next argv element as its
-         optional value (cmdliner consumes unglued values even under
-         ~vopt); gluing an empty selection keeps `mcc --analyze foo.c`
-         meaning "all passes over foo.c". *)
-      if arg = "--analyze" then "--analyze=" else arg)
-    argv
-
-let () = exit (Cmd.eval ~argv:(normalize_argv Sys.argv) cmd)

@@ -8,7 +8,6 @@ type options = Pipeline.options = {
   use_irbuilder : bool;
   optimize : bool;
   fold : bool;
-  verify_ir : bool;
   defines : (string * string) list;
   extra_files : (string * string) list;
   error_limit : int;

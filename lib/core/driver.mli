@@ -17,7 +17,6 @@ type options = Pipeline.options = {
   use_irbuilder : bool; (* -fopenmp-enable-irbuilder *)
   optimize : bool; (* run the O1 pass pipeline *)
   fold : bool; (* IRBuilder on-the-fly folding *)
-  verify_ir : bool; (* verify after codegen and passes *)
   defines : (string * string) list; (* -D name=value *)
   extra_files : (string * string) list; (* virtual #include targets *)
   error_limit : int; (* -ferror-limit (0 = unlimited); default 20 *)

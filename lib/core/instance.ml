@@ -118,11 +118,6 @@ let frontend_safe t ?(name = "input.c") source =
         ~options:(Invocation.to_driver_options t.invocation)
         ~name source)
 
-let frontend t ?name source =
-  in_registry t (fun () ->
-      Driver.frontend ~options:(Invocation.to_driver_options t.invocation)
-        ?name source)
-
 let run t ?config result = in_registry t (fun () -> Driver.run ?config result)
 
 let compile_and_run t ?config ?name source =

@@ -51,8 +51,8 @@ val compile : t -> ?name:string -> string -> compilation
     an option change invalidates exactly the stages whose fingerprint
     slice it touches.  Cached artifacts carry no diagnostics (only
     diagnostic-free stage outputs are stored).  The result holds no AST:
-    {!Driver.frontend} (or {!frontend}) parses one when a caller needs
-    it.
+    {!Driver.frontend} (or {!frontend_safe}) parses one when a caller
+    needs it.
 
     The instance registry is cumulative: the pipeline runs each
     compilation in its own scoped registry and merges it into the
@@ -66,11 +66,6 @@ val recompile : t -> ?name:string -> string -> compilation
     when the invocation did not enable caching).  Call once for the cold
     build, then again after each edit; the returned [c_trace] shows
     which stages the edit actually re-ran. *)
-
-val frontend :
-  t -> ?name:string -> string ->
-  Mc_diag.Diagnostics.t * Mc_ast.Tree.translation_unit
-(** {!Driver.frontend} under the instance registry. *)
 
 (** {1 Fault containment}
 
@@ -99,7 +94,8 @@ val compile_safe :
 val frontend_safe :
   t -> ?name:string -> string ->
   (Mc_diag.Diagnostics.t * Mc_ast.Tree.translation_unit, failure) result
-(** {!frontend} with the same containment. *)
+(** {!Driver.frontend} under the instance registry, with the same
+    containment as {!compile_safe}. *)
 
 val run :
   t -> ?config:Mc_interp.Interp.config -> Driver.result ->

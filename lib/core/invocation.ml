@@ -1,7 +1,8 @@
 (* CompilerInvocation analogue: a pure, immutable description of one
    driver run — what to compile and how — separated from the mutable
-   pipeline state that Instance owns.  Parsing from argv lives here so
-   the CLI, the tests and embedders all share one flag grammar. *)
+   pipeline state that Instance owns.  The flag grammar lives here, and
+   only here: [of_argv] is what mcc runs, [to_argv] is its inverse (the
+   ICE reproducer's command line) and [usage] is its -help text. *)
 
 type action =
   | Run
@@ -22,7 +23,6 @@ type t = {
   use_irbuilder : bool;
   opt_level : int;
   fold : bool;
-  verify_ir : bool;
   defines : (string * string) list;
   extra_files : (string * string) list;
   jobs : int;
@@ -54,7 +54,6 @@ let default =
     use_irbuilder = false;
     opt_level = 1;
     fold = true;
-    verify_ir = true;
     defines = [];
     extra_files = [];
     jobs = 1;
@@ -108,7 +107,6 @@ let to_driver_options inv =
     Driver.use_irbuilder = inv.use_irbuilder;
     optimize = inv.opt_level > 0;
     fold = inv.fold;
-    verify_ir = inv.verify_ir;
     defines = inv.defines;
     extra_files = inv.extra_files;
     error_limit = inv.error_limit;
@@ -124,27 +122,6 @@ let to_driver_options inv =
     analyze = inv.analyze;
   }
 
-let of_driver_options ?(inputs = []) (o : Driver.options) =
-  {
-    default with
-    inputs;
-    use_irbuilder = o.Driver.use_irbuilder;
-    opt_level = (if o.Driver.optimize then 1 else 0);
-    fold = o.Driver.fold;
-    verify_ir = o.Driver.verify_ir;
-    defines = o.Driver.defines;
-    extra_files = o.Driver.extra_files;
-    error_limit = o.Driver.error_limit;
-    bracket_depth = o.Driver.bracket_depth;
-    loop_nest_limit = o.Driver.loop_nest_limit;
-    transfo_script =
-      Option.map
-        (fun contents -> Source { name = "<script>"; contents })
-        o.Driver.transfo_script;
-    transfo_check = o.Driver.transfo_check;
-    analyze = o.Driver.analyze;
-  }
-
 let load_inputs inv =
   let rec go acc = function
     | [] -> Ok (List.rev acc)
@@ -155,34 +132,54 @@ let load_inputs inv =
   in
   go [] inv.inputs
 
-(* The backend-relevant configuration, canonically rendered.  Inputs,
-   defines and extra files are deliberately absent: those shape the
-   preprocessed token stream, which the cache fingerprints directly
-   (content addressing), so e.g. an unused macro redefinition still
-   hits while a used one misses. *)
-let fingerprint inv =
-  (* The limits are part of the key: raising -ferror-limit can change the
-     diagnostic stream, so a hit must not replay the old one. *)
-  let transfo =
-    match inv.transfo_script with
-    | None -> "-"
-    | Some (File path) -> "file:" ^ path
-    | Some (Source { contents; _ }) -> Mc_transfo.Script.canonical contents
-  in
-  let analyze =
-    (* format is presentation-only; the pass selection is what keys the
-       cached report fragments *)
-    match inv.analyze with
-    | None -> "-"
-    | Some ps -> String.concat "," ps
-  in
-  Printf.sprintf
-    "irbuilder=%b;optimize=%b;fold=%b;verify=%b;elimit=%d;bdepth=%d;nlimit=%d;transfo=%s;tcheck=%b;analyze=%s"
-    inv.use_irbuilder (inv.opt_level > 0) inv.fold inv.verify_ir
-    inv.error_limit inv.bracket_depth inv.loop_nest_limit transfo
-    inv.transfo_check analyze
-
 (* ---- argv parsing ------------------------------------------------------- *)
+
+(* What -help prints.  Kept next to the grammar below: every flag
+   [of_argv] accepts is named here, and the suite checks that [to_argv]
+   renders nothing this text leaves out. *)
+let usage =
+  {|usage: mcc [options] FILE...    (FILE '-' reads stdin)
+
+Options take one or two dashes; a value follows as -flag=V or -flag V.
+Actions (default: compile, then run on the IR interpreter).  The last
+action flag wins, except -analyze, which wins over every other:
+  -ast-dump, -ast-dump-shadow  print the AST (-shadow: and the shadow AST)
+  -ast-print                   unparse the AST back to C
+  -print-transformed           unparse every transformation's generated loop
+  -emit-ir                     print the IR
+  -emit-transformed            print the program -transfo-script rewrote
+  -fsyntax-only, -syntax-only  stop after semantic analysis
+  -analyze[=PASSES]            print the dataflow report and exit 1 on a
+                               finding; PASSES is a comma list of uninit,
+                               unreachable, leak, deps (default: all)
+Options:
+  -fopenmp-enable-irbuilder    lower through the OpenMPIRBuilder (paper §3)
+  -O0, -O1, -O N               optimization level (default 1)
+  -no-builder-folding          no IRBuilder on-the-fly simplification
+  -D NAME[=VALUE]              predefine a macro (VALUE defaults to 1)
+  -transfo-script FILE         apply a transformation script first
+  -no-transfo-check            skip the differential check of each step
+  -analyze-format text|json    rendering of the -analyze report
+  -ferror-limit N              stop after N errors (0: no limit; default 20)
+  -fbracket-depth N            parser nesting limit (default 256)
+  -floop-nest-limit N          loop depth a directive may ask for (default 64)
+  -j N, -jobs N                compile the inputs on N domains
+  -cache                       in-process content-addressed stage cache
+  -cache-dir DIR               persist the stage cache in DIR (implies -cache)
+  -incremental                 recompile every unit warm, report stage reuse
+  -daemon                      compile through a running mccd, else in-process
+  -daemon-socket PATH          the mccd socket (implies -daemon)
+  -daemon-timeout SECONDS      deadline per daemon round-trip (implies -daemon)
+  -daemon-retries N            retries after a busy reply (default 3; implies
+                               -daemon)
+  -num-threads N               simulated OpenMP team size (default 4)
+  -stage-timings               per-unit stage times
+  -ftime-report                per-stage wall-clock report
+  -print-stats                 statistic counters
+  -gen-reproducer              write ICE reproducer bundles (the default)
+  -fno-crash-diagnostics       write no ICE reproducer bundles
+  -help                        print this text
+|}
 
 (* Clang spells long options with a single dash (-ftime-report); accept
    both single- and double-dash spellings uniformly. *)
@@ -192,6 +189,9 @@ let strip_dashes arg =
   else if String.length arg >= 1 && arg.[0] = '-' && arg <> "-" then
     Some (String.sub arg 1 (String.length arg - 1))
   else None
+
+let drop_prefix prefix s =
+  String.sub s (String.length prefix) (String.length s - String.length prefix)
 
 let split_define s =
   match String.index_opt s '=' with
@@ -211,12 +211,18 @@ let parse_float what s =
   | None -> Error (Printf.sprintf "invalid %s argument %S" what s)
 
 let of_argv argv =
-  let args = Array.to_list argv in
-  let args = match args with _prog :: rest -> rest | [] -> [] in
+  let args = match Array.to_list argv with _prog :: rest -> rest | [] -> [] in
   let rec go inv = function
     | [] ->
       if inv.inputs = [] then Error "no input files"
-      else Ok { inv with inputs = List.rev inv.inputs }
+      else
+        Ok
+          {
+            inv with
+            inputs = List.rev inv.inputs;
+            (* -analyze wins over every other action, in any order. *)
+            action = (if inv.analyze <> None then Analyze else inv.action);
+          }
     | arg :: rest -> (
       match strip_dashes arg with
       | None -> go { inv with inputs = File arg :: inv.inputs } rest
@@ -224,25 +230,20 @@ let of_argv argv =
         let with_value name k =
           (* Accepts "-flag value", "-flag=value", and — for single-char
              flags — the attached "-j4" / "-DN=3" spellings. *)
-          let prefixed p =
-            String.length flag > String.length p
-            && String.sub flag 0 (String.length p) = p
-          in
           if flag = name then
             match rest with
             | v :: rest' -> Some (k v rest')
             | [] -> Some (Error (Printf.sprintf "-%s expects an argument" name))
-          else if prefixed (name ^ "=") then
-            let v =
-              String.sub flag (String.length name + 1)
-                (String.length flag - String.length name - 1)
-            in
-            Some (k v rest)
-          else if String.length name = 1 && prefixed name then
-            Some (k (String.sub flag 1 (String.length flag - 1)) rest)
+          else if String.starts_with ~prefix:(name ^ "=") flag then
+            Some (k (drop_prefix (name ^ "=") flag) rest)
+          else if String.length name = 1 && String.starts_with ~prefix:name flag
+          then Some (k (drop_prefix name flag) rest)
           else None
         in
         match flag with
+        | "help" ->
+          print_string usage;
+          exit 0
         | "ast-dump" -> go { inv with action = Ast_dump } rest
         | "ast-dump-shadow" -> go { inv with action = Ast_dump_shadow } rest
         | "ast-print" -> go { inv with action = Ast_print } rest
@@ -252,10 +253,9 @@ let of_argv argv =
         | "syntax-only" | "fsyntax-only" -> go { inv with action = Syntax_only } rest
         (* Bare -analyze runs every pass; -analyze=p1,p2 selects.  Not a
            [with_value] flag: "-analyze foo.c" must keep foo.c an input. *)
-        | "analyze" -> go { inv with action = Analyze; analyze = Some [] } rest
+        | "analyze" -> go { inv with analyze = Some [] } rest
         | "fopenmp-enable-irbuilder" -> go { inv with use_irbuilder = true } rest
         | "no-builder-folding" -> go { inv with fold = false } rest
-        | "no-verify-ir" -> go { inv with verify_ir = false } rest
         | "cache" -> go { inv with cache_enabled = true } rest
         | "incremental" ->
           (* Incremental recompilation rides on the stage cache. *)
@@ -269,6 +269,9 @@ let of_argv argv =
         | "print-stats" -> go { inv with print_stats = true } rest
         | "O0" -> go { inv with opt_level = 0 } rest
         | "O1" -> go { inv with opt_level = 1 } rest
+        | _ when String.starts_with ~prefix:"analyze=" flag ->
+          let passes = String.split_on_char ',' (drop_prefix "analyze=" flag) in
+          go { inv with analyze = Some (List.filter (( <> ) "") passes) } rest
         | _ -> (
           let numeric name field =
             with_value name (fun v rest' ->
@@ -280,6 +283,8 @@ let of_argv argv =
           match
             first_some
               [
+                (* "jobs" before "j", which would take "-jobs" as "-j obs". *)
+                (fun () -> numeric "jobs" (fun inv n -> { inv with jobs = n }));
                 (fun () -> numeric "j" (fun inv n -> { inv with jobs = n }));
                 (fun () -> numeric "O" (fun inv n -> { inv with opt_level = n }));
                 (fun () ->
@@ -330,26 +335,6 @@ let of_argv argv =
                   with_value "transfo-script" (fun v rest' ->
                       go { inv with transfo_script = Some (File v) } rest'));
                 (fun () ->
-                  let p = "analyze=" in
-                  if
-                    String.length flag > String.length p
-                    && String.sub flag 0 (String.length p) = p
-                  then
-                    let v =
-                      String.sub flag (String.length p)
-                        (String.length flag - String.length p)
-                    in
-                    let passes =
-                      List.filter
-                        (fun s -> s <> "")
-                        (String.split_on_char ',' v)
-                    in
-                    Some
-                      (go
-                         { inv with action = Analyze; analyze = Some passes }
-                         rest)
-                  else None);
-                (fun () ->
                   with_value "analyze-format" (fun v rest' ->
                       if v = "text" || v = "json" then
                         go { inv with analyze_format = v } rest'
@@ -395,7 +380,6 @@ let to_argv inv =
        [ Printf.sprintf "-O%d" inv.opt_level ]
      else [])
   @ flag (not inv.fold) "-no-builder-folding"
-  @ flag (not inv.verify_ir) "-no-verify-ir"
   @ List.map (fun (n, v) -> Printf.sprintf "-D%s=%s" n v) inv.defines
   @ (if inv.jobs <> d.jobs then [ Printf.sprintf "-j%d" inv.jobs ] else [])
   @ flag

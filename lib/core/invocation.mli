@@ -3,11 +3,13 @@
     options — decoupled from the mutable pipeline state (which
     {!Mc_core.Instance} owns).  Being a plain value, an invocation can be
     parsed once from argv and then shared freely across the domains of a
-    {!Mc_core.Batch} compilation.
+    {!Mc_core.Batch} compilation, or marshalled to a daemon.
 
-    {!Driver.options} remains the narrow per-compile option set;
-    {!to_driver_options} is the compatibility shim, so existing
-    [Driver]-level callers keep working unchanged. *)
+    This module owns mcc's one flag grammar: [mcc] builds its invocation
+    with {!of_argv}, {!to_argv} renders one back (an ICE bundle's
+    [repro.sh] replays through the same parser), and {!usage} is the
+    [-help] text.  {!Driver.options} is the narrower per-compile option
+    set the pipeline reads; {!to_driver_options} projects onto it. *)
 
 type action =
   | Run (* compile and execute on the IR interpreter (the default) *)
@@ -30,7 +32,6 @@ type t = {
   use_irbuilder : bool; (* -fopenmp-enable-irbuilder *)
   opt_level : int; (* -O LEVEL; > 0 runs the O1 pipeline *)
   fold : bool; (* IRBuilder on-the-fly folding *)
-  verify_ir : bool; (* verify after codegen and passes *)
   defines : (string * string) list; (* -D name=value *)
   extra_files : (string * string) list; (* virtual #include targets *)
   jobs : int; (* -j N: batch compilation domains *)
@@ -62,7 +63,7 @@ type t = {
   analyze : string list option; (* --analyze[=p1,p2] pass selection;
                                    Some [] = every pass *)
   analyze_format : string; (* --analyze-format text|json (presentation
-                              only; not part of the fingerprint) *)
+                              only; no cache key reads it) *)
   gen_reproducer : bool; (* write ICE reproducer bundles (default on);
                             -fno-crash-diagnostics disables *)
 }
@@ -71,10 +72,9 @@ val default : t
 (** No inputs, [Run] action, [Driver.default_options] settings, 1 job. *)
 
 val to_driver_options : t -> Driver.options
-(** The compatibility shim onto the pre-existing driver option record. *)
-
-val of_driver_options : ?inputs:input list -> Driver.options -> t
-(** Lifts a legacy option record into an invocation (defaults elsewhere). *)
+(** The per-compile options of an invocation: the projection {!Instance}
+    and {!Server} compile under.  A [File] transfo script is read here
+    (an unreadable one gives no script). *)
 
 val input_name : input -> string
 
@@ -89,18 +89,15 @@ val load_transfo_script : t -> (t, string) result
     invocation can travel to a daemon); the identity when there is no
     script or it is already loaded. *)
 
-val fingerprint : t -> string
-(** Canonical rendering of the backend-relevant options (whole-invocation
-    granularity; the stage cache uses the finer per-stage
-    {!Pipeline.option_slice} fingerprints instead).  Inputs, defines and
-    extra files are excluded on purpose: they shape the preprocessed
-    token stream, which the pipeline content-addresses directly. *)
+val usage : string
+(** The [-help] text, naming every flag {!of_argv} accepts. *)
 
 val of_argv : string array -> (t, string) result
 (** Parses a full argv (element 0 is the program name) with the mcc flag
     grammar: single- or double-dash long options ([-emit-ir],
     [--emit-ir]), [-fsyntax-only] and [-syntax-only] as synonyms,
-    [-j N]/[-jN], [-O 0]/[-O0]/[-O1], [-D NAME=VALUE]/[-DNAME=VALUE],
+    [-j N]/[-jN]/[-jobs N], [-O 0]/[-O0]/[-O1],
+    [-D NAME=VALUE]/[-DNAME=VALUE],
     [--cache], [--cache-dir DIR], [--incremental], [--daemon],
     [--daemon-socket PATH], [--daemon-timeout SECONDS],
     [--daemon-retries N], [-num-threads N], [-ftime-report],
@@ -113,7 +110,10 @@ val of_argv : string array -> (t, string) result
     separate argument, so [--analyze foo.c] keeps foo.c an input), the
     reproducer toggles
     [-gen-reproducer]/[-fno-crash-diagnostics], and positional input
-    files ([-] for stdin). *)
+    files ([-] for stdin).  The last action flag wins, except
+    [--analyze], which wins over every other in any order.  [Error]
+    names an unknown option, a bad value or the missing inputs.
+    [-help]/[--help] prints {!usage} to stdout and exits 0. *)
 
 val to_argv : t -> string list
 (** Renders the invocation back to mcc flags — the inverse of {!of_argv}

@@ -78,7 +78,6 @@ type options = {
   use_irbuilder : bool;
   optimize : bool;
   fold : bool;
-  verify_ir : bool;
   defines : (string * string) list;
   extra_files : (string * string) list;
   error_limit : int;
@@ -97,7 +96,6 @@ let default_options =
     use_irbuilder = false;
     optimize = true;
     fold = true;
-    verify_ir = true;
     defines = [];
     extra_files = [];
     error_limit = 20;
@@ -199,9 +197,8 @@ let option_slice stage o =
     Printf.sprintf "irbuilder=%b;bdepth=%d;nlimit=%d" o.use_irbuilder
       o.bracket_depth o.loop_nest_limit
   | Codegen ->
-    Printf.sprintf "irbuilder=%b;fold=%b;verify=%b" o.use_irbuilder o.fold
-      o.verify_ir
-  | Passes -> Printf.sprintf "optimize=%b;verify=%b" o.optimize o.verify_ir
+    Printf.sprintf "irbuilder=%b;fold=%b" o.use_irbuilder o.fold
+  | Passes -> Printf.sprintf "optimize=%b" o.optimize
 
 let source_fingerprint ~name source = hash ("src\x00" ^ name ^ "\x00" ^ source)
 
@@ -1108,13 +1105,10 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     }
   in
   let verify_or_ice m =
-    if options.verify_ir then begin
-      match Mc_ir.Verifier.check m with
-      | Ok () -> ()
-      | Error e ->
-        invalid_arg
-          (Printf.sprintf "IR verification failed after codegen:\n%s" e)
-    end
+    match Mc_ir.Verifier.check m with
+    | Ok () -> ()
+    | Error e ->
+      invalid_arg (Printf.sprintf "IR verification failed after codegen:\n%s" e)
   in
   let mode =
     if options.use_irbuilder then Mc_codegen.Codegen.Irbuilder
@@ -1321,7 +1315,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
                   let report, dt =
                     time Passes (fun () ->
                         Mc_passes.Pass_manager.run
-                          ~verify_between:options.verify_ir
+                          ~verify_between:true
                           ~passes:(passes_of ()) m)
                   in
                   t_passes := !t_passes +. dt;

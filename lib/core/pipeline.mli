@@ -41,7 +41,6 @@ type options = {
   use_irbuilder : bool;  (** IRBuilder sema/codegen mode (paper §5). *)
   optimize : bool;  (** run the -O1 pass pipeline (else -O0). *)
   fold : bool;  (** constant-fold during codegen. *)
-  verify_ir : bool;  (** run the IR verifier after codegen and passes. *)
   defines : (string * string) list;  (** -D predefines, in order. *)
   extra_files : (string * string) list;  (** virtual #include files. *)
   error_limit : int;  (** -ferror-limit. *)

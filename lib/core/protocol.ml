@@ -35,8 +35,11 @@ let magic = "MCCD"
    v4: dataflow analysis — [Req_analyze] runs the {!Mc_analysis} passes
    over one unit against the daemon's warm per-function analysis cache
    and answers with [Resp_analysis] (both renderings plus the finding
-   count, so the client needs no analysis code of its own). *)
-let version = 4
+   count, so the client needs no analysis code of its own).
+
+   v5: [Invocation.t], marshalled into every request, lost its
+   [verify_ir] field (the IR is always verified). *)
+let version = 5
 
 let default_socket () =
   match Sys.getenv_opt "MCCD_SOCKET" with

@@ -54,6 +54,39 @@ let test_invocation_of_argv () =
       (inv.Invocation.action = Invocation.Syntax_only);
     Alcotest.(check int) "attached -j8" 8 inv.Invocation.jobs
   | Error e -> Alcotest.failf "parse failed: %s" e);
+  (* -jobs is a synonym for -j, in every spelling. *)
+  List.iter
+    (fun spelling ->
+      match Invocation.of_argv (Array.of_list (("mcc" :: spelling) @ [ "x.c" ])) with
+      | Ok inv ->
+        Alcotest.(check int) (String.concat " " spelling) 2 inv.Invocation.jobs
+      | Error e -> Alcotest.failf "parse failed: %s" e)
+    [ [ "--jobs"; "2" ]; [ "-jobs=2" ] ];
+  (* --analyze wins over every other action flag, in any order, and the
+     invocation round-trips through to_argv with its pass selection. *)
+  List.iter
+    (fun flags ->
+      let what = String.concat " " flags in
+      match Invocation.of_argv (Array.of_list (("mcc" :: flags) @ [ "a.c" ])) with
+      | Error e -> Alcotest.failf "%s: parse failed: %s" what e
+      | Ok inv -> (
+        Alcotest.(check bool) (what ^ ": analyze") true
+          (inv.Invocation.action = Invocation.Analyze);
+        match
+          Invocation.of_argv
+            (Array.of_list (("mcc" :: Invocation.to_argv inv) @ [ "a.c" ]))
+        with
+        | Ok inv' -> Alcotest.(check bool) (what ^ ": round-trips") true (inv' = inv)
+        | Error e -> Alcotest.failf "%s: re-parse failed: %s" what e))
+    [
+      [ "--analyze"; "-emit-ir" ];
+      [ "-emit-ir"; "--analyze" ];
+      [ "--analyze=deps,leak"; "-emit-ir" ];
+      [ "-emit-ir"; "--analyze=deps,leak" ];
+    ];
+  (match Invocation.of_argv [| "mcc"; "--daemon-timeout=0"; "x.c" |] with
+  | Error e -> check_contains ~what:"zero timeout" e "daemon-timeout"
+  | Ok _ -> Alcotest.fail "a zero daemon timeout must be rejected");
   (match Invocation.of_argv [| "mcc" |] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "no inputs must be rejected");
@@ -62,12 +95,6 @@ let test_invocation_of_argv () =
   | Ok _ -> Alcotest.fail "unknown flag must be rejected"
 
 let test_driver_options_shim () =
-  let options =
-    { irbuilder with Driver.fold = false; defines = [ ("K", "2") ] }
-  in
-  let inv = Invocation.of_driver_options options in
-  Alcotest.(check bool) "round-trips" true
-    (Invocation.to_driver_options inv = options);
   (* The default invocation maps onto the default driver options. *)
   Alcotest.(check bool) "defaults agree" true
     (Invocation.to_driver_options Invocation.default = Driver.default_options)

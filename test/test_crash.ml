@@ -361,9 +361,97 @@ let test_limit_flags_round_trip () =
     Alcotest.(check bool) "argv round-trips" true
       (inv' = { inv with Invocation.inputs = inv'.Invocation.inputs })
   | Error e -> Alcotest.failf "re-parse failed: %s" e);
-  (* The limits participate in the cache fingerprint. *)
-  Alcotest.(check bool) "fingerprint differs from default" true
-    (Invocation.fingerprint inv <> Invocation.fingerprint Invocation.default)
+  (* The -help text names every flag to_argv can render: take an
+     invocation with every setting off its default, plus one per action
+     (each with the bare -cache and -daemon spellings). *)
+  let everything =
+    {
+      Invocation.default with
+      Invocation.action = Invocation.Analyze;
+      analyze = Some [ "deps" ];
+      use_irbuilder = true;
+      opt_level = 0;
+      fold = false;
+      defines = [ ("K", "2") ];
+      jobs = 2;
+      cache_enabled = true;
+      cache_dir = Some "store";
+      incremental = true;
+      daemon = true;
+      daemon_socket = Some "sock";
+      daemon_timeout = Some 1.5;
+      daemon_retries = Some 2;
+      num_threads = 2;
+      stage_timings = true;
+      time_report = true;
+      print_stats = true;
+      error_limit = 7;
+      bracket_depth = 32;
+      loop_nest_limit = 9;
+      transfo_script = Some (Invocation.File "x.transfo");
+      transfo_check = false;
+      analyze_format = "json";
+      gen_reproducer = false;
+    }
+  in
+  (* Every setting survives the trip through repro.sh's command line. *)
+  (match
+     Invocation.of_argv
+       (Array.of_list (("mcc" :: Invocation.to_argv everything) @ [ "x.c" ]))
+   with
+  | Ok inv' ->
+    Alcotest.(check bool) "every setting round-trips" true
+      (inv' = { everything with Invocation.inputs = [ Invocation.File "x.c" ] })
+  | Error e -> Alcotest.failf "re-parse of every setting failed: %s" e);
+  let per_action =
+    List.map
+      (fun action ->
+        {
+          Invocation.default with
+          Invocation.action;
+          cache_enabled = true;
+          daemon = true;
+        })
+      Invocation.
+        [
+          Run; Ast_dump; Ast_dump_shadow; Ast_print; Print_transformed;
+          Emit_ir; Emit_transformed; Syntax_only;
+        ]
+  in
+  let flag_name arg =
+    let arg =
+      match String.index_opt arg '=' with
+      | Some i -> String.sub arg 0 i
+      | None -> arg
+    in
+    (* One-letter flags carry their value attached: -DK=2, -j2, -O0. *)
+    if List.mem (String.sub arg 0 2) [ "-D"; "-j"; "-O" ] then String.sub arg 0 2
+    else arg
+  in
+  let named name =
+    (* [name] as a whole word: not just the prefix of a longer flag. *)
+    let n = String.length name and u = Invocation.usage in
+    let rec at i =
+      i + n <= String.length u
+      && ((String.sub u i n = name
+          && (i + n = String.length u
+             || not
+                  (match u.[i + n] with
+                  | 'a' .. 'z' | '0' .. '9' | '-' -> true
+                  | _ -> false)))
+         || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun inv ->
+      List.iter
+        (fun arg ->
+          let name = flag_name arg in
+          if not (named name) then
+            Alcotest.failf "-help does not name %s (rendered as %s)" name arg)
+        (Invocation.to_argv inv))
+    (everything :: per_action)
 
 (* ---- bounded fuzz campaign --------------------------------------------- *)
 

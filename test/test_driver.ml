@@ -71,9 +71,9 @@ let test_error_propagation () =
   | Ok _ -> Alcotest.fail "should trap"
 
 let test_verify_ir_flag () =
-  (* With verify_ir on (default), every compile goes through the verifier
-     and the pass manager's inter-pass checks; this is a smoke test that a
-     decently complex program stays verifiable at every stage. *)
+  (* Every compile goes through the verifier and the pass manager's
+     inter-pass checks; this is a smoke test that a decently complex
+     program stays verifiable at every stage. *)
   let source =
     "void record(long x);\n\
      long work(int n) {\n\
