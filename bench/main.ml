@@ -537,8 +537,8 @@ let emit_cache_json () =
 (* --------------------------------------------------------------------- *)
 
 (* The editing-loop workload over the stage cache: cold build, warm
-   same-source rebuild (every stage hit), comment-only edit (lex/pp
-   re-run, AST onward reused), and a body edit inside exactly one of the
+   same-source rebuild (every stage hit), comment-only edit (pp re-run,
+   AST onward reused), and a body edit inside exactly one of the
    24 functions (every other function's fnast/fnir/fnoptir artifact is
    reused, only the edited one re-runs the front and back end).  Warm
    rebuilds are required to hit every stage and be at least 5x faster
@@ -579,7 +579,7 @@ let emit_incremental_json () =
   in
   let timed src =
     let started = Clock.now () in
-    let c = CInstance.recompile inst ~name:"incr.c" src in
+    let c = CInstance.compile inst ~name:"incr.c" src in
     let wall = Clock.now () -. started in
     if Mc_diag.Diagnostics.has_errors c.CInstance.c_result.Driver.diag then
       failwith "incremental bench: compile failed";
@@ -612,15 +612,15 @@ let emit_incremental_json () =
   let body_fn_misses = body_stat "cache.fn-misses" in
   (* Hard floor from the issue: warm same-source recompiles must hit every
      stage and be >= 5x faster than the cold build. *)
-  if warm_trace <> "lex:hit pp:hit ast:hit ir:hit optir:hit" then
+  if warm_trace <> "pp:hit ast:hit ir:hit optir:hit" then
     failwith ("incremental bench: warm rebuild not fully cached: " ^ warm_trace);
-  if comment_trace <> "lex:run pp:run ast:hit ir:hit optir:hit" then
+  if comment_trace <> "pp:run ast:hit ir:hit optir:hit" then
     failwith
       ("incremental bench: comment edit did not reuse AST onward: "
       ^ comment_trace);
   (* Hard floors for function granularity: a one-function body edit must
      re-run exactly that slice and reuse every sibling artifact. *)
-  if body_trace <> "lex:run pp:run ast:partial ir:partial optir:partial" then
+  if body_trace <> "pp:run ast:partial ir:partial optir:partial" then
     failwith
       ("incremental bench: body edit was not function-granular: " ^ body_trace);
   if body_fn_misses <> 1 then
@@ -845,10 +845,10 @@ let emit_server_json () =
     failwith "server bench: deliberate ICE was not contained";
   if not post_ice_full_hit then
     failwith "server bench: daemon not serving full hits after an ICE";
-  if disk_warm_trace <> "lex:run pp:run ast:hit ir:hit optir:hit"
-     && disk_warm_trace <> "lex:hit pp:hit ast:hit ir:hit optir:hit" then
+  if disk_warm_trace <> "pp:run ast:hit ir:hit optir:hit"
+     && disk_warm_trace <> "pp:hit ast:hit ir:hit optir:hit" then
     failwith ("server bench: disk-warm pass not store-backed: " ^ disk_warm_trace);
-  if daemon_warm_trace <> "lex:hit pp:hit ast:hit ir:hit optir:hit" then
+  if daemon_warm_trace <> "pp:hit ast:hit ir:hit optir:hit" then
     failwith ("server bench: daemon-warm pass not fully cached: " ^ daemon_warm_trace);
   if daemon_warm_speedup < 5.0 then
     failwith
@@ -1161,7 +1161,7 @@ let emit_analyze_json () =
   let inst = CInstance.create invocation in
   let timed src =
     let started = Clock.now () in
-    let c = CInstance.recompile inst ~name:"ana.c" src in
+    let c = CInstance.compile inst ~name:"ana.c" src in
     let wall = Clock.now () -. started in
     if Mc_diag.Diagnostics.has_errors c.CInstance.c_result.Driver.diag then
       failwith "analyze bench: compile failed";

@@ -24,8 +24,7 @@ module Stats = Mc_support.Stats
 let stage_names =
   (* Unit-level stages first, then the per-slice artifact families (one
      artifact per top-level slice). *)
-  [ "transfo"; "lex"; "pp"; "ast"; "ir"; "optir"; "fnast"; "fnir"; "fnoptir";
-    "fnanalysis" ]
+  [ "transfo"; "pp"; "ast"; "optir"; "fnast"; "fnir"; "fnoptir"; "fnanalysis" ]
 
 type stage_counters = {
   sc_hits : Stats.counter;

@@ -1,12 +1,13 @@
 (** Per-stage artifact cache for the stage-graph pipeline.
 
     Generalizes the PR-2 whole-compile cache: instead of one entry per
-    translation unit, each {!Pipeline} stage (lex, pp, ast, ir, optir)
+    translation unit, each cached {!Pipeline} stage (pp, ast, optir)
     memoizes its artifact under a content fingerprint — the hash of the
     stage's input artifact plus the stage-relevant slice of the
-    invocation.  A comment-only edit therefore re-runs lex/pp but reuses
-    everything from the AST stage onward, while an option change
-    invalidates exactly the stages whose slice it touches.
+    invocation.  A comment-only edit therefore re-runs pp (lexing
+    included) but reuses everything from the AST stage onward, while an
+    option change invalidates exactly the stages whose slice it
+    touches.
 
     The cache itself is untyped (marshalled bytes); {!Pipeline} owns the
     artifact types, the fingerprints and the marshalling.  A cache is
@@ -24,10 +25,11 @@
 type t
 
 val stage_names : string list
-(** The stage tags, in pipeline order:
-    ["transfo"; "lex"; "pp"; "ast"; "ir"; "optir"], followed by the
-    per-slice artifact families: ["fnast"; "fnir"; "fnoptir";
-    "fnanalysis"] (one artifact per top-level slice). *)
+(** The stage tags, in pipeline order: ["transfo"; "pp"; "ast";
+    "optir"], followed by the per-slice artifact families: ["fnast";
+    "fnir"; "fnoptir"; "fnanalysis"] (one artifact per top-level
+    slice).  Lexing runs inside the pp stage and codegen's keys derive
+    from the AST manifest, so neither has a unit artifact. *)
 
 val create : ?store:Store.t -> unit -> t
 (** A fresh in-memory cache.  With [?store], the cache is layered over a
@@ -56,9 +58,9 @@ val find : t -> stage:string -> ?validate:(string -> bool) -> string -> string o
 
 val reject : stage:string -> unit
 (** Re-count the current compilation's hit on a [stage] artifact as an
-    invalidation plus a miss: what {!Pipeline} does when a manifest it
-    was served names a member the cache no longer holds (evicted,
-    corrupt, or lost to a faulted read). *)
+    invalidation plus a miss: what {!Pipeline} does when the AST
+    manifest it was served names a member the cache no longer holds
+    (evicted, corrupt, or lost to a faulted read). *)
 
 val store : t -> stage:string -> string -> string -> unit
 (** [store t ~stage fp payload] adds a stage artifact as the newest

@@ -4,13 +4,12 @@
    domains — without touching the process-global registry. *)
 
 module Stats = Mc_support.Stats
-module Diag = Mc_diag.Diagnostics
 module Crash_recovery = Mc_support.Crash_recovery
 
 type t = {
   invocation : Invocation.t;
   registry : Stats.Registry.t;
-  mutable cache : Cache.t option;
+  cache : Cache.t option;
   mutable exit_report_taken : bool;
 }
 
@@ -68,13 +67,6 @@ let compile_inner t ~name source =
 let compile t ?(name = "input.c") source =
   in_registry t (fun () -> compile_inner t ~name source)
 
-let recompile t ?name source =
-  (* Incremental recompilation = same-instance compile with a stage cache
-     guaranteed to exist: the first call is the cold build, every
-     subsequent call reuses whatever stages the edit left valid. *)
-  (match t.cache with None -> t.cache <- Some (Cache.create ()) | Some _ -> ());
-  compile t ?name source
-
 (* ---- fault containment ---------------------------------------------------- *)
 
 type failure = {
@@ -119,12 +111,6 @@ let frontend_safe t ?(name = "input.c") source =
         ~name source)
 
 let run t ?config result = in_registry t (fun () -> Driver.run ?config result)
-
-let compile_and_run t ?config ?name source =
-  let { c_result; _ } = compile t ?name source in
-  if Diag.has_errors c_result.Driver.diag then
-    Error ("compilation failed:\n" ^ Diag.render_all c_result.Driver.diag)
-  else run t ?config c_result
 
 let stats t = Stats.snapshot ~registry:t.registry ()
 let render_stats t = Stats.render_stats ~registry:t.registry ()

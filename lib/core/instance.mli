@@ -34,8 +34,8 @@ type compilation = {
       (** Whole-pipeline hit: every stage from the parser onward was
           served from the stage cache. *)
   c_trace : Pipeline.trace;
-      (** Per-stage outcomes, e.g. lex:run pp:run ast:hit ir:hit
-          optir:hit for a comment-only edit. *)
+      (** Per-stage outcomes, e.g. pp:run ast:hit ir:hit optir:hit for
+          a comment-only edit. *)
   c_fn_trace : (string * Pipeline.outcome) list;
       (** Slice outcomes (see {!Pipeline.exec.x_fn_trace}): which
           top-level definitions were adopted from per-function artifacts
@@ -47,7 +47,7 @@ val compile : t -> ?name:string -> string -> compilation
 (** {!Pipeline.execute} under the instance registry, consulting the
     stage cache when the instance has one.  Each stage is memoized
     independently: a same-source recompile hits every stage, a
-    comment-only edit re-runs lex/pp and reuses AST, IR and OptIR, and
+    comment-only edit re-runs pp and reuses AST, IR and OptIR, and
     an option change invalidates exactly the stages whose fingerprint
     slice it touches.  Cached artifacts carry no diagnostics (only
     diagnostic-free stage outputs are stored).  The result holds no AST:
@@ -59,13 +59,6 @@ val compile : t -> ?name:string -> string -> compilation
     instance registry afterwards, so counters from repeated [compile]
     calls — including the per-stage [cache.*] counters — add up rather
     than overwrite. *)
-
-val recompile : t -> ?name:string -> string -> compilation
-(** Incremental recompilation: exactly {!compile}, but guarantees the
-    instance has a stage cache (creating a private one on first use even
-    when the invocation did not enable caching).  Call once for the cold
-    build, then again after each edit; the returned [c_trace] shows
-    which stages the edit actually re-ran. *)
 
 (** {1 Fault containment}
 
@@ -102,10 +95,6 @@ val run :
   (Mc_interp.Interp.outcome, string) Result.t
 (** {!Driver.run} under the instance registry, so interpreter counters
     accrue to the instance. *)
-
-val compile_and_run :
-  t -> ?config:Mc_interp.Interp.config -> ?name:string -> string ->
-  (Mc_interp.Interp.outcome, string) Result.t
 
 val stats : t -> Mc_support.Stats.snapshot
 val render_stats : t -> string

@@ -1,19 +1,24 @@
 (* The stage-graph pipeline: Fig. 1's layer stack made explicit.
 
    Source -> PPTokens -> AST(+Sema/shadow/canonical) -> IR -> OptIR is a
-   linear DAG of typed stages.  Each stage produces an artifact whose
-   fingerprint is the hash of its input artifact plus the stage-relevant
-   slice of the options, so a per-stage cache can answer "has this exact
-   stage input been processed under these exact options before?":
+   linear DAG of typed stages.  Each cached stage produces an artifact
+   whose fingerprint is the hash of its input artifact plus the
+   stage-relevant slice of the options, so a per-stage cache can answer
+   "has this exact stage input been processed under these exact options
+   before?":
 
-     lex    : hash(source)                      — no options reach the lexer
      pp     : hash(source, -D slice)           + #include-set validation
      ast    : hash(canonical PPTokens stream, sema slice)
-     ir     : hash(ast fp, codegen slice)
-     optir  : hash(ir fp, pass slice)
+     optir  : hash(hash(ast fp, codegen slice), pass slice)
+
+   Lexing is part of the pp stage's run, as Clang's Preprocessor pulls
+   its tokens from the Lexer: a pp miss lexes the main buffer and then
+   preprocesses it, a pp hit lexes nothing.  Codegen has no unit
+   artifact: each declaring slice's "fnir" key is derived from its
+   "fnast" one, so the "ir" trace entry reports what codegen emitted.
 
    Content-addressing the AST stage on the preprocessor's *output* is what
-   makes a comment-only edit (lex/pp re-run, same expanded stream) reuse
+   makes a comment-only edit (pp re-run, same expanded stream) reuse
    everything from the AST stage onward, while a -D that changes expansion
    or a -floop-nest-limit change invalidates exactly the stages whose
    input or slice it touches.  -ferror-limit is deliberately in no slice:
@@ -30,10 +35,9 @@
 
    Warm paths read and write only what their callers use:
 
-   - the unit "ast" and "ir" artifacts are manifests.  "ast" holds the
-     AST id watermark and the fnast fingerprints of the slices that
-     declare something; "ir" holds those slices' fnir fingerprints.
-     Decls and pre-pass snapshots are stored once, per slice;
+   - the unit "ast" artifact is a manifest: the AST id watermark and the
+     fnast fingerprints of the slices that declare something.  Decls and
+     pre-pass snapshots are stored once, per slice;
    - the "pp" artifact carries the canonical digest of its item stream,
      which keys the AST stage, and keeps the items as bytes that only a
      parse opens;
@@ -41,15 +45,16 @@
      fnast.  Each declaring slice looks up "fnoptir" (and "fnanalysis")
      first; it reads its "fnir" snapshot only when its passes or analysis
      must run, and its "fnast" decls only when its codegen must run.  A
-     hit on the ast, ir and optir unit artifacts reads no per-slice
-     artifact at all.
+     hit on the ast and optir unit artifacts reads no per-slice artifact
+     at all.
 
-   A manifest member may be missing when it is needed: evicted, corrupt,
-   or lost to a faulted read.  The stage that served the manifest then
-   counts a miss after all ({!Cache.reject}): a missing fnir snapshot is
-   re-emitted from the slice's decls, and a missing fnast artifact re-runs
-   the per-slice walk in unit order, which re-parses exactly the slices
-   whose artifacts are gone.  The IR is the same either way.
+   A per-slice artifact may be missing when it is needed: evicted,
+   corrupt, or lost to a faulted read.  A missing fnir snapshot is a
+   counted fnir miss and is re-emitted from the slice's decls.  A missing
+   fnast artifact named by the AST manifest turns the manifest's hit into
+   a counted miss ({!Cache.reject}) and re-runs the per-slice walk in
+   unit order, which re-parses exactly the slices whose artifacts are
+   gone.  The IR is the same either way.
 
    Caching policy: a stage artifact is stored only when the compilation
    has produced no diagnostics at all by the end of that stage (a hit
@@ -57,8 +62,8 @@
    successfully executed stage — an ICE mid-stage can never have been
    stored.  Mutable artifacts (source managers, ASTs, IR modules) are
    marshalled on store and unmarshalled fresh per hit, so no two
-   compilations ever alias one cached structure; the IR artifact is
-   snapshotted *before* the pass pipeline mutates the module in place.
+   compilations ever alias one cached structure; a slice's fnir snapshot
+   is taken *before* the pass pipeline mutates the module in place.
 
    Determinism: every execution starts by rewinding the domain-local
    AST/IR id and gensym counters, so a cached artifact is byte-identical
@@ -139,7 +144,9 @@ let stage_name = function
   | Codegen -> "codegen"
   | Passes -> "passes"
 
-(* Artifact tags in the stage cache and its [cache.<tag>-*] counters. *)
+(* Trace tags.  For the cached stages (transfo, pp, ast, optir) the tag
+   also names the artifact in the stage cache and its [cache.<tag>-*]
+   counters; lex and ir have no unit artifact. *)
 let stage_tag = function
   | Transfo -> "transfo"
   | Lex -> "lex"
@@ -570,7 +577,7 @@ let zero_timings =
   }
 
 (* The transfo pre-stage rewrites the *source*, so downstream stages see
-   it as ordinary input: the lex fingerprint hashes the rewritten text and
+   it as ordinary input: the pp fingerprint hashes the rewritten text and
    everything from there on is content-addressed exactly as before.  The
    whole walk is mutually recursive because the engine needs a frontend
    (target resolution re-parses after every step) and the differential
@@ -787,36 +794,15 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
      inside cached artifacts stay valid whatever -D buffers or includes a
      particular compilation loads afterwards. *)
   let main_id = Srcmgr.load_main !srcmgr buf in
-  let src_fp = fingerprint (fun () -> source_fingerprint ~name source) in
 
-  (* Stage: lex. *)
-  let lex_fp =
-    fingerprint (fun () -> stage_fingerprint Lex options ~input:src_fp)
-  in
-  (* The token stream is only ever consumed by an *executed* preprocess
-     stage, so a cached payload stays un-unmarshalled until (unless) the
-     preprocessor actually needs it — on a pp hit the lex hit costs one
-     digest lookup, not a deserialization proportional to unit size. *)
-  let toks =
-    match consult Lex lex_fp with
-    | Some payload ->
-      mark Lex Cache_hit;
-      lazy (Marshal.from_string payload 0 : Mc_lexer.Token.t list)
-    | None ->
-      let toks, dt =
-        time Lex (fun () -> Mc_lexer.Lexer.tokenize !diag ~file_id:main_id buf)
-      in
-      t_lex := dt;
-      mark Lex Executed;
-      save Lex lex_fp (fun () -> marshal toks);
-      Lazy.from_val toks
-  in
-
-  (* Stage: preprocess.  Its output is the parser-ready stream and the
-     stream's canonical digest, which keys the AST stage; on a hit the
-     stream stays bytes until a parse needs it. *)
+  (* Stage: preprocess, lexing included.  Its output is the parser-ready
+     stream and the stream's canonical digest, which keys the AST stage;
+     on a hit nothing is lexed and the stream stays bytes until a parse
+     needs it. *)
   let pp_fp =
-    fingerprint (fun () -> stage_fingerprint Preprocess options ~input:src_fp)
+    fingerprint (fun () ->
+        stage_fingerprint Preprocess options
+          ~input:(source_fingerprint ~name source))
   in
   let adopted = ref None in
   let validate payload =
@@ -846,6 +832,10 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       ( lazy (body payload : Mc_pp.Preprocessor.item list),
         Lazy.from_val h.pl_digest )
     | None ->
+      let toks, dt =
+        time Lex (fun () -> Mc_lexer.Lexer.tokenize !diag ~file_id:main_id buf)
+      in
+      t_lex := dt;
       let pp = Mc_pp.Preprocessor.create !diag !srcmgr fmgr in
       List.iter
         (fun (n, body) ->
@@ -853,8 +843,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
         options.defines;
       let items, dt =
         time Preprocess (fun () ->
-            Mc_pp.Preprocessor.preprocess_tokens pp ~file_id:main_id buf
-              (Lazy.force toks))
+            Mc_pp.Preprocessor.preprocess_tokens pp ~file_id:main_id buf toks)
       in
       t_preprocess := dt;
       mark Preprocess Executed;
@@ -883,9 +872,6 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
   let ast_fp =
     fingerprint (fun () ->
         stage_fingerprint Parse_sema options ~input:(Lazy.force items_digest))
-  in
-  let ir_fp =
-    fingerprint (fun () -> stage_fingerprint Codegen options ~input:ast_fp)
   in
   let fn_trace = ref [] in
   (* A hit stays bytes until a later slice must be parsed against it; it
@@ -1122,24 +1108,21 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     if frontend_only || Diag.has_errors !diag then no_ir None
     else begin
       let opt_fp =
-        fingerprint (fun () -> stage_fingerprint Passes options ~input:ir_fp)
+        fingerprint (fun () ->
+            stage_fingerprint Passes options
+              ~input:(stage_fingerprint Codegen options ~input:ast_fp))
       in
       let cslice = option_slice Codegen options in
       let oslice = option_slice Passes options in
       let n = Array.length declaring in
       (* Each declaring slice's "fnir" fingerprint, chained off its fnast
-         one: the unit "ir" manifest names them on a hit. *)
-      let ir_hit, fnir =
-        match consult Codegen ir_fp with
-        | Some payload ->
-          (true, Array.of_list (Marshal.from_string payload 0 : string list))
-        | None ->
-          ( false,
-            Array.map
-              (fun s ->
-                fingerprint (fun () ->
-                    hash ("fnir\x00" ^ s.a_fp ^ "\x00" ^ cslice)))
-              declaring )
+         one. *)
+      let fnir =
+        Array.map
+          (fun s ->
+            fingerprint (fun () ->
+                hash ("fnir\x00" ^ s.a_fp ^ "\x00" ^ cslice)))
+          declaring
       in
       (* What each slice already has stored downstream of its pre-pass IR:
          a slice missing its analysis fragment or its post-pass module
@@ -1183,7 +1166,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
          dispatch-site numbering restart per slice (names stay unique —
          they are prefixed by the parent function's name). *)
       let modules = Array.make n None in
-      let emitted = ref 0 and ir_rejected = ref false in
+      let emitted = ref 0 in
       let rec emit i =
         if i = n then Ok ()
         else if not need.(i) then emit (i + 1)
@@ -1193,10 +1176,6 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
             modules.(i) <- Some (Cached snapshot);
             emit (i + 1)
           | None -> (
-            if ir_hit && not !ir_rejected then begin
-              Cache.reject ~stage:(stage_tag Codegen);
-              ir_rejected := true
-            end;
             let decls = decls_of declaring.(i) in
             Mc_codegen.Codegen.reset_gensym ();
             Mc_ompbuilder.Omp_builder.reset_gensym ();
@@ -1232,12 +1211,13 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
         mark Codegen Executed;
         no_ir (Some msg)
       | Ok () -> (
+        (* What codegen emitted: every declaring slice, some, or none.  A
+           unit with no declaring slice takes the AST stage's outcome. *)
         mark Codegen
-          (if ir_hit && not !ir_rejected then Cache_hit
-           else if !emitted < n then Partial
-           else Executed);
-        if not ir_hit then
-          save Codegen ir_fp (fun () -> marshal (Array.to_list fnir));
+          (if n = 0 then List.assoc Parse_sema !trace
+           else if !emitted = n then Executed
+           else if !emitted > 0 then Partial
+           else Cache_hit);
         (* A slice's pre-pass module, unmarshalled from its snapshot when
            this compilation did not emit it.  [claim] when passes will
            create instructions in it. *)

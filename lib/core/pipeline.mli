@@ -5,12 +5,14 @@
 
     {v Source -> PPTokens -> AST(+Sema) -> IR -> OptIR v}
 
-    — each producing an artifact addressed by a content fingerprint: the
-    hash of the stage's input artifact plus the stage-relevant slice of
-    the options ({!option_slice}).  Given a stage {!Cache}, each stage
-    first consults the cache under its fingerprint and only executes on a
-    miss; because the AST stage is content-addressed on the
-    {e preprocessed stream}, a comment-only edit re-runs lex/pp but
+    — the pp, AST and OptIR stages each producing an artifact addressed
+    by a content fingerprint: the hash of the stage's input artifact plus
+    the stage-relevant slice of the options ({!option_slice}).  Given a
+    stage {!Cache}, each such stage first consults the cache under its
+    fingerprint and only executes on a miss.  Lexing runs inside the pp
+    stage, and codegen has no unit artifact: its per-slice keys derive
+    from the AST manifest.  Because the AST stage is content-addressed on
+    the {e preprocessed stream}, a comment-only edit re-runs pp but
     reuses everything from the AST onward, while an option change
     invalidates exactly the stages whose slice mentions it.
 
@@ -20,14 +22,16 @@
     slice for the same reason: a diagnostic-free run is identical under
     any error limit.
 
-    Warm paths read only what their caller uses.  The unit AST and IR
-    artifacts are manifests naming per-slice artifacts ("fnast",
-    "fnir"), and each slice looks up its post-pass module ("fnoptir")
-    first: it reads its pre-pass IR only when its passes or analysis
-    must run, and its decls only when its codegen must run.  A member
-    missing when it is needed (evicted, corrupt, a faulted read) turns
-    the manifest's hit into a counted miss ({!Cache.reject}) and is
-    rebuilt; the IR is the same either way.
+    Warm paths read only what their caller uses.  The unit AST artifact
+    is a manifest naming per-slice "fnast" artifacts, from which each
+    slice's "fnir" key derives, and each slice looks up its post-pass
+    module ("fnoptir") first: it reads its pre-pass IR only when its
+    passes or analysis must run, and its decls only when its codegen
+    must run.  A missing fnir snapshot is a counted miss and is
+    re-emitted; a fnast member missing when it is needed (evicted,
+    corrupt, a faulted read) turns the manifest's hit into a counted
+    miss ({!Cache.reject}) and is rebuilt.  The IR is the same either
+    way.
 
     Each execution runs in its own scoped stats registry (merged into
     the caller's on the way out, even on an ICE), so [result.stats] is
@@ -101,8 +105,13 @@ val stage_name : stage -> string
     "parse-sema", "codegen", "passes") — stable across releases. *)
 
 val stage_tag : stage -> string
-(** Artifact tag in the stage cache and its counters ("transfo", "lex",
-    "pp", "ast", "ir", "optir"). *)
+(** Tag in traces ("transfo", "lex", "pp", "ast", "ir", "optir").  For
+    the cached stages (transfo, pp, ast, optir) it also names the
+    artifact in the stage cache and its [cache.<tag>-*] counters.  [Lex]
+    never appears in a trace (lexing runs inside the pp stage), and
+    [Codegen]'s "ir" entry reports what codegen emitted: [run] for every
+    declaring slice, [partial] for some, [hit] for none, and the AST
+    stage's outcome for a unit with no declaring slice. *)
 
 type outcome = Executed | Cache_hit | Partial
 (** [Partial] is the function-granular middle ground: the unit-level
@@ -115,8 +124,8 @@ type trace = (stage * outcome) list
     absent. *)
 
 val render_trace : trace -> string
-(** E.g. ["lex:run pp:run ast:hit ir:hit optir:hit"]; a body edit on a
-    warm cache renders ["lex:run pp:run ast:partial ir:partial
+(** E.g. ["pp:run ast:hit ir:hit optir:hit"] after a comment-only edit;
+    a body edit on a warm cache renders ["pp:run ast:partial ir:partial
     optir:partial"]. *)
 
 val render_fn_trace : (string * outcome) list -> string
@@ -144,7 +153,7 @@ val option_slice : stage -> options -> string
 (** The canonical rendering of the slice of [options] that can affect a
     stage's output — the part of the fingerprint that makes, e.g., a
     [loop_nest_limit] change invalidate the AST stage (and therefore
-    everything downstream) while leaving lex/pp artifacts reusable. *)
+    everything downstream) while leaving the pp artifact reusable. *)
 
 val source_fingerprint : name:string -> string -> string
 

@@ -110,7 +110,6 @@ module Bqueue = struct
     cap : int;
     m : Mutex.t;
     not_empty : Condition.t;
-    not_full : Condition.t;
     mutable closed : bool;
   }
 
@@ -120,24 +119,8 @@ module Bqueue = struct
       cap = max 1 cap;
       m = Mutex.create ();
       not_empty = Condition.create ();
-      not_full = Condition.create ();
       closed = false;
     }
-
-  (* Blocks while full: the old backpressure edge, kept for callers
-     that want blocking semantics (and for its edge-case tests). *)
-  let push t v =
-    Mutex.lock t.m;
-    while Queue.length t.q >= t.cap && not t.closed do
-      Condition.wait t.not_full t.m
-    done;
-    let accepted = not t.closed in
-    if accepted then begin
-      Queue.push v t.q;
-      Condition.signal t.not_empty
-    end;
-    Mutex.unlock t.m;
-    accepted
 
   (* Never blocks: the admission-control edge.  [`Full] is the accept
      loop's cue to shed the connection with [Resp_busy] instead of
@@ -166,7 +149,6 @@ module Bqueue = struct
       Condition.wait t.not_empty t.m
     done;
     let v = if Queue.is_empty t.q then None else Some (Queue.pop t.q) in
-    Condition.signal t.not_full;
     Mutex.unlock t.m;
     v
 
@@ -174,7 +156,6 @@ module Bqueue = struct
     Mutex.lock t.m;
     t.closed <- true;
     Condition.broadcast t.not_empty;
-    Condition.broadcast t.not_full;
     Mutex.unlock t.m
 end
 

@@ -24,10 +24,6 @@ module Bqueue : sig
   val create : int -> 'a t
   (** Capacity is clamped to at least 1. *)
 
-  val push : 'a t -> 'a -> bool
-  (** Blocks while full; [false] means the queue was closed and the
-      value was not enqueued. *)
-
   val try_push : 'a t -> 'a -> [ `Accepted | `Closed | `Full ]
   (** Never blocks — the admission-control edge. *)
 
@@ -38,8 +34,8 @@ module Bqueue : sig
   val length : 'a t -> int
 
   val close : 'a t -> unit
-  (** Wakes every blocked producer and consumer; closing is a graceful
-      drain, not an abort. *)
+  (** Wakes every blocked consumer; closing is a graceful drain, not an
+      abort. *)
 end
 
 type config = {

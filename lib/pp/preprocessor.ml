@@ -37,8 +37,9 @@ type cond_state = {
 }
 
 (* A token source on the include stack: either a live lexer, or a replay
-   of an already-lexed token list (how the stage-graph pipeline feeds a
-   cached Lex artifact back through preprocessing without re-lexing).
+   of an already-lexed token list (how the stage-graph pipeline, which
+   times lexing as a phase of its own, feeds the main buffer's tokens
+   through preprocessing).
    A replay keeps handing out its synthetic [Eof] forever once drained,
    matching [Lexer.next]'s end-of-buffer behaviour. *)
 type source = Src_lexer of Lexer.t | Src_replay of replay

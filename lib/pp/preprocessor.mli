@@ -35,8 +35,8 @@ val preprocess_tokens :
 (** Like {!preprocess_main}, but replays an already-lexed token stream of
     the main buffer (which the caller has registered with the source
     manager as [file_id]) instead of driving a lexer over it — how the
-    stage-graph pipeline reuses a cached Lex artifact.  Included files
-    still lex live. *)
+    stage-graph pipeline times lexing apart from preprocessing.  Included
+    files still lex live. *)
 
 val include_digests : t -> (string * string) list
 (** The [(path, content digest)] of every file this preprocessor entered

@@ -245,7 +245,8 @@ let test_batch_compile_into_merges () =
 
 let test_compile_and_run_through_instance () =
   let inst = Instance.create Invocation.default in
-  match Instance.compile_and_run inst (unit_source 0 10) with
+  let c = Instance.compile inst (unit_source 0 10) in
+  match Instance.run inst c.Instance.c_result with
   | Ok outcome ->
     Alcotest.(check bool) "steps" true (outcome.Mc_interp.Interp.steps > 0)
   | Error e -> Alcotest.failf "failed: %s" e

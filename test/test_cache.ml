@@ -39,14 +39,14 @@ let test_second_compile_hits () =
   let first = compile inst source in
   Alcotest.(check bool) "first is a miss" false first.Instance.c_cache_hit;
   check_trace "cold runs every stage"
-    "lex:run pp:run ast:run ir:run optir:run" first;
+    "pp:run ast:run ir:run optir:run" first;
   (* One artifact per unit-granular stage (the transfo pre-stage only
      stores when a script runs; test_transfo covers that), plus the
      per-function family: one fnast per top-level slice (the record
      prototype and main), and fnir/fnoptir for the one slice that
      produces declarations. *)
-  let compile_stages = [ "lex"; "pp"; "ast"; "ir"; "optir" ] in
-  Alcotest.(check int) "nine artifacts stored" 9 (Cache.length cache);
+  let compile_stages = [ "pp"; "ast"; "optir" ] in
+  Alcotest.(check int) "seven artifacts stored" 7 (Cache.length cache);
   List.iter
     (fun stage ->
       Alcotest.(check int) (stage ^ " stored") 1
@@ -61,7 +61,7 @@ let test_second_compile_hits () =
   let second = compile inst source in
   Alcotest.(check bool) "second is a hit" true second.Instance.c_cache_hit;
   check_trace "warm hits every stage"
-    "lex:hit pp:hit ast:hit ir:hit optir:hit" second;
+    "pp:hit ast:hit ir:hit optir:hit" second;
   (* The cached result is behaviourally identical: byte-identical IR and
      the same execution trace as the cold compilation. *)
   Alcotest.(check string) "byte-identical IR" (ir_text first) (ir_text second);
@@ -99,20 +99,17 @@ let test_define_change_misses () =
   Alcotest.(check bool) "same -D hits" true
     (run_with [ ("N", "2") ]).Instance.c_cache_hit;
   (* A -D change that alters expansion is a different translation unit
-     from the preprocessor onward — but the lex artifact, fingerprinted
-     on the source alone, is still reused, and so is the record
-     prototype's fnast slice (the N only expands inside main's body), so
+     from the preprocessor onward — but the record prototype's fnast
+     slice is still reused (the N only expands inside main's body), so
      the AST stage is a partial re-run rather than a full one. *)
   check_trace "changed -D re-runs pp and the edited slice"
-    "lex:hit pp:run ast:partial ir:run optir:run"
+    "pp:run ast:partial ir:run optir:run"
     (run_with [ ("N", "4") ]);
-  Alcotest.(check int) "one lex artifact for both -D values" 1
-    (Cache.stage_length cache ~stage:"lex");
   Alcotest.(check int) "two pp artifacts" 2
     (Cache.stage_length cache ~stage:"pp");
   Alcotest.(check int) "one shared fnast + one per N value for main" 3
     (Cache.stage_length cache ~stage:"fnast");
-  Alcotest.(check int) "sixteen artifacts total" 16 (Cache.length cache)
+  Alcotest.(check int) "thirteen artifacts total" 13 (Cache.length cache)
 
 let test_option_change_misses () =
   let cache = Cache.create () in
@@ -125,18 +122,18 @@ let test_option_change_misses () =
   (* -fopenmp-enable-irbuilder is in the sema slice: pp still hits, the
      AST stage and everything downstream misses. *)
   check_trace "irbuilder invalidates from ast on"
-    "lex:hit pp:hit ast:run ir:run optir:run"
+    "pp:hit ast:run ir:run optir:run"
     (with_inv { cached_invocation with Invocation.use_irbuilder = true });
   (* -O only reaches the pass pipeline: everything up to the IR hits. *)
   check_trace "-O0 invalidates only optir"
-    "lex:hit pp:hit ast:hit ir:hit optir:run"
+    "pp:hit ast:hit ir:hit optir:run"
     (with_inv { cached_invocation with Invocation.opt_level = 0 });
   Alcotest.(check bool) "original still hits" true
     (with_inv cached_invocation).Instance.c_cache_hit
 
 let test_comment_change_still_hits () =
   (* Content addressing is post-preprocessing: edits the preprocessor
-     erases (comments, whitespace) re-run lex/pp but keep the AST
+     erases (comments, whitespace) re-run pp but keep the AST
      stage's content address — and everything downstream. *)
   let cache = Cache.create () in
   let inst = Instance.create ~cache cached_invocation in
@@ -145,7 +142,7 @@ let test_comment_change_still_hits () =
   let c = compile inst commented in
   Alcotest.(check bool) "comment-only change hits" true c.Instance.c_cache_hit;
   check_trace "comment edit reuses ast/ir/optir"
-    "lex:run pp:run ast:hit ir:hit optir:hit" c
+    "pp:run ast:hit ir:hit optir:hit" c
 
 let test_hits_are_isolated_copies () =
   let cache = Cache.create () in
@@ -182,13 +179,13 @@ let test_warnings_prevent_caching () =
   (* Only meaningful if this source indeed warns; guard so the test fails
      loudly if the diagnostic disappears. *)
   Alcotest.(check bool) "source produces a warning" true warned;
-  (* Lexing finished clean, so its artifact may be stored; the warning
-     fires in the preprocessor, so pp/ast/ir/optir must not be. *)
+  (* The warning fires in the preprocessor, so nothing from pp onward
+     may be stored. *)
   List.iter
     (fun stage ->
       Alcotest.(check int) (stage ^ " not stored") 0
         (Cache.stage_length cache ~stage))
-    [ "pp"; "ast"; "ir"; "optir" ];
+    [ "pp"; "ast"; "fnir"; "optir" ];
   let second = Instance.compile inst warning_source in
   Alcotest.(check bool) "recompile, with warnings again" false
     second.Instance.c_cache_hit;

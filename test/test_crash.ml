@@ -135,12 +135,12 @@ let test_ice_and_errors_never_cached () =
   let backend_lengths () =
     List.map
       (fun stage -> Mc_core.Cache.stage_length cache ~stage)
-      [ "ast"; "ir"; "optir" ]
+      [ "ast"; "fnir"; "optir" ]
   in
   (* An ICE must leave nothing from the dying stage onward: storing is
      the last act of each successfully executed stage, so a unit that
-     dies in parse-sema may have cached its (clean) lex/pp artifacts but
-     never an AST, IR or OptIR. *)
+     dies in parse-sema may have cached its (clean) pp artifact but never
+     an AST, IR or OptIR. *)
   (match Instance.compile_safe inst ~name:"boom.c" crash_source with
   | Ok _ -> Alcotest.fail "deliberate ICE was not contained"
   | Error _ -> ());

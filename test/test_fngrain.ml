@@ -73,7 +73,7 @@ let test_body_edit_is_function_granular () =
   ignore (compile inst base);
   let c = compile inst edited in
   Alcotest.(check string) "every stage partial"
-    "lex:run pp:run ast:partial ir:partial optir:partial" (trace_of c);
+    "pp:run ast:partial ir:partial optir:partial" (trace_of c);
   Alcotest.(check string) "only w2 re-ran"
     "<decl>:hit w0:hit w1:hit w2:run w3:hit main:hit"
     (Pipeline.render_fn_trace c.Instance.c_fn_trace);
@@ -143,7 +143,7 @@ let test_store_restart_reuses_functions () =
       let warm = compile inst edited in
       if not (store_faults ()) then begin
         Alcotest.(check string) "disk-warm body edit is partial"
-          "lex:run pp:run ast:partial ir:partial optir:partial"
+          "pp:run ast:partial ir:partial optir:partial"
           (trace_of warm);
         Alcotest.(check int) "five slices served from disk" 5
           (counter warm "cache.fn-hits")
@@ -176,10 +176,12 @@ let lookups c stage =
 
 let test_warm_paths_read_only_what_they_use () =
   (* A rebuild reads the per-slice artifacts only of the slices whose
-     stages must run: none on a same-source rebuild, whose five unit
-     artifacts are all it reads, and for a body edit one fnir lookup, the
-     edited slice's miss.  Each compile runs in a fresh process over the
-     same store, so every read comes from disk. *)
+     stages must run: none on a same-source rebuild, whose three unit
+     artifacts (pp, ast, optir) are all it reads, and for a body edit one
+     fnir lookup, the edited slice's miss.  It writes only what changed:
+     for a body edit the edited slice's fnast, fnir and fnoptir and the
+     unit pp, ast and optir.  Each compile runs in a fresh process over
+     the same store, so every read comes from disk. *)
   let dir = temp_dir () in
   Fun.protect
     ~finally:(fun () -> try rm_rf dir with Sys_error _ -> ())
@@ -197,21 +199,23 @@ let test_warm_paths_read_only_what_they_use () =
       let edit = compile_fresh edited in
       if not (store_faults ()) then begin
         Alcotest.(check string) "same source: every stage hit"
-          "lex:hit pp:hit ast:hit ir:hit optir:hit" (trace_of same);
+          "pp:hit ast:hit ir:hit optir:hit" (trace_of same);
         List.iter
           (fun stage ->
             Alcotest.(check int)
               ("same source: no " ^ stage ^ " lookup")
               0 (lookups same stage))
           [ "fnast"; "fnir"; "fnoptir" ];
-        Alcotest.(check int) "same source: five store hits" 5
+        Alcotest.(check int) "same source: three store hits" 3
           (counter same "store.hits");
         Alcotest.(check string) "body edit: every stage partial"
-          "lex:run pp:run ast:partial ir:partial optir:partial" (trace_of edit);
+          "pp:run ast:partial ir:partial optir:partial" (trace_of edit);
         Alcotest.(check int) "body edit: one fnir lookup" 1
           (lookups edit "fnir");
         Alcotest.(check int) "body edit: the edited slice's miss" 1
-          (counter edit "cache.fnir-misses")
+          (counter edit "cache.fnir-misses");
+        Alcotest.(check int) "body edit: six store writes" 6
+          (counter edit "store.stores")
       end;
       let cold src = compile (Instance.create Invocation.default) src in
       Alcotest.(check string) "same source: IR equals a cold compile"
@@ -289,7 +293,7 @@ let test_daemon_body_edit_reuses_functions () =
       let stat name = try Stats.find stats name with Not_found -> 0 in
       if not tolerant then begin
         Alcotest.(check string) "daemon body edit is partial"
-          "lex:run pp:run ast:partial ir:partial optir:partial"
+          "pp:run ast:partial ir:partial optir:partial"
           (Pipeline.render_trace u.Protocol.r_trace);
         Alcotest.(check int) "five slices reused by the daemon" 5
           (stat "cache.fn-hits");
@@ -339,14 +343,14 @@ let test_ice_never_caches_siblings_reusable () =
     (fun stage ->
       Alcotest.(check int) (stage ^ " empty after ICE") 0
         (Cache.stage_length cache ~stage))
-    [ "ast"; "ir"; "optir"; "fnir"; "fnoptir" ];
+    [ "ast"; "optir"; "fnir"; "fnoptir" ];
   (* Fixing the crashing function reuses the pre-crash siblings. *)
   let c = compile inst fixed in
   Alcotest.(check string) "pre-crash siblings adopted"
     "<decl>:hit w0:hit w1:hit boom:run w2:run main:run"
     (Pipeline.render_fn_trace c.Instance.c_fn_trace);
   Alcotest.(check string) "recovery compile is partial"
-    "lex:run pp:run ast:partial ir:run optir:run" (trace_of c);
+    "pp:run ast:partial ir:run optir:run" (trace_of c);
   (* And the recovered unit matches a cold compile exactly. *)
   let cold = compile (Instance.create Invocation.default) fixed in
   Alcotest.(check string) "byte-identical IR after recovery" (ir_text cold)
@@ -415,7 +419,7 @@ let test_prototype_then_definition_is_granular () =
   Alcotest.(check string) "only h re-ran" "<decl>:hit f+g:hit h:run main:hit"
     (Pipeline.render_fn_trace c.Instance.c_fn_trace);
   Alcotest.(check string) "every stage partial"
-    "lex:run pp:run ast:partial ir:partial optir:partial" (trace_of c);
+    "pp:run ast:partial ir:partial optir:partial" (trace_of c);
   let cold = compile (Instance.create Invocation.default) edited in
   Alcotest.(check string) "IR equals a cold compile" (ir_text cold) (ir_text c);
   (* A body edit inside the merged range re-runs that slice, and re-keys
@@ -492,7 +496,7 @@ let test_erroneous_slice_keeps_later_functions () =
     (fun stage ->
       Alcotest.(check int) (stage ^ " not stored") 0
         (Cache.stage_length cache ~stage))
-    [ "ast"; "fnast"; "ir"; "fnir"; "optir"; "fnoptir"; "fnanalysis" ];
+    [ "ast"; "fnast"; "fnir"; "optir"; "fnoptir"; "fnanalysis" ];
   let dump = Driver.ast_dump erroneous_first in
   List.iter
     (fun fn ->

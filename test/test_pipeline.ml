@@ -79,28 +79,28 @@ let test_option_slices () =
 (* ---- incremental recompilation ------------------------------------------ *)
 
 let test_recompile_warm_hits_every_stage () =
-  (* [recompile] provides the cache even when the invocation didn't. *)
-  let inst = Instance.create Invocation.default in
-  Alcotest.(check bool) "no cache up front" true (Instance.cache inst = None);
-  let cold = Instance.recompile inst source in
-  Alcotest.(check bool) "recompile created a cache" true
-    (Instance.cache inst <> None);
+  Alcotest.(check bool) "no cache up front" true
+    (Instance.cache (Instance.create Invocation.default) = None);
+  let inst =
+    Instance.create { Invocation.default with Invocation.cache_enabled = true }
+  in
+  let cold = Instance.compile inst source in
   Alcotest.(check string) "cold trace"
-    "lex:run pp:run ast:run ir:run optir:run"
+    "pp:run ast:run ir:run optir:run"
     (trace_of cold);
-  let warm = Instance.recompile inst source in
+  let warm = Instance.compile inst source in
   Alcotest.(check bool) "warm recompile is a full hit" true
     warm.Instance.c_cache_hit;
   Alcotest.(check string) "warm trace"
-    "lex:hit pp:hit ast:hit ir:hit optir:hit"
+    "pp:hit ast:hit ir:hit optir:hit"
     (trace_of warm);
   Alcotest.(check string) "warm IR byte-identical to cold" (ir_text cold)
     (ir_text warm)
 
 let test_comment_edit_counters () =
   (* The acceptance property, read off the per-compile stage counters: a
-     comment-only edit re-runs lex/pp (misses) and reuses every stage
-     from the AST onward (hits). *)
+     comment-only edit re-runs pp (a miss) and reuses every stage from
+     the AST onward (hits). *)
   let inv = { Invocation.default with Invocation.cache_enabled = true } in
   let inst = Instance.create inv in
   ignore (compile inst source);
@@ -110,14 +110,10 @@ let test_comment_edit_counters () =
     (fun (name, expected) ->
       Alcotest.(check int) name expected (counter c name))
     [
-      ("cache.lex-misses", 1);
-      ("cache.lex-hits", 0);
       ("cache.pp-misses", 1);
       ("cache.pp-hits", 0);
       ("cache.ast-hits", 1);
       ("cache.ast-misses", 0);
-      ("cache.ir-hits", 1);
-      ("cache.ir-misses", 0);
       ("cache.optir-hits", 1);
       ("cache.optir-misses", 0);
     ];
@@ -135,14 +131,14 @@ let test_body_edit_reruns_backend () =
      declarations, hence the only one with fnir/fnoptir artifacts —
      re-runs codegen and passes in full. *)
   Alcotest.(check string) "body edit re-runs the edited function"
-    "lex:run pp:run ast:partial ir:run optir:run" (trace_of c);
+    "pp:run ast:partial ir:run optir:run" (trace_of c);
   Alcotest.(check int) "prototype slice reused" 1 (counter c "cache.fn-hits");
   Alcotest.(check int) "edited slice re-parsed" 1 (counter c "cache.fn-misses");
   Alcotest.(check bool) "not a whole-pipeline hit" false c.Instance.c_cache_hit
 
 let test_loop_nest_limit_invalidates_sema_onward () =
-  (* A -floop-nest-limit change touches only the sema slice: lex and pp
-     artifacts survive, the AST stage and everything downstream re-run. *)
+  (* A -floop-nest-limit change touches only the sema slice: the pp
+     artifact survives, the AST stage and everything downstream re-run. *)
   let cache = Cache.create () in
   let base = { Invocation.default with Invocation.cache_enabled = true } in
   let inst = Instance.create ~cache base in
@@ -153,11 +149,11 @@ let test_loop_nest_limit_invalidates_sema_onward () =
   in
   let c = compile bumped source in
   Alcotest.(check string) "limit change re-runs sema and later"
-    "lex:hit pp:hit ast:run ir:run optir:run" (trace_of c);
+    "pp:hit ast:run ir:run optir:run" (trace_of c);
   (* And coming back to the original limit hits everything again. *)
   let back = compile (Instance.create ~cache base) source in
   Alcotest.(check string) "original limit fully warm"
-    "lex:hit pp:hit ast:hit ir:hit optir:hit" (trace_of back)
+    "pp:hit ast:hit ir:hit optir:hit" (trace_of back)
 
 let test_include_edit_invalidates_pp () =
   (* Editing an extra file's contents flips the recorded include digest:
@@ -175,16 +171,16 @@ let test_include_edit_invalidates_pp () =
     }
   in
   let c1 = compile (Instance.create ~cache (inv 2)) ~name:"m.c" src in
-  Alcotest.(check string) "cold" "lex:run pp:run ast:run ir:run optir:run"
+  Alcotest.(check string) "cold" "pp:run ast:run ir:run optir:run"
     (trace_of c1);
   let c2 = compile (Instance.create ~cache (inv 3)) ~name:"m.c" src in
   Alcotest.(check int) "pp entry invalidated" 1
     (counter c2 "cache.pp-invalidations");
   Alcotest.(check string) "include edit re-runs pp and downstream"
-    "lex:hit pp:run ast:run ir:run optir:run" (trace_of c2);
+    "pp:run ast:run ir:run optir:run" (trace_of c2);
   let c3 = compile (Instance.create ~cache (inv 2)) ~name:"m.c" src in
   Alcotest.(check string) "original include revalidates"
-    "lex:hit pp:hit ast:hit ir:hit optir:hit" (trace_of c3);
+    "pp:hit ast:hit ir:hit optir:hit" (trace_of c3);
   Alcotest.(check bool) "original is a whole-pipeline hit" true
     c3.Instance.c_cache_hit
 

@@ -351,18 +351,18 @@ let test_cache_survives_restart () =
       in
       let cold, cold_stats = compile_once () in
       Alcotest.(check bool) "cold is a miss" false cold.Instance.c_cache_hit;
-      (* Five unit-granular stages plus the per-function families: one
+      (* Three unit-granular stages plus the per-function families: one
          fnast per top-level slice (record's prototype and main), and
          fnir/fnoptir for the one slice producing declarations. *)
       if not (store_faults ()) then
-        Alcotest.(check int) "cold persisted every stage" 9
+        Alcotest.(check int) "cold persisted every stage" 7
           (Stats.find cold_stats "store.stores");
       let warm, warm_stats = compile_once () in
       if not (store_faults ()) then begin
         Alcotest.(check bool) "disk-warm is a hit" true
           warm.Instance.c_cache_hit;
         Alcotest.(check string) "every stage served from disk"
-          "lex:hit pp:hit ast:hit ir:hit optir:hit"
+          "pp:hit ast:hit ir:hit optir:hit"
           (Pipeline.render_trace warm.Instance.c_trace);
         Alcotest.(check bool) "store hits recorded" true
           (Stats.find warm_stats "store.hits" > 0)
@@ -414,7 +414,7 @@ let test_lost_optir_entry_reruns_passes () =
       let warm = compile_once () in
       if not (store_faults ()) then
         Alcotest.(check string) "frontend from disk, passes re-run"
-          "lex:hit pp:hit ast:hit ir:hit optir:run"
+          "pp:hit ast:hit ir:hit optir:run"
           (Pipeline.render_trace warm.Instance.c_trace);
       let ir c =
         Mc_ir.Printer.module_to_string
@@ -444,10 +444,10 @@ let builtin_stub =
    int main(void) { record(omp_get_thread_num() + 5); return 0; }\n"
 
 let test_missing_manifest_member_is_a_counted_miss () =
-  (* The unit "ast" and "ir" artifacts name per-slice members.  With the
-     members gone, a rebuild that hits a manifest and then needs a member
-     must count a miss for that stage and rebuild the member — no ICE, and
-     the IR of an uncached compile. *)
+  (* The unit "ast" artifact names per-slice fnast members, from which
+     the fnir keys derive.  With the members gone, a rebuild that hits the
+     manifest and then needs a member must count a miss and rebuild the
+     member — no ICE, and the IR of an uncached compile. *)
   List.iter
     (fun (unit_label, src) ->
       with_store_dir (fun dir ->
@@ -490,8 +490,8 @@ let test_missing_manifest_member_is_a_counted_miss () =
             [
               ("fold off (ast hits, ir misses)",
                { invocation with Invocation.fold = false }, "ast");
-              ("-O0 (ir hits, optir misses)",
-               { invocation with Invocation.opt_level = 0 }, "ir");
+              ("-O0 (ast hits, optir misses)",
+               { invocation with Invocation.opt_level = 0 }, "fnir");
             ]))
     [ ("loop unit", source); ("builtin stub", builtin_stub) ]
 

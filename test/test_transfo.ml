@@ -362,12 +362,12 @@ let test_scripted_pipeline_full_hit () =
   let source = wrap "  for (int i = 0; i < 12; i += 1) s += i;\n" in
   let cold = Pipeline.execute ~cache ~options source in
   Alcotest.(check string) "cold runs the transfo pre-stage"
-    "transfo:run lex:run pp:run ast:run ir:run optir:run"
+    "transfo:run pp:run ast:run ir:run optir:run"
     (Pipeline.render_trace cold.Pipeline.x_trace);
   Alcotest.(check bool) "cold is not a full hit" false cold.Pipeline.x_full_hit;
   let warm = Pipeline.execute ~cache ~options source in
   Alcotest.(check string) "warm hits every stage including transfo"
-    "transfo:hit lex:hit pp:hit ast:hit ir:hit optir:hit"
+    "transfo:hit pp:hit ast:hit ir:hit optir:hit"
     (Pipeline.render_trace warm.Pipeline.x_trace);
   Alcotest.(check bool) "warm is a full hit" true warm.Pipeline.x_full_hit;
   (* The transformed view survives the cache. *)
@@ -469,7 +469,7 @@ let test_example_script_persistent_warm_hit () =
       Alcotest.(check bool) "warm full hit across the restart" true
         warm.Pipeline.x_full_hit;
       Alcotest.(check string) "warm reuses every stage"
-        "transfo:hit lex:hit pp:hit ast:hit ir:hit optir:hit"
+        "transfo:hit pp:hit ast:hit ir:hit optir:hit"
         (Pipeline.render_trace warm.Pipeline.x_trace))
 
 (* ---- invocation flags ---------------------------------------------------- *)
