@@ -776,7 +776,6 @@ let emit_server_json () =
             max_requests = None;
             idle_timeout = Some 60.0;
             request_timeout = None;
-            shed_retry_after = Server.default_config.Server.shed_retry_after;
             cache_dir = None;
             max_cache_bytes = None;
             log = None;
@@ -1022,7 +1021,6 @@ let emit_transfo_json () =
             max_requests = None;
             idle_timeout = Some 60.0;
             request_timeout = None;
-            shed_retry_after = Server.default_config.Server.shed_retry_after;
             cache_dir = None;
             max_cache_bytes = None;
             log = None;
@@ -1234,7 +1232,6 @@ let emit_analyze_json () =
             max_requests = None;
             idle_timeout = Some 60.0;
             request_timeout = None;
-            shed_retry_after = Server.default_config.Server.shed_retry_after;
             cache_dir = None;
             max_cache_bytes = None;
             log = None;

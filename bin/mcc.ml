@@ -21,35 +21,21 @@ module Batch = Mc_core.Batch
 module Client = Mc_core.Client
 module Protocol = Mc_core.Protocol
 module Diag = Mc_diag.Diagnostics
-module Stats = Mc_support.Stats
 module Crash_recovery = Mc_support.Crash_recovery
 
 let die fmt = Printf.ksprintf (fun msg -> prerr_endline ("mcc: " ^ msg); exit 1) fmt
 
-(* A contained internal compiler error: per-unit report in the style of
-   Clang's "PLEASE submit a bug report" banner, naming the pipeline phase,
-   the source watermark and the reproducer bundle (when one was written). *)
-let report_ice ~name (f : Instance.failure) =
-  let ice = f.Instance.f_ice in
-  Printf.eprintf "mcc: internal compiler error compiling %s: %s (phase: %s%s)\n"
-    name ice.Crash_recovery.ice_exn ice.Crash_recovery.ice_phase
-    (match ice.Crash_recovery.ice_location with
-    | Some l -> ", near " ^ l
-    | None -> "");
-  match f.Instance.f_reproducer with
-  | Some dir ->
-    Printf.eprintf "mcc: note: reproducer bundle written to %s (see repro.sh)\n"
-      dir
-  | None -> ()
+(* A contained internal compiler error, in the style of Clang's "PLEASE
+   submit a bug report" banner: one report for every path that contains
+   one, in-process or in a daemon worker. *)
+let report_ice ?server_side ~name f =
+  prerr_string (Instance.render_failure ?server_side ~name f)
 
-(* Frontend-only actions run one file at a time; each file gets its own
-   registry (a compilation resets the registry it is scoped to), merged
-   into the process instance so the exit reports cover every file. *)
-let frontend_unit inst (name, source) =
-  let sub = Instance.create ?cache:(Instance.cache inst) (Instance.invocation inst) in
-  let r = Instance.frontend_safe sub ~name source in
-  Stats.Registry.merge ~into:(Instance.registry inst) (Instance.registry sub);
-  r
+(* A unit-level failure a daemon sent, or its in-process equivalent:
+   already rendered, printed as is. *)
+let report_text msg =
+  prerr_string msg;
+  if msg <> "" && msg.[String.length msg - 1] <> '\n' then prerr_newline ()
 
 let multi_header inv name =
   if List.length inv.Invocation.inputs > 1 then
@@ -60,7 +46,7 @@ let run_frontend_action inst units =
   let failed = ref false in
   List.iter
     (fun (name, source) ->
-      match frontend_unit inst (name, source) with
+      match Instance.frontend_safe inst ~name source with
       | Error f ->
         report_ice ~name f;
         failed := true
@@ -309,16 +295,17 @@ let render_daemon_units inst ~socket_path (p_units, p_wall, busy_retries) =
     (fun (u : Protocol.response_unit) ->
       match u.Protocol.r_outcome with
       | Protocol.R_ice { ice_phase; ice_exn; ice_location; ice_reproducer } ->
-        Printf.eprintf
-          "mcc: internal compiler error compiling %s: %s (phase: %s%s) \
-           [contained by daemon]\n"
-          u.Protocol.r_name ice_exn ice_phase
-          (match ice_location with Some l -> ", near " ^ l | None -> "");
-        (match ice_reproducer with
-        | Some dir ->
-          Printf.eprintf
-            "mcc: note: reproducer bundle written server-side to %s\n" dir
-        | None -> ());
+        report_ice ~server_side:true ~name:u.Protocol.r_name
+          {
+            Instance.f_ice =
+              {
+                Crash_recovery.ice_phase;
+                ice_exn;
+                ice_location;
+                ice_backtrace = "";
+              };
+            f_reproducer = ice_reproducer;
+          };
         failed := true
       | Protocol.R_ok { ok_diag; ok_errors; _ } ->
         prerr_string ok_diag;
@@ -378,19 +365,14 @@ let run_compile_action inst units =
 
 (* -emit-transformed: apply the transfo script and print the rewritten
    program — the source-to-source view of the scripted pipeline, without
-   compiling the result.  Under --daemon each unit is its own
-   [Req_transform], so script authors iterate against the daemon's warm
+   compiling the result.  Under --daemon each unit is its own one-unit
+   transform request, so script authors iterate against the daemon's warm
    transfo cache and a daemon lost mid-batch costs only the units it
    never answered. *)
 let run_transform_action inst units =
   let inv = Instance.invocation inst in
-  let options = Invocation.to_driver_options inv in
-  let script =
-    match options.Driver.transfo_script with
-    | Some s -> s
-    | None -> die "-emit-transformed requires --transfo-script FILE"
-  in
-  let options = { options with Driver.transfo_script = None } in
+  if inv.Invocation.transfo_script = None then
+    die "-emit-transformed requires --transfo-script FILE";
   let failed = ref false in
   List.iter
     (fun (name, source) ->
@@ -415,16 +397,14 @@ let run_transform_action inst units =
           Ok (t.Protocol.x_source, t.Protocol.x_trace)
         | Some (Error msg, _) -> Error msg
         | None -> (
-          match
-            Mc_core.Pipeline.transform ?cache:(Instance.cache inst) ~options
-              ~name ~script source
-          with
-          | Ok (_, src, trace) -> Ok (src, trace)
-          | Error msg -> Error msg)
+          match Instance.transform_safe inst ~name source with
+          | Ok (Ok (_, src, trace)) -> Ok (src, trace)
+          | Ok (Error msg) -> Error ("mcc: " ^ msg)
+          | Error f -> Error (Instance.render_failure ~name f))
       in
       match result with
       | Error msg ->
-        prerr_endline ("mcc: " ^ msg);
+        report_text msg;
         failed := true
       | Ok (src, trace) ->
         multi_header inv name;
@@ -436,8 +416,8 @@ let run_transform_action inst units =
 (* --analyze: compile each unit as far as pre-pass IR, run the selected
    dataflow analyses and print the report instead of executing anything.
    Exit 1 on compile errors or on any finding, so a CI job can gate on a
-   clean report.  Under --daemon each unit is its own [Req_analyze]
-   against the daemon's warm per-function analysis cache; a unit the
+   clean report.  Under --daemon each unit is its own one-unit analysis
+   request against the daemon's warm per-function analysis cache; a unit the
    daemon does not answer is analysed in-process, same output, same exit
    code. *)
 let run_analyze_action inst units =
@@ -493,10 +473,9 @@ let run_analyze_action inst units =
       print_string (if json then a.Protocol.an_json else a.Protocol.an_text);
       findings := !findings + a.Protocol.an_findings
     | Some (Error msg, _) ->
-      (* A unit-level failure (diagnostics, codegen refusal), not a
-         daemon failure: report it, like the local path does. *)
-      prerr_string msg;
-      if msg <> "" && msg.[String.length msg - 1] <> '\n' then prerr_newline ();
+      (* A unit-level failure (diagnostics, codegen refusal, a contained
+         ICE), not a daemon failure: report it, like the local path does. *)
+      report_text msg;
       failed := true
     | None -> local [ unit ]
   in

@@ -10,7 +10,7 @@ module Server = Mc_core.Server
 module Stats = Mc_support.Stats
 
 let main socket pool queue max_requests idle_timeout request_timeout
-    retry_after cache_dir max_cache_mb print_stats quiet =
+    cache_dir max_cache_mb print_stats quiet =
   let stop = Atomic.make false in
   let request_stop _ = Atomic.set stop true in
   Sys.set_signal Sys.sigterm (Sys.Signal_handle request_stop);
@@ -29,9 +29,6 @@ let main socket pool queue max_requests idle_timeout request_timeout
       max_requests;
       idle_timeout;
       request_timeout;
-      shed_retry_after =
-        Option.value retry_after
-          ~default:Server.default_config.Server.shed_retry_after;
       cache_dir;
       max_cache_bytes = Option.map (fun mb -> mb * 1024 * 1024) max_cache_mb;
       log = (if quiet then None else Some (fun m -> Printf.eprintf "mccd: %s\n%!" m));
@@ -67,10 +64,10 @@ let pool_arg =
 let queue_arg =
   Arg.(
     value & opt int 16
-    & info [ "queue"; "max-queue" ] ~docv:"N"
+    & info [ "queue" ] ~docv:"N"
         ~doc:
           "Pending connections held before the accept loop sheds new \
-           ones with a busy reply ($(b,--max-queue) is a synonym)")
+           ones with a busy reply")
 
 let max_requests_arg =
   Arg.(
@@ -95,15 +92,6 @@ let request_timeout_arg =
           "Per-request wall-clock deadline (worker pickup to reply); a \
            request that exceeds it is answered with a structured timeout \
            rejection telling the client to compile locally")
-
-let retry_after_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "retry-after" ] ~docv:"SECONDS"
-        ~doc:
-          "Backoff hint carried in busy (load-shedding) replies \
-           (default 0.05)")
 
 let cache_dir_arg =
   Arg.(
@@ -136,15 +124,14 @@ let cmd =
     (Cmd.info "mccd" ~doc)
     Term.(
       const main $ socket_arg $ pool_arg $ queue_arg $ max_requests_arg
-      $ idle_timeout_arg $ request_timeout_arg $ retry_after_arg
-      $ cache_dir_arg $ max_cache_mb_arg $ print_stats_arg $ quiet_arg)
+      $ idle_timeout_arg $ request_timeout_arg $ cache_dir_arg
+      $ max_cache_mb_arg $ print_stats_arg $ quiet_arg)
 
 (* Same single-dash long-flag convenience as mcc. *)
 let long_flags =
   [
-    "socket"; "pool"; "queue"; "max-queue"; "max-requests"; "idle-timeout";
-    "request-timeout"; "retry-after"; "cache-dir"; "max-cache-mb";
-    "print-stats"; "quiet";
+    "socket"; "pool"; "queue"; "max-requests"; "idle-timeout";
+    "request-timeout"; "cache-dir"; "max-cache-mb"; "print-stats"; "quiet";
   ]
 
 let normalize_argv argv =

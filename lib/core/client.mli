@@ -71,8 +71,9 @@ val compile :
   Invocation.t ->
   (string * string) list ->
   (reply, string) result
-(** [compile inv units] builds the request from [(name, source)] pairs
-    (digests included) and round-trips it. *)
+(** [compile inv units] builds a [Req_run] from [(name, source)] pairs
+    (digests included) and round-trips it; with a compile action ([Run],
+    [Emit_ir]) the reply is [Resp_units]. *)
 
 val transform :
   ?policy:policy ->
@@ -81,7 +82,8 @@ val transform :
   name:string ->
   string ->
   (reply, string) result
-(** [transform inv ~name source] round-trips a [Req_transform]: the
+(** [transform inv ~name source] round-trips a one-unit [Req_run] whose
+    action is [Emit_transformed] ({!Protocol.request_of_transform}): the
     daemon applies [inv]'s transfo script to [source] and replies with
     [Resp_transformed].  [inv.transfo_script] must already be loaded
     ({!Invocation.load_transfo_script}) so the script travels by
@@ -94,10 +96,11 @@ val analyze :
   name:string ->
   string ->
   (reply, string) result
-(** [analyze inv ~name source] round-trips a [Req_analyze]: the daemon
+(** [analyze inv ~name source] round-trips a one-unit [Req_run] whose
+    action is [Analyze] ({!Protocol.request_of_analyze}): the daemon
     compiles [source] against its warm stage cache, runs [inv]'s
-    analysis pass selection, and replies with [Resp_analysis] carrying
-    both renderings of the report. *)
+    analysis pass selection (every pass when it is [None]), and replies
+    with [Resp_analysis] carrying both renderings of the report. *)
 
 val ping :
   ?policy:policy ->

@@ -110,6 +110,35 @@ let frontend_safe t ?(name = "input.c") source =
         ~options:(Invocation.to_driver_options t.invocation)
         ~name source)
 
+(* The script is the stage's input here, not an option of the program it
+   rewrites, so it is taken out of the options the transform runs under. *)
+let transform_safe t ?(name = "input.c") source =
+  let options = Invocation.to_driver_options t.invocation in
+  match options.Driver.transfo_script with
+  | None -> Ok (Error "no transformation script to apply")
+  | Some script ->
+    let options = { options with Driver.transfo_script = None } in
+    contain t ~name ~source (fun () ->
+        Pipeline.transform ?cache:t.cache ~options ~name ~script source)
+
+let render_failure ?(server_side = false) ~name f =
+  let ice = f.f_ice in
+  Printf.sprintf
+    "mcc: internal compiler error compiling %s: %s (phase: %s%s)%s\n%s" name
+    ice.Crash_recovery.ice_exn ice.Crash_recovery.ice_phase
+    (match ice.Crash_recovery.ice_location with
+    | Some l -> ", near " ^ l
+    | None -> "")
+    (if server_side then " [contained by daemon]" else "")
+    (match f.f_reproducer with
+    | Some dir when server_side ->
+      Printf.sprintf
+        "mcc: note: reproducer bundle written server-side to %s\n" dir
+    | Some dir ->
+      Printf.sprintf
+        "mcc: note: reproducer bundle written to %s (see repro.sh)\n" dir
+    | None -> "")
+
 let run t ?config result = in_registry t (fun () -> Driver.run ?config result)
 
 let stats t = Stats.snapshot ~registry:t.registry ()

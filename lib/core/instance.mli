@@ -8,7 +8,12 @@
     instance's registry for the duration of the call, so stage timers,
     layer counters, interpreter statistics and per-stage cache counters
     all land in (and render from) {e this} instance, never the
-    process-global default registry. *)
+    process-global default registry.  An [mcc] process is one instance;
+    so is each request an [mccd] worker serves.
+
+    This module is where an {!Invocation} becomes pipeline options: its
+    entry points compile, parse or transform under the invocation they
+    were created with. *)
 
 type t
 
@@ -89,6 +94,25 @@ val frontend_safe :
   (Mc_diag.Diagnostics.t * Mc_ast.Tree.translation_unit, failure) result
 (** {!Driver.frontend} under the instance registry, with the same
     containment as {!compile_safe}. *)
+
+val transform_safe :
+  t -> ?name:string -> string ->
+  ((Pipeline.outcome * string * string, string) result, failure) result
+(** The transfo pre-stage alone: {!Pipeline.transform} applies the
+    invocation's loaded [transfo_script] to the source, under the
+    instance registry and its stage cache, with the same containment as
+    {!compile_safe}.  [Ok (Ok (outcome, source, trace))] is the rewritten
+    program with its rendered step trace; [Ok (Error msg)] is a
+    script-level failure (parse, target resolution, semantic check, or
+    no script at all); [Error] is an ICE. *)
+
+val render_failure : ?server_side:bool -> name:string -> failure -> string
+(** The one ICE report, as [mcc] prints it to stderr: the unit, the
+    exception, the phase and the source location, then the reproducer
+    bundle when one was written.  [~server_side:true] (default [false])
+    words it for a unit an [mccd] worker contained ("[contained by
+    daemon]", a bundle written server-side).  Every line ends in a
+    newline. *)
 
 val run :
   t -> ?config:Mc_interp.Interp.config -> Driver.result ->

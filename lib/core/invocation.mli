@@ -72,9 +72,9 @@ val default : t
 (** No inputs, [Run] action, [Driver.default_options] settings, 1 job. *)
 
 val to_driver_options : t -> Driver.options
-(** The per-compile options of an invocation: the projection {!Instance}
-    and {!Server} compile under.  A [File] transfo script is read here
-    (an unreadable one gives no script). *)
+(** The per-compile options of an invocation: the projection every
+    {!Instance} entry point runs under.  A [File] transfo script is read
+    here (an unreadable one gives no script). *)
 
 val input_name : input -> string
 

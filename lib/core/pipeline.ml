@@ -131,14 +131,14 @@ type result = {
   analysis : Mc_analysis.Report.t option;
 }
 
-type stage = Transfo | Lex | Preprocess | Parse_sema | Codegen | Passes
+type stage = Transfo | Preprocess | Parse_sema | Codegen | Passes
 
-let stages = [ Transfo; Lex; Preprocess; Parse_sema; Codegen; Passes ]
+let stages = [ Transfo; Preprocess; Parse_sema; Codegen; Passes ]
 
-(* -ftime-report / crash-phase labels: stable since PR 1. *)
+(* -ftime-report / crash-phase labels: stable since PR 1.  Lexing is
+   timed as its own phase, "lex", inside the pp stage. *)
 let stage_name = function
   | Transfo -> "transfo"
-  | Lex -> "lex"
   | Preprocess -> "preprocess"
   | Parse_sema -> "parse-sema"
   | Codegen -> "codegen"
@@ -146,10 +146,9 @@ let stage_name = function
 
 (* Trace tags.  For the cached stages (transfo, pp, ast, optir) the tag
    also names the artifact in the stage cache and its [cache.<tag>-*]
-   counters; lex and ir have no unit artifact. *)
+   counters; ir has no unit artifact. *)
 let stage_tag = function
   | Transfo -> "transfo"
-  | Lex -> "lex"
   | Preprocess -> "pp"
   | Parse_sema -> "ast"
   | Codegen -> "ir"
@@ -197,7 +196,6 @@ let option_slice stage o =
       Printf.sprintf "check=%b;script=%s" o.transfo_check
         (Mc_transfo.Script.canonical script)
     | None -> "")
-  | Lex -> "" (* no option reaches the lexer *)
   | Preprocess ->
     String.concat "\x01" (List.map (fun (k, v) -> k ^ "\x02" ^ v) o.defines)
   | Parse_sema ->
@@ -259,12 +257,11 @@ let stat_an_fn_misses =
 
 (* ---- execution ---------------------------------------------------------- *)
 
-(* Stage timing on the monotonic wall clock; every interval also lands in
-   the current [Stats] registry for -ftime-report, and the active stage
-   doubles as the crash-recovery phase watermark so an ICE report can say
-   which pipeline stage blew up. *)
-let time stage f =
-  let label = stage_name stage in
+(* Phase timing on the monotonic wall clock; every interval also lands in
+   the current [Stats] registry for -ftime-report, and the active phase
+   (a stage's name, or "lex") doubles as the crash-recovery phase
+   watermark so an ICE report can say which pipeline stage blew up. *)
+let time label f =
   Crash_recovery.set_phase label;
   let start = Clock.now () in
   let v = f () in
@@ -650,7 +647,7 @@ and apply_transfo ?cache ~options ~name ~script source =
       }
     in
     let outcome, _dt =
-      time Transfo (fun () ->
+      time (stage_name Transfo) (fun () ->
           Mc_transfo.Engine.run config ~name ~script ~source)
     in
     match outcome with
@@ -833,7 +830,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
         Lazy.from_val h.pl_digest )
     | None ->
       let toks, dt =
-        time Lex (fun () -> Mc_lexer.Lexer.tokenize !diag ~file_id:main_id buf)
+        time "lex" (fun () -> Mc_lexer.Lexer.tokenize !diag ~file_id:main_id buf)
       in
       t_lex := dt;
       let pp = Mc_pp.Preprocessor.create !diag !srcmgr fmgr in
@@ -842,7 +839,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
           Mc_pp.Preprocessor.define_object_macro pp ~name:n ~body)
         options.defines;
       let items, dt =
-        time Preprocess (fun () ->
+        time (stage_name Preprocess) (fun () ->
             Mc_pp.Preprocessor.preprocess_tokens pp ~file_id:main_id buf toks)
       in
       t_preprocess := dt;
@@ -932,7 +929,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
         let start = Mc_sema.Sema.decl_mark sema in
         let builtins = Mc_sema.Sema.defined_builtins sema in
         let (_ : Mc_ast.Tree.translation_unit), dt =
-          time Parse_sema (fun () ->
+          time (stage_name Parse_sema) (fun () ->
               Mc_parser.Parser.parse_translation_unit
                 ~bracket_depth:options.bracket_depth sema sl.sl_items)
         in
@@ -1180,7 +1177,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
             Mc_codegen.Codegen.reset_gensym ();
             Mc_ompbuilder.Omp_builder.reset_gensym ();
             match
-              time Codegen (fun () ->
+              time (stage_name Codegen) (fun () ->
                   match
                     Mc_codegen.Codegen.emit_translation_unit ~fold:options.fold
                       ~mode
@@ -1293,7 +1290,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
                 | Error fp ->
                   let m = pre_pass ~claim:true i in
                   let report, dt =
-                    time Passes (fun () ->
+                    time (stage_name Passes) (fun () ->
                         Mc_passes.Pass_manager.run
                           ~verify_between:true
                           ~passes:(passes_of ()) m)
@@ -1326,7 +1323,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     && List.for_all
          (fun (s, o) ->
            match s with
-           | Lex | Preprocess -> true
+           | Preprocess -> true
            | Transfo | Parse_sema | Codegen | Passes -> o = Cache_hit)
          tr
   in

@@ -95,20 +95,21 @@ type result = {
     the cache never builds one.  {!frontend} (or {!Driver.frontend})
     returns a unit's AST. *)
 
-type stage = Transfo | Lex | Preprocess | Parse_sema | Codegen | Passes
+type stage = Transfo | Preprocess | Parse_sema | Codegen | Passes
 
 val stages : stage list
 (** In pipeline order. *)
 
 val stage_name : stage -> string
-(** -ftime-report / crash-phase label ("transfo", "lex", "preprocess",
-    "parse-sema", "codegen", "passes") — stable across releases. *)
+(** -ftime-report / crash-phase label ("transfo", "preprocess",
+    "parse-sema", "codegen", "passes") — stable across releases.
+    Lexing runs inside the pp stage and is timed as its own phase,
+    "lex". *)
 
 val stage_tag : stage -> string
-(** Tag in traces ("transfo", "lex", "pp", "ast", "ir", "optir").  For
+(** Tag in traces ("transfo", "pp", "ast", "ir", "optir").  For
     the cached stages (transfo, pp, ast, optir) it also names the
-    artifact in the stage cache and its [cache.<tag>-*] counters.  [Lex]
-    never appears in a trace (lexing runs inside the pp stage), and
+    artifact in the stage cache and its [cache.<tag>-*] counters.
     [Codegen]'s "ir" entry reports what codegen emitted: [run] for every
     declaring slice, [partial] for some, [hit] for none, and the AST
     stage's outcome for a unit with no declaring slice. *)

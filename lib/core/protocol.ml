@@ -6,13 +6,16 @@
    across processes too) plus its translation units, each with a content
    digest the server re-verifies before compiling: a mismatch means the
    bytes were mangled in transit and must be rejected, not compiled.
+   The invocation's action is the whole of what the request asks for:
+   -emit-transformed is answered with the rewritten source, --analyze
+   with the analysis report, anything else with compiled units.
 
    A response is either a per-unit result list — rendered diagnostics, a
    marshalled IR module (the client runs the interpreter locally, so
    `mcc --daemon` preserves Run/-emit-ir behaviour bit for bit), the
    per-stage cache trace, and a stats snapshot the client folds into its
-   own registry so -print-stats works transparently — or a
-   protocol-level rejection.
+   own registry so -print-stats works transparently — a one-unit
+   transform or analysis result, or a protocol-level rejection.
 
    Marshal is safe here because both ends are built from this same
    source tree; the frame's magic + version reject cross-version talk
@@ -38,8 +41,13 @@ let magic = "MCCD"
    count, so the client needs no analysis code of its own).
 
    v5: [Invocation.t], marshalled into every request, lost its
-   [verify_ir] field (the IR is always verified). *)
-let version = 5
+   [verify_ir] field (the IR is always verified).
+
+   v6: one request for every action — [Req_compile], [Req_transform]
+   and [Req_analyze] became [Req_run], whose invocation's action picks
+   the reply; the response shapes are unchanged.  [Pipeline.stage],
+   carried in every response trace, lost its [Lex] case. *)
+let version = 6
 
 let default_socket () =
   match Sys.getenv_opt "MCCD_SOCKET" with
@@ -50,36 +58,11 @@ let default_socket () =
 
 type request_unit = { q_name : string; q_source : string; q_digest : string }
 
-type compile_request = {
-  q_invocation : Invocation.t;
-  q_units : request_unit list;
-}
-
-(* A source-to-source request: apply the invocation's transfo script to
-   one unit and return the rewritten program — no compilation of the
-   result, so script authors can iterate against a warm daemon. *)
-type transform_request = {
-  t_invocation : Invocation.t; (* carries the script and the check flag *)
-  t_name : string;
-  t_source : string;
-  t_digest : string;
-}
-
-(* An analysis request: compile one unit as far as pre-pass IR and run
-   the selected analysis passes (the invocation's [analyze] field), so
-   an editor or CI gate polls a warm daemon instead of cold-starting the
-   pipeline per query. *)
-type analyze_request = {
-  a_invocation : Invocation.t; (* carries the pass selection and format *)
-  a_name : string;
-  a_source : string;
-  a_digest : string;
-}
-
 type request =
-  | Req_compile of compile_request
-  | Req_transform of transform_request
-  | Req_analyze of analyze_request
+  | Req_run of {
+      q_invocation : Invocation.t; (* the action and every option *)
+      q_units : request_unit list; (* exactly one for transform/analyze *)
+    }
   | Req_ping
       (* health check: answered from the accept/worker path without
          touching the pipeline — loadgen and clients use it to probe a
@@ -88,7 +71,7 @@ type request =
 let unit_digest source = Digest.to_hex (Digest.string source)
 
 let request_of_units invocation units =
-  Req_compile
+  Req_run
     {
       q_invocation = invocation;
       q_units =
@@ -99,22 +82,14 @@ let request_of_units invocation units =
     }
 
 let request_of_transform invocation ~name source =
-  Req_transform
-    {
-      t_invocation = invocation;
-      t_name = name;
-      t_source = source;
-      t_digest = unit_digest source;
-    }
+  request_of_units
+    { invocation with Invocation.action = Invocation.Emit_transformed }
+    [ (name, source) ]
 
 let request_of_analyze invocation ~name source =
-  Req_analyze
-    {
-      a_invocation = invocation;
-      a_name = name;
-      a_source = source;
-      a_digest = unit_digest source;
-    }
+  request_of_units
+    { invocation with Invocation.action = Invocation.Analyze }
+    [ (name, source) ]
 
 type response_unit = {
   r_name : string;
@@ -146,15 +121,16 @@ type response =
     }
   | Resp_transformed of {
       p_result : (transformed, string) result;
-          (* Error: a script-level failure (parse, resolution, check) —
-             rendered, line-numbered, user-facing *)
+          (* Error: the unit's stderr text — a script-level failure
+             (parse, resolution, check) or the contained ICE report *)
       p_stats : Stats.snapshot;
       p_wall : float;
     }
   | Resp_analysis of {
       p_result : (analysis, string) result;
           (* Error: the unit failed to compile far enough to analyse —
-             rendered diagnostics or a codegen refusal, user-facing *)
+             rendered diagnostics, a codegen refusal or the contained ICE
+             report, user-facing *)
       p_stats : Stats.snapshot;
       p_wall : float;
     }

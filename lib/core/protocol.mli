@@ -4,11 +4,16 @@
 
     One connection, one request.  The request is the client's
     {!Invocation} plus its units with content digests (re-verified
-    server-side); the response carries per-unit outcomes — rendered
-    diagnostics, a marshalled IR module the client unmarshals to run or
-    print locally, the per-stage cache trace — plus a server-side stats
-    snapshot, or a protocol-level rejection.  Cross-version talk is
-    rejected by the frame header before any unmarshalling. *)
+    server-side); the invocation's action picks the reply.  The response
+    carries per-unit outcomes — rendered diagnostics, a marshalled IR
+    module the client unmarshals to run or print locally, the per-stage
+    cache trace — or a one-unit transform or analysis result, plus a
+    server-side stats snapshot; or a protocol-level rejection.
+    Cross-version talk is rejected by the frame header before any
+    unmarshalling.
+
+    Version 6 merged the three action requests of v2–v5
+    ([Req_compile], [Req_transform], [Req_analyze]) into {!Req_run}. *)
 
 val magic : string
 val version : int
@@ -22,50 +27,34 @@ type request_unit = {
   q_digest : string;  (** content digest of [q_source], verified server-side *)
 }
 
-type compile_request = {
-  q_invocation : Invocation.t;
-  q_units : request_unit list;
-}
-
-type transform_request = {
-  t_invocation : Invocation.t;
-      (** must carry a loaded [transfo_script] ([Source], not [File]) *)
-  t_name : string;
-  t_source : string;
-  t_digest : string;
-}
-
-type analyze_request = {
-  a_invocation : Invocation.t;
-      (** carries the analysis pass selection ([analyze]) and format *)
-  a_name : string;
-  a_source : string;
-  a_digest : string;
-}
-
 type request =
-  | Req_compile of compile_request  (** compile units, return IR (v1 shape) *)
-  | Req_transform of transform_request
-      (** apply the invocation's transfo script to one unit and return
-          the rewritten source — no compilation of the result *)
-  | Req_analyze of analyze_request
-      (** v4: run the dataflow analyses over one unit against the
-          daemon's warm per-function analysis cache *)
+  | Req_run of {
+      q_invocation : Invocation.t;
+          (** the action and every option; a transform carries a loaded
+              [transfo_script] ([Source], not [File]) *)
+      q_units : request_unit list;
+    }
+      (** Run the pipeline over the units under the invocation.  Its
+          action picks the reply: [Emit_transformed] gets
+          {!Resp_transformed}, [Analyze] gets {!Resp_analysis} (with every
+          pass when [analyze = None]), any other action gets
+          {!Resp_units}.  A transform or analysis carries exactly one
+          unit; any other count is rejected. *)
   | Req_ping
-      (** v3 health check: answered with {!Resp_pong} without touching
+      (** health check: answered with {!Resp_pong} without touching
           the pipeline *)
 
 val unit_digest : string -> string
 
 val request_of_units : Invocation.t -> (string * string) list -> request
-(** Builds a [Req_compile] from [(name, source)] pairs, computing
+(** Builds a [Req_run] from [(name, source)] pairs, computing
     digests. *)
 
 val request_of_transform : Invocation.t -> name:string -> string -> request
-(** Builds a [Req_transform] for one source, computing its digest. *)
+(** A one-unit [Req_run] whose action is [Emit_transformed]. *)
 
 val request_of_analyze : Invocation.t -> name:string -> string -> request
-(** Builds a [Req_analyze] for one source, computing its digest. *)
+(** A one-unit [Req_run] whose action is [Analyze]. *)
 
 type response_unit = {
   r_name : string;
@@ -97,18 +86,20 @@ type response =
     }
   | Resp_transformed of {
       p_result : (transformed, string) result;
-          (** [Error]: rendered script-level failure (parse, target
-              resolution, semantic check) *)
+          (** [Error]: the unit's stderr text — a script-level failure
+              (parse, target resolution, semantic check) or the contained
+              ICE report ({!Instance.render_failure}) *)
       p_stats : Mc_support.Stats.snapshot;
       p_wall : float;
     }
   | Resp_analysis of {
       p_result : (analysis, string) result;
           (** [Error]: the unit failed to compile far enough to analyse
-              — rendered diagnostics or a codegen refusal *)
+              — rendered diagnostics, a codegen refusal or the contained
+              ICE report ({!Instance.render_failure}) *)
       p_stats : Mc_support.Stats.snapshot;
       p_wall : float;
-    }  (** v4 answer to {!Req_analyze}. *)
+    }
   | Resp_rejected of string
   | Resp_busy of { queue_depth : int; retry_after : float }
       (** v3 load shedding: the daemon's bounded queue was full, so the

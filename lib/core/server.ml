@@ -1,23 +1,26 @@
 (* The compile server behind mccd: a Unix-domain-socket daemon holding a
    warm, shareable stage cache (optionally persisted via Store) and a
-   pool of worker domains, so repeated compile requests from short-lived
-   clients get long-lived-process cache locality.
+   pool of worker domains, so repeated requests from short-lived clients
+   get long-lived-process cache locality.
 
    Life of a request: the accept loop (main domain) takes a connection
    and pushes it onto a bounded queue — when the queue is full the loop
-   stops accepting, the kernel listen backlog fills, and clients block
-   in connect(): backpressure propagates without any protocol chatter.
-   A worker domain pops the connection, reads one framed request,
-   re-verifies each unit's content digest, compiles the units through
-   [Instance.compile_safe] against the shared cache, and writes one
-   framed response.
+   sheds the connection with a [Resp_busy] reply instead.  A worker
+   domain pops the connection, reads one framed [Req_run], rejects it if
+   a unit's content digest does not match or a transform/analysis does
+   not carry exactly one unit, and otherwise [serve]s it: one [Instance]
+   per request over the shared cache, every unit through the same
+   contained call ([Instance.compile_safe], or [Instance.transform_safe]
+   for -emit-transformed), and one framed response whose shape the
+   invocation's action picks.
 
    Crash containment is per request *and* per unit: an ICE inside a
-   unit's compilation becomes an [R_ice] response entry (the
-   Crash_recovery machinery, exactly as in-process Batch units), and any
-   escaped exception around request handling — protocol garbage, a
-   client that hung up mid-write — is swallowed after a best-effort
-   rejection, so one client can never take the daemon down.
+   unit becomes an [R_ice] response entry, or the [Error] payload of a
+   one-unit reply (the Crash_recovery machinery, exactly as in-process
+   Batch units), and any escaped exception around request handling —
+   protocol garbage, a client that hung up mid-write — is swallowed after
+   a best-effort rejection, so one client can never take the daemon
+   down.
 
    Lifetime: the loop exits on (a) the [stop] flag (mccd's SIGTERM/SIGINT
    handlers set it), (b) [max_requests] accepted connections, or (c)
@@ -31,11 +34,11 @@ module Diag = Mc_diag.Diagnostics
 
 let stat_requests =
   Stats.counter ~group:"server" ~name:"requests"
-    ~desc:"compile requests served by the daemon" ()
+    ~desc:"requests served by the daemon (any action)" ()
 
 let stat_units =
   Stats.counter ~group:"server" ~name:"units"
-    ~desc:"translation units compiled for daemon clients" ()
+    ~desc:"translation units run for daemon clients (any action)" ()
 
 let stat_ices =
   Stats.counter ~group:"server" ~name:"ices"
@@ -75,6 +78,10 @@ let stat_pings =
 let fault_worker = Mc_support.Fault.point "server.worker"
 let fault_slow_reply = Mc_support.Fault.point "server.slow_reply"
 
+(* The [retry_after] hint every [Resp_busy] carries, in seconds: clients
+   back off at least this long before retrying a shed request. *)
+let shed_retry_after = 0.05
+
 type config = {
   socket_path : string;
   pool_size : int;
@@ -82,7 +89,6 @@ type config = {
   max_requests : int option;
   idle_timeout : float option;
   request_timeout : float option;
-  shed_retry_after : float;
   cache_dir : string option;
   max_cache_bytes : int option;
   log : (string -> unit) option;
@@ -96,7 +102,6 @@ let default_config =
     max_requests = None;
     idle_timeout = None;
     request_timeout = None;
-    shed_retry_after = 0.05;
     cache_dir = None;
     max_cache_bytes = None;
     log = None;
@@ -161,40 +166,121 @@ end
 
 (* ---- request handling ---------------------------------------------------- *)
 
-(* [deadline_exceeded] lets a timed-out request stop burning worker time
-   on its remaining units: the whole response is replaced by a
-   [Resp_rejected] timeout in [handle_connection] anyway, so skipped
-   units are never observable. *)
-let compile_request ?(deadline_exceeded = fun () -> false) ~cache
-    (req : Protocol.compile_request) =
-  let registry = Stats.Registry.create () in
+(* The reply to a unit the injected worker fault crashed: outside every
+   instance's containment net, so containment must still hold — the same
+   structured ICE a real escape would produce. *)
+let injected_failure =
+  {
+    Instance.f_ice =
+      {
+        Mc_support.Crash_recovery.ice_phase = "server.worker";
+        ice_exn = "injected worker fault (MCC_FAULTS)";
+        ice_backtrace = "";
+        ice_location = None;
+      };
+    f_reproducer = None;
+  }
+
+(* A unit compiled to the end: diagnostics and the marshalled IR. *)
+let compiled (c : Instance.compilation) =
+  let r = c.Instance.c_result in
+  Protocol.R_ok
+    {
+      ok_diag = Diag.render_all r.Driver.diag;
+      ok_errors = Diag.has_errors r.Driver.diag;
+      ok_ir = Option.map (fun m -> Marshal.to_string m []) r.Driver.ir;
+      ok_codegen_error = r.Driver.codegen_error;
+    }
+
+(* A unit compiled as far as its analysis report.  Compilation failures
+   are a payload [Error], not a rejection — the client prints them as a
+   local `mcc --analyze` would. *)
+let analysed (c : Instance.compilation) =
+  let r = c.Instance.c_result in
+  if Diag.has_errors r.Driver.diag then Error (Diag.render_all r.Driver.diag)
+  else
+    match (r.Driver.analysis, r.Driver.codegen_error) with
+    | Some report, _ ->
+      Ok
+        {
+          Protocol.an_text = Mc_analysis.Report.render_text report;
+          an_json = Mc_analysis.Report.render_json report;
+          an_findings = Mc_analysis.Report.finding_count report;
+          an_cache_hit = c.Instance.c_cache_hit;
+        }
+    | None, Some e -> Error ("cannot analyse: " ^ e)
+    | None, None -> Error "cannot analyse: no IR was produced"
+
+(* One request, on one instance over the shared cache: its registry is
+   the request's registry.  Every unit runs through [run], which carries
+   the worker fault point, the deadline skip and the unit counters; only
+   the projection into the reply differs by action.  A unit skipped past
+   the deadline is never observable — [handle_connection] replaces the
+   whole reply with a timeout rejection. *)
+let serve ~deadline_exceeded ~cache (inv : Invocation.t) units =
   let started = Clock.now () in
-  let units =
-    List.map
-      (fun (u : Protocol.request_unit) ->
-        let inst = Instance.create ?cache (req.Protocol.q_invocation) in
+  let inv =
+    (* An analyze request analyses whatever its pass selection says. *)
+    match (inv.Invocation.action, inv.Invocation.analyze) with
+    | Invocation.Analyze, None -> { inv with Invocation.analyze = Some [] }
+    | _ -> inv
+  in
+  let inst = Instance.create ?cache inv in
+  let count c = Instance.in_registry inst (fun () -> Stats.incr c) in
+  let run
+      (run_safe :
+        Instance.t -> ?name:string -> string -> (_, Instance.failure) result)
+      (u : Protocol.request_unit) =
+    if deadline_exceeded () then None
+    else begin
+      let r =
+        if Mc_support.Fault.fire fault_worker then Error injected_failure
+        else run_safe inst ~name:u.Protocol.q_name u.Protocol.q_source
+      in
+      count stat_units;
+      if Result.is_error r then count stat_ices;
+      Some r
+    end
+  in
+  let report ~name f = Instance.render_failure ~server_side:true ~name f in
+  let skipped = Error "skipped: request deadline exceeded" in
+  let stats () = Instance.stats inst and wall () = Clock.now () -. started in
+  count stat_requests;
+  let response =
+    match (inv.Invocation.action, units) with
+    | Invocation.Emit_transformed, [ u ] ->
+      count stat_transforms;
+      let p_result =
+        match run Instance.transform_safe u with
+        | None -> skipped
+        | Some (Ok (Ok (outcome, source, trace))) ->
+          Ok
+            {
+              Protocol.x_source = source;
+              x_trace = trace;
+              x_cache_hit = outcome = Pipeline.Cache_hit;
+            }
+        | Some (Ok (Error msg)) -> Error ("mcc: " ^ msg)
+        | Some (Error f) -> Error (report ~name:u.Protocol.q_name f)
+      in
+      Protocol.Resp_transformed
+        { p_result; p_stats = stats (); p_wall = wall () }
+    | Invocation.Analyze, [ u ] ->
+      count stat_analyses;
+      let p_result =
+        match run Instance.compile_safe u with
+        | None -> skipped
+        | Some (Ok c) -> analysed c
+        | Some (Error f) -> Error (report ~name:u.Protocol.q_name f)
+      in
+      Protocol.Resp_analysis
+        { p_result; p_stats = stats (); p_wall = wall () }
+    | _ ->
+      let unit_reply (u : Protocol.request_unit) =
         let u_started = Clock.now () in
-        let compile_unit () =
-          if Mc_support.Fault.fire fault_worker then
-            (* Injected crash in the worker itself, outside
-               [compile_safe]'s net — containment must still hold, so
-               synthesize the same structured ICE a real escape would
-               produce. *)
-            Error
-              {
-                Instance.f_ice =
-                  {
-                    Mc_support.Crash_recovery.ice_phase = "server.worker";
-                    ice_exn = "injected worker fault (MCC_FAULTS)";
-                    ice_backtrace = "";
-                    ice_location = None;
-                  };
-                f_reproducer = None;
-              }
-          else Instance.compile_safe inst ~name:u.Protocol.q_name u.Protocol.q_source
-        in
         let outcome, trace, hit =
-          if deadline_exceeded () then
+          match run Instance.compile_safe u with
+          | None ->
             ( Protocol.R_ok
                 {
                   ok_diag = "";
@@ -204,23 +290,10 @@ let compile_request ?(deadline_exceeded = fun () -> false) ~cache
                 },
               [],
               false )
-          else
-          match compile_unit () with
-          | Ok c ->
-            let r = c.Instance.c_result in
-            ( Protocol.R_ok
-                {
-                  ok_diag = Diag.render_all r.Driver.diag;
-                  ok_errors = Diag.has_errors r.Driver.diag;
-                  ok_ir =
-                    Option.map (fun m -> Marshal.to_string m []) r.Driver.ir;
-                  ok_codegen_error = r.Driver.codegen_error;
-                },
-              c.Instance.c_trace,
-              c.Instance.c_cache_hit )
-          | Error f ->
+          | Some (Ok c) ->
+            (compiled c, c.Instance.c_trace, c.Instance.c_cache_hit)
+          | Some (Error f) ->
             let ice = f.Instance.f_ice in
-            Stats.with_registry registry (fun () -> Stats.incr stat_ices);
             ( Protocol.R_ice
                 {
                   ice_phase = ice.Mc_support.Crash_recovery.ice_phase;
@@ -231,136 +304,33 @@ let compile_request ?(deadline_exceeded = fun () -> false) ~cache
               [],
               false )
         in
-        Stats.Registry.merge ~into:registry (Instance.registry inst);
-        Stats.with_registry registry (fun () -> Stats.incr stat_units);
         {
           Protocol.r_name = u.Protocol.q_name;
           r_outcome = outcome;
           r_trace = trace;
           r_cache_hit = hit;
           r_wall = Clock.now () -. u_started;
-        })
-      req.Protocol.q_units
+        }
+      in
+      let p_units = List.map unit_reply units in
+      Protocol.Resp_units { p_units; p_stats = stats (); p_wall = wall () }
   in
-  Stats.with_registry registry (fun () -> Stats.incr stat_requests);
-  ( Protocol.Resp_units
-      {
-        p_units = units;
-        p_stats = Stats.snapshot ~registry ();
-        p_wall = Clock.now () -. started;
-      },
-    registry )
+  (response, Instance.registry inst)
 
-(* The transfo pre-stage alone: resolve the script out of the shipped
-   invocation, run [Pipeline.transform] against the shared cache.  Script
-   failures are a payload ([Error] inside [Resp_transformed]), not a
-   protocol rejection — the client should render them like any other
-   user-facing diagnostic. *)
-let transform_request ~cache (req : Protocol.transform_request) =
-  let started = Clock.now () in
-  let options = Invocation.to_driver_options req.Protocol.t_invocation in
-  let result, registry =
-    match options.Driver.transfo_script with
-    | None -> (Error "transform request carries no script", Stats.Registry.create ())
-    | Some script -> (
-      let options = { options with Driver.transfo_script = None } in
-      match
-        Stats.with_scoped_registry (fun () ->
-            Pipeline.transform ?cache ~options ~name:req.Protocol.t_name
-              ~script req.Protocol.t_source)
-      with
-      | (Ok (outcome, source, trace), registry) ->
-        ( Ok
-            {
-              Protocol.x_source = source;
-              x_trace = trace;
-              x_cache_hit = outcome = Pipeline.Cache_hit;
-            },
-          registry )
-      | (Error msg, registry) -> (Error msg, registry)
-      | exception e ->
-        (Error ("internal error: " ^ Printexc.to_string e),
-         Stats.Registry.create ()))
+(* Why a request cannot be served as sent: a unit whose bytes do not
+   match its digest were mangled in transit, and a transform or analysis
+   answers for exactly one unit. *)
+let malformed (inv : Invocation.t) units =
+  let intact (u : Protocol.request_unit) =
+    String.equal (Protocol.unit_digest u.Protocol.q_source) u.Protocol.q_digest
   in
-  Stats.with_registry registry (fun () ->
-      Stats.incr stat_requests;
-      Stats.incr stat_transforms);
-  ( Protocol.Resp_transformed
-      {
-        p_result = result;
-        p_stats = Stats.snapshot ~registry ();
-        p_wall = Clock.now () -. started;
-      },
-    registry )
-
-(* A dataflow-analysis query: compile the unit through the shared stage
-   cache with the invocation's [analyze] selection live, then ship both
-   renderings of the report.  Compilation failures (diagnostics, a
-   codegen refusal, an ICE) are a payload [Error], not a rejection — the
-   client prints them exactly as a local `mcc --analyze` would. *)
-let analyze_request ~cache (req : Protocol.analyze_request) =
-  let started = Clock.now () in
-  let registry = Stats.Registry.create () in
-  let inv =
-    (* Force the analysis on, whatever else the invocation says: a
-       Req_analyze with [analyze = None] should still analyse. *)
-    match req.Protocol.a_invocation.Invocation.analyze with
-    | Some _ -> req.Protocol.a_invocation
-    | None -> { req.Protocol.a_invocation with Invocation.analyze = Some [] }
-  in
-  let inst = Instance.create ?cache inv in
-  let result =
-    match
-      Instance.compile_safe inst ~name:req.Protocol.a_name
-        req.Protocol.a_source
-    with
-    | Ok c -> (
-      let r = c.Instance.c_result in
-      if Diag.has_errors r.Driver.diag then
-        Error (Diag.render_all r.Driver.diag)
-      else
-        match (r.Driver.analysis, r.Driver.codegen_error) with
-        | Some report, _ ->
-          Ok
-            {
-              Protocol.an_text = Mc_analysis.Report.render_text report;
-              an_json = Mc_analysis.Report.render_json report;
-              an_findings = Mc_analysis.Report.finding_count report;
-              an_cache_hit = c.Instance.c_cache_hit;
-            }
-        | None, Some e -> Error ("cannot analyse: " ^ e)
-        | None, None -> Error "cannot analyse: no IR was produced")
-    | Error f ->
-      let ice = f.Instance.f_ice in
-      Stats.with_registry registry (fun () -> Stats.incr stat_ices);
-      Error
-        (Printf.sprintf "internal error in %s: %s"
-           ice.Mc_support.Crash_recovery.ice_phase
-           ice.Mc_support.Crash_recovery.ice_exn)
-  in
-  Stats.Registry.merge ~into:registry (Instance.registry inst);
-  Stats.with_registry registry (fun () ->
-      Stats.incr stat_requests;
-      Stats.incr stat_analyses);
-  ( Protocol.Resp_analysis
-      {
-        p_result = result;
-        p_stats = Stats.snapshot ~registry ();
-        p_wall = Clock.now () -. started;
-      },
-    registry )
-
-let verify_digests (req : Protocol.request) =
-  let ok source digest = String.equal (Protocol.unit_digest source) digest in
-  match req with
-  | Protocol.Req_compile c ->
-    List.for_all
-      (fun (u : Protocol.request_unit) ->
-        ok u.Protocol.q_source u.Protocol.q_digest)
-      c.Protocol.q_units
-  | Protocol.Req_transform t -> ok t.Protocol.t_source t.Protocol.t_digest
-  | Protocol.Req_analyze a -> ok a.Protocol.a_source a.Protocol.a_digest
-  | Protocol.Req_ping -> true
+  if not (List.for_all intact units) then Some "source digest mismatch"
+  else
+    match (inv.Invocation.action, units) with
+    | (Invocation.Emit_transformed | Invocation.Analyze), ([] | _ :: _ :: _)
+      ->
+      Some "bad request: a transform or analysis carries exactly one unit"
+    | _ -> None
 
 (* One connection, one request; every failure mode ends with a closed
    socket and a still-healthy worker.  [request_timeout] is a wall-clock
@@ -385,21 +355,16 @@ let handle_connection ~cache ~lifetime ~lifetime_lock ~log ~request_timeout
    with Unix.Unix_error _ -> ());
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
-  let reject registry msg =
+  let reject msg =
+    let registry = Stats.Registry.create () in
     Stats.with_registry registry (fun () -> Stats.incr stat_rejects);
-    try Protocol.write_response oc (Protocol.Resp_rejected msg)
-    with Sys_error _ | Sys_blocked_io -> ()
+    (try Protocol.write_response oc (Protocol.Resp_rejected msg)
+     with Sys_error _ | Sys_blocked_io -> ());
+    registry
   in
   let registry =
     match Protocol.read_request ic with
-    | Error e ->
-      let registry = Stats.Registry.create () in
-      reject registry ("bad request: " ^ e);
-      registry
-    | Ok req when not (verify_digests req) ->
-      let registry = Stats.Registry.create () in
-      reject registry "source digest mismatch";
-      registry
+    | Error e -> reject ("bad request: " ^ e)
     | Ok Protocol.Req_ping ->
       let registry = Stats.Registry.create () in
       Stats.with_registry registry (fun () -> Stats.incr stat_pings);
@@ -412,50 +377,37 @@ let handle_connection ~cache ~lifetime ~lifetime_lock ~log ~request_timeout
               })
        with Sys_error _ | Sys_blocked_io -> ());
       registry
-    | Ok req -> (
-      (* Injected stall: a worker that reads the request and then goes
-         quiet — exactly what the request deadline exists to bound. *)
-      if Mc_support.Fault.fire fault_slow_reply then
-        Unix.sleepf
-          (match request_timeout with
-          | Some t -> 1.5 *. t
-          | None -> 0.35);
-      let response, registry =
-        match req with
-        | Protocol.Req_compile c ->
-          let response, registry =
-            compile_request ~deadline_exceeded ~cache c
-          in
-          log
-            (Printf.sprintf "served %d unit(s)"
-               (List.length c.Protocol.q_units));
-          (response, registry)
-        | Protocol.Req_transform t ->
-          let response, registry = transform_request ~cache t in
-          log (Printf.sprintf "transformed %s" t.Protocol.t_name);
-          (response, registry)
-        | Protocol.Req_analyze a ->
-          let response, registry = analyze_request ~cache a in
-          log (Printf.sprintf "analysed %s" a.Protocol.a_name);
-          (response, registry)
-        | Protocol.Req_ping -> assert false (* handled above *)
-      in
-      let response =
-        if deadline_exceeded () then begin
-          Stats.with_registry registry (fun () -> Stats.incr stat_timeouts);
-          let t = Option.value request_timeout ~default:0.0 in
-          log (Printf.sprintf "request deadline (%.3gs) exceeded" t);
-          Protocol.Resp_rejected
-            (Printf.sprintf
-               "deadline exceeded: request took longer than the %.3gs server \
-                request timeout (queue wait + compile); compile locally" t)
-        end
-        else response
-      in
-      (try Protocol.write_response oc response
-       with Sys_error _ | Sys_blocked_io -> ()
-       (* client hung up or stopped reading; its loss, our survival *));
-      registry)
+    | Ok (Protocol.Req_run { q_invocation; q_units }) -> (
+      match malformed q_invocation q_units with
+      | Some msg -> reject msg
+      | None ->
+        (* Injected stall: a worker that reads the request and then goes
+           quiet — exactly what the request deadline exists to bound. *)
+        if Mc_support.Fault.fire fault_slow_reply then
+          Unix.sleepf
+            (match request_timeout with
+            | Some t -> 1.5 *. t
+            | None -> 0.35);
+        let response, registry =
+          serve ~deadline_exceeded ~cache q_invocation q_units
+        in
+        log (Printf.sprintf "served %d unit(s)" (List.length q_units));
+        let response =
+          if deadline_exceeded () then begin
+            Stats.with_registry registry (fun () -> Stats.incr stat_timeouts);
+            let t = Option.value request_timeout ~default:0.0 in
+            log (Printf.sprintf "request deadline (%.3gs) exceeded" t);
+            Protocol.Resp_rejected
+              (Printf.sprintf
+                 "deadline exceeded: request took longer than the %.3gs server \
+                  request timeout (queue wait + compile); compile locally" t)
+          end
+          else response
+        in
+        (try Protocol.write_response oc response
+         with Sys_error _ | Sys_blocked_io -> ()
+         (* client hung up or stopped reading; its loss, our survival *));
+        registry)
   in
   Mutex.protect lifetime_lock (fun () ->
       Stats.Registry.merge ~into:lifetime registry);
@@ -561,7 +513,7 @@ let run ?stop config =
              (Protocol.Resp_busy
                 {
                   queue_depth = Bqueue.length queue;
-                  retry_after = config.shed_retry_after;
+                  retry_after = shed_retry_after;
                 })
          with Sys_error _ | Sys_blocked_io -> ());
         close_out_noerr oc

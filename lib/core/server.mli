@@ -2,17 +2,18 @@
     warm shared stage cache (optionally persisted via {!Store}), a pool
     of worker domains, and a bounded connection queue with admission
     control — when the queue is full the accept loop sheds the
-    connection with a structured [Resp_busy] (queue depth + retry hint)
-    instead of letting the kernel backlog fill and clients hang.
+    connection with a structured [Resp_busy] (queue depth + a fixed
+    50 ms retry hint) instead of letting the kernel backlog fill and
+    clients hang.
 
-    Requests are framed {!Protocol} values; each compile unit goes
-    through {!Instance.compile_safe}, so a client-submitted ICE becomes
-    an [R_ice] response entry and never takes the daemon down.
-    [Req_transform] requests run the transfo pre-stage alone
-    ({!Pipeline.transform}) against the same shared cache and return the
-    rewritten source.  The loop
-    exits on the [stop] flag, after [max_requests] connections, or after
-    [idle_timeout] seconds without one — always draining queued
+    Requests are framed {!Protocol} values.  Each [Req_run] is served on
+    one {!Instance} over the shared cache, and each of its units runs
+    contained — {!Instance.compile_safe}, or {!Instance.transform_safe}
+    for [-emit-transformed] — so a client-submitted ICE becomes an
+    [R_ice] response entry (or a one-unit reply's [Error] payload, the
+    {!Instance.render_failure} report) and never takes the daemon down.
+    The loop exits on the [stop] flag, after [max_requests] connections,
+    or after [idle_timeout] seconds without one — always draining queued
     connections before returning. *)
 
 (** The bounded blocking queue between the accept loop and the worker
@@ -50,7 +51,6 @@ type config = {
       (** per-request wall-clock deadline, measured from worker pickup
           to reply; a request that blows it gets one complete
           [Resp_rejected] frame with a timeout reason *)
-  shed_retry_after : float;  (** the [retry_after] hint in [Resp_busy] *)
   cache_dir : string option;  (** persist the shared cache via {!Store} *)
   max_cache_bytes : int option;  (** store byte cap (default {!Store}'s) *)
   log : (string -> unit) option;  (** progress lines, e.g. [prerr_endline] *)
@@ -58,7 +58,7 @@ type config = {
 
 val default_config : config
 (** {!Protocol.default_socket}, 2 workers, queue 16, unbounded lifetime,
-    no request deadline, 50 ms retry hint, in-memory cache, silent. *)
+    no request deadline, in-memory cache, silent. *)
 
 val run :
   ?stop:bool Atomic.t -> config -> (Mc_support.Stats.snapshot, string) result

@@ -122,6 +122,49 @@ let test_no_reproducer_when_disabled () =
     Alcotest.(check bool) "no bundle under -fno-crash-diagnostics" true
       (f.Instance.f_reproducer = None)
 
+(* The transfo pre-stage alone is contained like a compile: an ICE in the
+   script engine's parse is a failure naming its phase, a script-level
+   failure is a value, and both leave the instance usable. *)
+let test_transform_safe () =
+  let inv script =
+    {
+      Invocation.default with
+      Invocation.gen_reproducer = false;
+      transfo_script =
+        Some (Invocation.Source { name = "s.transfo"; contents = script });
+    }
+  in
+  let inst = Instance.create (inv "unroll partial(2) @ for(i)") in
+  (match Instance.transform_safe inst ~name:"boom.c" crash_source with
+  | Ok _ -> Alcotest.fail "deliberate ICE in the transfo stage escaped"
+  | Error f ->
+    Alcotest.(check string) "ICE phase" "parse-sema"
+      f.Instance.f_ice.Crash_recovery.ice_phase;
+    let report = Instance.render_failure ~name:"boom.c" f in
+    check_contains ~what:"ICE report" report
+      "internal compiler error compiling boom.c";
+    check_contains ~what:"ICE report" report "phase: parse-sema, near boom.c";
+    check_contains ~what:"server-side ICE report"
+      (Instance.render_failure ~server_side:true ~name:"boom.c" f)
+      "[contained by daemon]");
+  Alcotest.(check int) "driver.ices" 1
+    (Mc_support.Stats.find (Instance.stats inst) "driver.ices");
+  (match Instance.transform_safe inst ~name:"good.c" good_source with
+  | Ok (Ok (_, rewritten, _)) ->
+    check_contains ~what:"rewritten source" rewritten
+      "#pragma omp unroll partial(2)"
+  | Ok (Error msg) -> Alcotest.failf "good script failed: %s" msg
+  | Error _ -> Alcotest.fail "good script ICEd");
+  match
+    Instance.transform_safe
+      (Instance.create (inv "unroll @ for(nope)"))
+      ~name:"good.c" good_source
+  with
+  | Ok (Error msg) ->
+    check_contains ~what:"script failure" msg "matched no statement"
+  | Ok (Ok _) -> Alcotest.fail "bad script succeeded"
+  | Error _ -> Alcotest.fail "bad script ICEd"
+
 (* ---- cache / ICE interaction ------------------------------------------ *)
 
 let test_ice_and_errors_never_cached () =
@@ -506,4 +549,5 @@ let suite =
       test_limit_flags_round_trip;
     tc "bounded fuzz: no escapes at -j 1 and -j 2" test_fuzz_no_escape;
     tc "fuzz minimizer shrinks a crashing input" test_fuzz_minimizer;
+    tc "transform_safe contains the transfo stage" test_transform_safe;
   ]

@@ -40,18 +40,14 @@ let ir_text (c : Instance.compilation) =
 
 let test_option_slices () =
   let o = Driver.default_options in
-  (* No option reaches the lexer. *)
-  Alcotest.(check string) "lex slice is empty" ""
-    (Pipeline.option_slice Pipeline.Lex
-       { o with Driver.optimize = false; loop_nest_limit = 1; fold = false });
-  (* -floop-nest-limit is sema-relevant, invisible to lex/pp/codegen/passes. *)
+  (* -floop-nest-limit is sema-relevant, invisible to pp/codegen/passes. *)
   let o' = { o with Driver.loop_nest_limit = 2 } in
   List.iter
     (fun st ->
       Alcotest.(check string)
         (Pipeline.stage_tag st ^ " slice ignores loop_nest_limit")
         (Pipeline.option_slice st o) (Pipeline.option_slice st o'))
-    [ Pipeline.Lex; Pipeline.Preprocess; Pipeline.Codegen; Pipeline.Passes ];
+    [ Pipeline.Preprocess; Pipeline.Codegen; Pipeline.Passes ];
   Alcotest.(check bool) "ast slice sees loop_nest_limit" false
     (Pipeline.option_slice Pipeline.Parse_sema o
     = Pipeline.option_slice Pipeline.Parse_sema o');
@@ -62,7 +58,7 @@ let test_option_slices () =
       Alcotest.(check string)
         (Pipeline.stage_tag st ^ " slice ignores -O")
         (Pipeline.option_slice st o) (Pipeline.option_slice st oO0))
-    [ Pipeline.Lex; Pipeline.Preprocess; Pipeline.Parse_sema; Pipeline.Codegen ];
+    [ Pipeline.Preprocess; Pipeline.Parse_sema; Pipeline.Codegen ];
   Alcotest.(check bool) "passes slice sees -O" false
     (Pipeline.option_slice Pipeline.Passes o
     = Pipeline.option_slice Pipeline.Passes oO0);

@@ -163,6 +163,41 @@ let test_warm_roundtrip () =
   check_count "server.units" 2 (Stats.find snap "server.units");
   check_count "server.ices" 0 (Stats.find snap "server.ices")
 
+(* The payload [Error] of a one-unit transform or analysis reply; under
+   the fault matrix, a reply the injected worker fault crashed re-rolls. *)
+let unit_error what reply =
+  retrying (fun () ->
+      match reply () with
+      | Ok
+          {
+            Client.response =
+              ( Protocol.Resp_transformed { p_result = Error e; _ }
+              | Protocol.Resp_analysis { p_result = Error e; _ } );
+            _;
+          } ->
+        if tolerant && has_substring e "injected" then
+          Error "injected worker fault; re-rolling"
+        else Ok e
+      | Ok
+          {
+            Client.response =
+              ( Protocol.Resp_transformed { p_result = Ok _; _ }
+              | Protocol.Resp_analysis { p_result = Ok _; _ } );
+            _;
+          } ->
+        Alcotest.failf "%s of the crashing unit succeeded" what
+      | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
+        Error ("request rejected: " ^ reason)
+      | Ok _ -> Error "unexpected response shape"
+      | Error e -> Error ("round-trip failed: " ^ e))
+
+let transfo_invocation contents =
+  {
+    invocation with
+    Invocation.transfo_script =
+      Some (Invocation.Source { name = "s.transfo"; contents });
+  }
+
 let test_ice_contained () =
   let (), snap =
     with_daemon (fun socket_path ->
@@ -174,6 +209,27 @@ let test_ice_contained () =
           Alcotest.(check bool) "phase reported" true (ice_phase <> "");
           Alcotest.(check bool) "exception reported" true (ice_exn <> "")
         | Protocol.R_ok _ -> Alcotest.fail "expected an R_ice outcome");
+        (* The same crash through an analysis and a transform: contained
+           by the same worker path, reported the same way. *)
+        let analysis =
+          unit_error "analysis" (fun () ->
+              Client.analyze ~socket_path invocation ~name:"boom.c"
+                ice_source)
+        in
+        check_contains ~what:"analysis ICE report" analysis
+          "phase: parse-sema";
+        check_contains ~what:"analysis ICE report" analysis
+          "[contained by daemon]";
+        let transform =
+          unit_error "transform" (fun () ->
+              Client.transform ~socket_path
+                (transfo_invocation "unroll partial(2) @ for(i)")
+                ~name:"boom.c" ice_source)
+        in
+        check_contains ~what:"transform ICE report" transform
+          "phase: parse-sema";
+        check_contains ~what:"transform ICE report" transform
+          "internal compiler error compiling boom.c";
         (* The crash was contained in the worker: the daemon keeps
            serving, and its cache is intact. *)
         let after =
@@ -184,26 +240,56 @@ let test_ice_contained () =
           Alcotest.(check bool) "daemon still compiles" false ok_errors
         | Protocol.R_ice _ -> Alcotest.fail "daemon poisoned by earlier ICE")
   in
-  check_count "server.ices" 1 (Stats.find snap "server.ices");
-  check_count "server.requests" 2 (Stats.find snap "server.requests")
+  check_count "server.ices" 3 (Stats.find snap "server.ices");
+  check_count "driver.ices" 3 (Stats.find snap "driver.ices");
+  check_count "server.units" 4 (Stats.find snap "server.units");
+  check_count "server.requests" 4 (Stats.find snap "server.requests")
+
+(* A transform or analysis answers for one unit: any other count is a
+   counted rejection, and the daemon keeps serving. *)
+let test_multi_unit_analysis_rejected () =
+  let (), snap =
+    with_daemon (fun socket_path ->
+        let request =
+          Protocol.request_of_units
+            { invocation with Invocation.action = Invocation.Analyze }
+            [ ("a.c", source); ("b.c", source) ]
+        in
+        let reason =
+          retrying (fun () ->
+              match Client.roundtrip ~socket_path request with
+              | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
+                Ok reason
+              | Ok _ -> Alcotest.fail "a two-unit analysis was served"
+              | Error e -> Error ("round-trip failed: " ^ e))
+        in
+        check_contains ~what:"rejection reason" reason "bad request";
+        let after = compile_unit ~socket_path invocation [ ("a.c", source) ] in
+        match after.Protocol.r_outcome with
+        | Protocol.R_ok { ok_errors; _ } ->
+          Alcotest.(check bool) "daemon serves after a rejection" false
+            ok_errors
+        | Protocol.R_ice _ -> Alcotest.fail "daemon poisoned by a rejection")
+  in
+  check_count "server.rejects" 1 (Stats.find snap "server.rejects");
+  check_count "server.analyses" 0 (Stats.find snap "server.analyses")
 
 let test_digest_mismatch_rejected () =
   let (), snap =
     with_daemon (fun socket_path ->
         let forged =
           match Protocol.request_of_units invocation [ ("a.c", source) ] with
-          | Protocol.Req_compile c ->
-            Protocol.Req_compile
+          | Protocol.Req_run { q_invocation; q_units } ->
+            Protocol.Req_run
               {
-                c with
-                Protocol.q_units =
+                q_invocation;
+                q_units =
                   List.map
                     (fun u -> { u with Protocol.q_digest = String.make 32 '0' })
-                    c.Protocol.q_units;
+                    q_units;
               }
-          | Protocol.Req_transform _ | Protocol.Req_analyze _
           | Protocol.Req_ping ->
-            Alcotest.fail "request_of_units built a non-compile request"
+            Alcotest.fail "request_of_units built a ping"
         in
         let reason =
           retrying (fun () ->
@@ -223,23 +309,12 @@ let test_digest_mismatch_rejected () =
   in
   check_count "server.rejects" 1 (Stats.find snap "server.rejects")
 
-(* The v2 transform request: the daemon applies the invocation's transfo
+(* A transform request: the daemon applies the invocation's transfo
    script and returns the rewritten source, caching the transfo stage. *)
 let test_transform_request () =
   let (), snap =
     with_daemon (fun socket_path ->
-        let inv =
-          {
-            invocation with
-            Invocation.transfo_script =
-              Some
-                (Invocation.Source
-                   {
-                     name = "s.transfo";
-                     contents = "unroll partial(2) @ for(i)";
-                   });
-          }
-        in
+        let inv = transfo_invocation "unroll partial(2) @ for(i)" in
         let once () =
           retrying (fun () ->
               match Client.transform ~socket_path inv ~name:"a.c" source with
@@ -256,7 +331,9 @@ let test_transform_request () =
                       Protocol.Resp_transformed { p_result = Error e; _ };
                     _;
                   } ->
-                Alcotest.failf "script failed: %s" e
+                if tolerant && has_substring e "injected" then
+                  Error "injected worker fault; re-rolling"
+                else Alcotest.failf "script failed: %s" e
               | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
                 Error ("request rejected: " ^ reason)
               | Ok _ -> Error "unexpected response shape"
@@ -271,36 +348,11 @@ let test_transform_request () =
         Alcotest.(check string) "identical rewrite across the wire"
           cold.Protocol.x_source warm.Protocol.x_source;
         (* A bad script is a payload error, not a rejection. *)
-        let bad =
-          {
-            invocation with
-            Invocation.transfo_script =
-              Some
-                (Invocation.Source
-                   { name = "s.transfo"; contents = "unroll @ for(nope)" });
-          }
-        in
         let failure =
-          retrying (fun () ->
-              match Client.transform ~socket_path bad ~name:"a.c" source with
-              | Ok
-                  {
-                    Client.response =
-                      Protocol.Resp_transformed { p_result = Error e; _ };
-                    _;
-                  } ->
-                Ok e
-              | Ok
-                  {
-                    Client.response =
-                      Protocol.Resp_transformed { p_result = Ok _; _ };
-                    _;
-                  } ->
-                Alcotest.fail "bad script did not fail"
-              | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
-                Error ("request rejected: " ^ reason)
-              | Ok _ -> Error "unexpected response shape"
-              | Error e -> Error ("round-trip failed: " ^ e))
+          unit_error "a bad script" (fun () ->
+              Client.transform ~socket_path
+                (transfo_invocation "unroll @ for(nope)")
+                ~name:"a.c" source)
         in
         check_contains ~what:"script failure" failure "matched no statement")
   in
@@ -764,4 +816,5 @@ let suite =
     tc "Bqueue: push after close" test_bqueue_push_after_close;
     tc "Bqueue: pop race during drain" test_bqueue_drain_race;
     tc "stale socket takeover" test_stale_socket_takeover;
+    tc "multi-unit analysis is rejected" test_multi_unit_analysis_rejected;
   ]
