@@ -444,9 +444,7 @@ let run_analyze_action inst units =
                 (if json then Mc_analysis.Report.render_json report
                  else Mc_analysis.Report.render_text report)
             | None ->
-              Printf.eprintf "mcc: cannot analyse %s: %s\n" u.Batch.u_name
-                (Option.value r.Driver.codegen_error
-                   ~default:"no IR was produced");
+              prerr_string (Instance.render_unanalysable ~name:u.Batch.u_name r);
               failed := true))
       (Batch.compile_into inst units).Batch.units
   in

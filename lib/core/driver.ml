@@ -32,6 +32,7 @@ type result = Pipeline.result = {
   diag : Diag.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
   ir : Mc_ir.Ir.modul option;
+  ir_payload : string option;
   codegen_error : string option;
   timings : timings;
   unroll_stats : Mc_passes.Loop_unroll.stats;

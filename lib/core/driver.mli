@@ -42,7 +42,11 @@ type timings = Pipeline.timings = {
 type result = Pipeline.result = {
   diag : Mc_diag.Diagnostics.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
-  ir : Mc_ir.Ir.modul option; (* None when errors or codegen unsupported *)
+  ir : Mc_ir.Ir.modul option;
+      (* None when errors or codegen unsupported, or in [`Marshalled] form *)
+  ir_payload : string option;
+      (* the marshalled final module, in [`Marshalled] form only
+         ({!Pipeline.execute}); [compile] never sets it *)
   codegen_error : string option;
   timings : timings;
   unroll_stats : Mc_passes.Loop_unroll.stats;

@@ -54,9 +54,9 @@ type compilation = {
    registry and merges it into the enclosing one on the way out, so
    running it with the instance registry current makes the instance
    registry cumulative over everything the instance ever compiled. *)
-let compile_inner t ~name source =
+let compile_inner t ~name ~ir source =
   let options = Invocation.to_driver_options t.invocation in
-  let x = Pipeline.execute ?cache:t.cache ~options ~name source in
+  let x = Pipeline.execute ?cache:t.cache ~options ~name ~ir source in
   {
     c_result = x.Pipeline.x_result;
     c_cache_hit = x.Pipeline.x_full_hit;
@@ -65,7 +65,7 @@ let compile_inner t ~name source =
   }
 
 let compile t ?(name = "input.c") source =
-  in_registry t (fun () -> compile_inner t ~name source)
+  in_registry t (fun () -> compile_inner t ~name ~ir:`Module source)
 
 (* ---- fault containment ---------------------------------------------------- *)
 
@@ -101,8 +101,8 @@ let contain t ~name ~source f =
         in
         Error { f_ice = ice; f_reproducer = reproducer })
 
-let compile_safe t ?(name = "input.c") source =
-  contain t ~name ~source (fun () -> compile_inner t ~name source)
+let compile_safe t ?(name = "input.c") ?(ir = `Module) source =
+  contain t ~name ~source (fun () -> compile_inner t ~name ~ir source)
 
 let frontend_safe t ?(name = "input.c") source =
   contain t ~name ~source (fun () ->
@@ -138,6 +138,10 @@ let render_failure ?(server_side = false) ~name f =
       Printf.sprintf
         "mcc: note: reproducer bundle written to %s (see repro.sh)\n" dir
     | None -> "")
+
+let render_unanalysable ~name (r : Driver.result) =
+  Printf.sprintf "mcc: cannot analyse %s: %s\n" name
+    (Option.value r.Driver.codegen_error ~default:"no IR was produced")
 
 let run t ?config result = in_registry t (fun () -> Driver.run ?config result)
 

@@ -81,13 +81,23 @@ type failure = {
 }
 
 val compile_safe :
-  t -> ?name:string -> string -> (compilation, failure) result
+  t ->
+  ?name:string ->
+  ?ir:[ `Module | `Marshalled ] ->
+  string ->
+  (compilation, failure) result
 (** {!compile} with fault containment.  On an ICE: the [driver.ices]
     counter is bumped, a reproducer bundle is written (unless the
     invocation has [gen_reproducer = false]), whatever statistics the
     unit accrued before dying still merge into the instance registry —
     and no artifact of the stage that died was stored, since storing is
-    the last act of each successfully executed stage. *)
+    the last act of each successfully executed stage.
+
+    [ir] (default [`Module], the form {!compile} returns) is passed to
+    {!Pipeline.execute}: with [`Marshalled] the result's [ir] is [None]
+    and [ir_payload] holds the marshalled module, which a cache hit
+    never decodes.  The daemon compiles in that form and forwards the
+    bytes. *)
 
 val frontend_safe :
   t -> ?name:string -> string ->
@@ -113,6 +123,12 @@ val render_failure : ?server_side:bool -> name:string -> failure -> string
     words it for a unit an [mccd] worker contained ("[contained by
     daemon]", a bundle written server-side).  Every line ends in a
     newline. *)
+
+val render_unanalysable : name:string -> Driver.result -> string
+(** The one line [mcc --analyze] prints for a unit that compiled without
+    errors but produced no IR to analyse (a codegen refusal), in-process
+    or through the daemon: ["mcc: cannot analyse <name>: <reason>"],
+    ending in a newline. *)
 
 val run :
   t -> ?config:Mc_interp.Interp.config -> Driver.result ->

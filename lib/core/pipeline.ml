@@ -46,7 +46,15 @@
      first; it reads its "fnir" snapshot only when its passes or analysis
      must run, and its "fnast" decls only when its codegen must run.  A
      hit on the ast and optir unit artifacts reads no per-slice artifact
-     at all.
+     at all;
+   - the unit "optir" artifact is [pack unroll_stats module]: its body is
+     exactly [Marshal.to_string module []].  The caller picks the form
+     the final IR comes back in.  [`Module] decodes it into [result.ir];
+     [`Marshalled] leaves [ir = None] and returns the bytes in
+     [result.ir_payload]: on an optir hit the stored body, cut out and
+     never decoded, and on a miss the final module marshalled once, the
+     same bytes the optir save stores.  The daemon takes [`Marshalled]
+     and forwards the bytes to its client as they are.
 
    A per-slice artifact may be missing when it is needed: evicted,
    corrupt, or lost to a faulted read.  A missing fnir snapshot is a
@@ -123,6 +131,7 @@ type result = {
   diag : Diag.t;
   srcmgr : Srcmgr.t;
   ir : Mc_ir.Ir.modul option;
+  ir_payload : string option;
   codegen_error : string option;
   timings : timings;
   unroll_stats : Mc_passes.Loop_unroll.stats;
@@ -283,12 +292,15 @@ let reset_compilation_state () =
 let marshal v = Marshal.to_string v []
 
 (* An artifact in two parts: a head, read on every hit, then a body that
-   stays bytes until [body] unmarshals it. *)
+   stays bytes until [body] unmarshals it, or [body_bytes] cuts it out. *)
 let pack head body = marshal head ^ marshal body
 let head payload = Marshal.from_string payload 0
-let body payload =
-  Marshal.from_string payload
-    (Marshal.total_size (Bytes.unsafe_of_string payload) 0)
+let head_size payload = Marshal.total_size (Bytes.unsafe_of_string payload) 0
+let body payload = Marshal.from_string payload (head_size payload)
+
+let body_bytes payload =
+  let off = head_size payload in
+  String.sub payload off (String.length payload - off)
 
 (* The PPTokens artifact's head: the canonical digest of the parser-ready
    stream (the AST stage's input), the source manager its token locations
@@ -579,9 +591,11 @@ let zero_timings =
    whole walk is mutually recursive because the engine needs a frontend
    (target resolution re-parses after every step) and the differential
    check needs full compilations of the before/after programs. *)
-let rec walk ?cache ~frontend_only ~options ~name source =
+let rec walk ?cache ~frontend_only ~ir_form ~options ~name source =
   match options.transfo_script with
-  | None -> walk_stages ?cache ~frontend_only ~options ~name ~transfo:None source
+  | None ->
+    walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo:None
+      source
   | Some script -> (
     match apply_transfo ?cache ~options ~name ~script source with
     | Error msg ->
@@ -598,6 +612,7 @@ let rec walk ?cache ~frontend_only ~options ~name source =
               diag = d;
               srcmgr = sm;
               ir = None;
+              ir_payload = None;
               codegen_error = None;
               timings = zero_timings;
               unroll_stats = Mc_passes.Loop_unroll.empty_stats;
@@ -612,7 +627,7 @@ let rec walk ?cache ~frontend_only ~options ~name source =
         None )
     | Ok (outc, source', tr) ->
       let options = { options with transfo_script = None } in
-      walk_stages ?cache ~frontend_only ~options ~name
+      walk_stages ?cache ~frontend_only ~ir_form ~options ~name
         ~transfo:(Some (outc, source', tr)) source')
 
 (* The transfo stage proper: cache-consult, else run the engine.  The
@@ -740,7 +755,7 @@ and differential_check ~options ~name ~before ~after =
              | [] -> ""
              | notes -> "\n" ^ String.concat "\n" notes)))
 
-and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
+and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
   reset_compilation_state ();
   let trace = ref [] in
   let mark stage outcome = trace := (stage, outcome) :: !trace in
@@ -1066,6 +1081,7 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       diag = !diag;
       srcmgr = !srcmgr;
       ir = None;
+      ir_payload = None;
       codegen_error;
       timings = timings ();
       unroll_stats = Mc_passes.Loop_unroll.empty_stats;
@@ -1074,11 +1090,14 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
       analysis = !analysis_ref;
     }
   in
-  let finish ir unroll =
+  (* The final IR in the caller's form: a module, or its marshalled
+     bytes. *)
+  let finish (ir, ir_payload) unroll =
     {
       diag = !diag;
       srcmgr = !srcmgr;
-      ir = Some ir;
+      ir;
+      ir_payload;
       codegen_error = None;
       timings = timings ();
       unroll_stats = unroll;
@@ -1263,14 +1282,16 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
           analysis_ref :=
             Some { Mc_analysis.Report.r_passes = apasses; r_funcs = frs });
         (* Stage: passes (OptIR), per slice — one "fnoptir" artifact each —
-           then relinked into the unit module. *)
+           then relinked into the unit module.  A hit in [`Marshalled]
+           form hands out the artifact's body undecoded. *)
         match opt_hit with
         | Some payload ->
           mark Passes Cache_hit;
-          let (m', unroll) : Mc_ir.Ir.modul * Mc_passes.Loop_unroll.stats =
-            Marshal.from_string payload 0
-          in
-          finish m' unroll
+          finish
+            (match ir_form with
+            | `Module -> (Some (body payload : Mc_ir.Ir.modul), None)
+            | `Marshalled -> (None, Some (body_bytes payload)))
+            (head payload : Mc_passes.Loop_unroll.stats)
         | None ->
           let hits = ref 0 in
           let agg = ref Mc_passes.Loop_unroll.empty_stats in
@@ -1312,13 +1333,20 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
               verify_or_ice m;
               m
           in
-          save Passes opt_fp (fun () -> marshal (final, !agg));
-          finish final !agg)
+          (* One marshalling serves the optir save and a [`Marshalled]
+             caller; a [`Module] caller without a cache makes none. *)
+          let bytes = lazy (marshal final) in
+          save Passes opt_fp (fun () -> marshal !agg ^ Lazy.force bytes);
+          finish
+            (match ir_form with
+            | `Module -> (Some final, None)
+            | `Marshalled -> (None, Some (Lazy.force bytes)))
+            !agg)
     end
   in
   let tr = List.rev !trace in
   let full_hit =
-    r.ir <> None
+    (r.ir <> None || r.ir_payload <> None)
     && List.exists (fun (s, _) -> s = Passes) tr
     && List.for_all
          (fun (s, o) ->
@@ -1337,17 +1365,18 @@ and walk_stages ?cache ~frontend_only ~options ~name ~transfo source =
     },
     ast )
 
-and execute ?cache ?(options = default_options) ?(name = "input.c") source =
+and execute ?cache ?(options = default_options) ?(name = "input.c")
+    ?(ir = `Module) source =
   let (x, _), registry =
     Stats.with_scoped_registry (fun () ->
-        walk ?cache ~frontend_only:false ~options ~name source)
+        walk ?cache ~frontend_only:false ~ir_form:ir ~options ~name source)
   in
   { x with x_result = { x.x_result with stats = Stats.snapshot ~registry () } }
 
 and frontend ?(options = default_options) ?(name = "input.c") source =
   let (x, tu), _registry =
     Stats.with_scoped_registry (fun () ->
-        walk ~frontend_only:true ~options ~name source)
+        walk ~frontend_only:true ~ir_form:`Module ~options ~name source)
   in
   ( x.x_result.diag,
     (* A failed transfo script yields no AST at all; frontend callers

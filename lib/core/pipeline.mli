@@ -33,6 +33,12 @@
     miss ({!Cache.reject}) and is rebuilt.  The IR is the same either
     way.
 
+    The unit "optir" artifact's body is the final module marshalled
+    ([Marshal.to_string module []]); its head is the unit's
+    {!Mc_passes.Loop_unroll.stats}.  A caller that only forwards the IR
+    (the daemon) asks {!execute} for it in [`Marshalled] form and gets
+    those bytes, never decoded, in [result.ir_payload].
+
     Each execution runs in its own scoped stats registry (merged into
     the caller's on the way out, even on an ICE), so [result.stats] is
     exactly this compilation's events and concurrent domains never
@@ -80,6 +86,13 @@ type result = {
   diag : Mc_diag.Diagnostics.t;
   srcmgr : Mc_srcmgr.Source_manager.t;
   ir : Mc_ir.Ir.modul option;
+      (** The final module, in [`Module] form (see {!execute}); always
+          [None] in [`Marshalled] form. *)
+  ir_payload : string option;
+      (** The final module as [Marshal.to_string module []], in
+          [`Marshalled] form only: on a unit optir hit the stored
+          artifact's body, copied out undecoded; on a miss the bytes the
+          optir save stores.  Always [None] in [`Module] form. *)
   codegen_error : string option;
   timings : timings;
   unroll_stats : Mc_passes.Loop_unroll.stats;
@@ -163,7 +176,12 @@ val stage_fingerprint : stage -> options -> input:string -> string
     content digest) of the stage's input artifact. *)
 
 val execute :
-  ?cache:Cache.t -> ?options:options -> ?name:string -> string -> exec
+  ?cache:Cache.t ->
+  ?options:options ->
+  ?name:string ->
+  ?ir:[ `Module | `Marshalled ] ->
+  string ->
+  exec
 (** Run the pipeline over a source string, consulting [cache] at every
     stage when given.  There is one algorithm, cached or not: the
     preprocessed stream is split into top-level slices, parsed slice by
@@ -172,7 +190,13 @@ val execute :
     fingerprint is computed and nothing is marshalled).  Never raises
     on invalid input (diagnostics land
     in [x_result.diag]); lexer/parser/sema/codegen bugs may raise — see
-    {!Instance} for containment. *)
+    {!Instance} for containment.
+
+    [ir] (default [`Module]) picks the form of the final IR: a module in
+    [result.ir], or with [`Marshalled] its marshalled bytes in
+    [result.ir_payload] — the form a caller that only forwards the IR
+    wants, since a unit optir hit then decodes nothing.  Both forms
+    count toward [x_full_hit] alike. *)
 
 val frontend :
   ?options:options ->

@@ -103,7 +103,9 @@ and outcome =
   | R_ok of {
       ok_diag : string; (* rendered diagnostics, possibly empty *)
       ok_errors : bool;
-      ok_ir : string option; (* marshalled Mc_ir.Ir.modul *)
+      ok_ir : string option;
+          (* marshalled Mc_ir.Ir.modul: on a hit, the stored optir
+             artifact's body as it is *)
       ok_codegen_error : string option;
     }
   | R_ice of {

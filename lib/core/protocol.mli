@@ -68,7 +68,11 @@ and outcome =
   | R_ok of {
       ok_diag : string;
       ok_errors : bool;
-      ok_ir : string option;  (** marshalled {!Mc_ir.Ir.modul} *)
+      ok_ir : string option;
+          (** [Marshal.to_string module []] of the unit's
+              {!Mc_ir.Ir.modul}.  On a unit optir hit it is the stored
+              artifact's body, forwarded verbatim: the server neither
+              decodes nor re-encodes the module. *)
       ok_codegen_error : string option;
     }
   | R_ice of {

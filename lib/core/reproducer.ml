@@ -1,16 +1,16 @@
 (* The -gen-reproducer analogue: when a compilation dies with an ICE,
    preserve everything needed to replay it — the preprocessed unit's
-   source, any virtual include files, the invocation rendered back to an
-   mcc command line, and the ICE report itself — in a fresh directory
-   under the temp dir, like Clang's "PLEASE ATTACH THE FOLLOWING FILES"
-   bundles. *)
+   source, any virtual include files, the transfo script, the invocation
+   rendered back to an mcc command line, and the ICE report itself — in
+   a fresh directory under the temp dir, like Clang's "PLEASE ATTACH THE
+   FOLLOWING FILES" bundles. *)
 
 module Crash_recovery = Mc_support.Crash_recovery
 
 (* Bundle writing itself runs on the ICE path, so it must never raise;
    any filesystem failure is reported as a value. *)
 
-let sanitize name =
+let sanitize ?(default = "input.c") name =
   let base = Filename.basename name in
   let base =
     String.map
@@ -20,7 +20,7 @@ let sanitize name =
         | _ -> '_')
       base
   in
-  if base = "" || base = "." || base = ".." then "input.c" else base
+  if base = "" || base = "." || base = ".." then default else base
 
 (* Distinguishes bundles from concurrent domains of one process; cross-
    process collisions are handled by the mkdir retry loop below. *)
@@ -71,6 +71,27 @@ let write ~invocation ~name ~source ~ice =
              the bundle. *)
           write_file dir (sanitize path) contents)
         invocation.Invocation.extra_files;
+      (* The transfo script goes into the bundle too, and repro.sh names
+         that copy: the replay runs inside the bundle, where the path
+         the script was given by means nothing. *)
+      let invocation =
+        match Invocation.load_transfo_script invocation with
+        | Ok
+            ({
+               Invocation.transfo_script =
+                 Some (Invocation.Source { name = script; contents });
+               _;
+             } as inv) ->
+          let taken =
+            source_file :: "ice.txt" :: "repro.sh"
+            :: List.map (fun (p, _) -> sanitize p) inv.Invocation.extra_files
+          in
+          let file = sanitize ~default:"script.transfo" script in
+          let file = if List.mem file taken then "script-" ^ file else file in
+          write_file dir file contents;
+          { inv with Invocation.transfo_script = Some (Invocation.File file) }
+        | Ok _ | Error _ -> invocation
+      in
       write_file dir "ice.txt" (Crash_recovery.describe ice);
       let sh = Filename.concat dir "repro.sh" in
       Out_channel.with_open_bin sh (fun oc ->

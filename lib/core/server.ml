@@ -12,7 +12,9 @@
    per request over the shared cache, every unit through the same
    contained call ([Instance.compile_safe], or [Instance.transform_safe]
    for -emit-transformed), and one framed response whose shape the
-   invocation's action picks.
+   invocation's action picks.  Units compile in [`Marshalled] form: the
+   server neither decodes nor encodes an IR module, and a warm reply
+   carries the stored optir artifact's body as it is.
 
    Crash containment is per request *and* per unit: an ICE inside a
    unit becomes an [R_ice] response entry, or the [Error] payload of a
@@ -181,26 +183,29 @@ let injected_failure =
     f_reproducer = None;
   }
 
-(* A unit compiled to the end: diagnostics and the marshalled IR. *)
+(* A unit compiled to the end: diagnostics and the marshalled IR.  Units
+   compile in [`Marshalled] form, so the IR bytes are the stored optir
+   artifact's body on a hit, forwarded as they are. *)
 let compiled (c : Instance.compilation) =
   let r = c.Instance.c_result in
   Protocol.R_ok
     {
       ok_diag = Diag.render_all r.Driver.diag;
       ok_errors = Diag.has_errors r.Driver.diag;
-      ok_ir = Option.map (fun m -> Marshal.to_string m []) r.Driver.ir;
+      ok_ir = r.Driver.ir_payload;
       ok_codegen_error = r.Driver.codegen_error;
     }
 
 (* A unit compiled as far as its analysis report.  Compilation failures
    are a payload [Error], not a rejection — the client prints them as a
-   local `mcc --analyze` would. *)
-let analysed (c : Instance.compilation) =
+   local `mcc --analyze` would, in the same words. *)
+let analysed ~name (c : Instance.compilation) =
   let r = c.Instance.c_result in
-  if Diag.has_errors r.Driver.diag then Error (Diag.render_all r.Driver.diag)
+  let diags = Diag.render_all r.Driver.diag in
+  if Diag.has_errors r.Driver.diag then Error diags
   else
-    match (r.Driver.analysis, r.Driver.codegen_error) with
-    | Some report, _ ->
+    match r.Driver.analysis with
+    | Some report ->
       Ok
         {
           Protocol.an_text = Mc_analysis.Report.render_text report;
@@ -208,8 +213,7 @@ let analysed (c : Instance.compilation) =
           an_findings = Mc_analysis.Report.finding_count report;
           an_cache_hit = c.Instance.c_cache_hit;
         }
-    | None, Some e -> Error ("cannot analyse: " ^ e)
-    | None, None -> Error "cannot analyse: no IR was produced"
+    | None -> Error (diags ^ Instance.render_unanalysable ~name r)
 
 (* One request, on one instance over the shared cache: its registry is
    the request's registry.  Every unit runs through [run], which carries
@@ -226,16 +230,18 @@ let serve ~deadline_exceeded ~cache (inv : Invocation.t) units =
     | _ -> inv
   in
   let inst = Instance.create ?cache inv in
+  (* The daemon never reads a module: its IR goes back to the client as
+     bytes. *)
+  let compile = Instance.compile_safe inst ~ir:`Marshalled in
   let count c = Instance.in_registry inst (fun () -> Stats.incr c) in
   let run
-      (run_safe :
-        Instance.t -> ?name:string -> string -> (_, Instance.failure) result)
+      (run_safe : ?name:string -> string -> (_, Instance.failure) result)
       (u : Protocol.request_unit) =
     if deadline_exceeded () then None
     else begin
       let r =
         if Mc_support.Fault.fire fault_worker then Error injected_failure
-        else run_safe inst ~name:u.Protocol.q_name u.Protocol.q_source
+        else run_safe ~name:u.Protocol.q_name u.Protocol.q_source
       in
       count stat_units;
       if Result.is_error r then count stat_ices;
@@ -251,7 +257,7 @@ let serve ~deadline_exceeded ~cache (inv : Invocation.t) units =
     | Invocation.Emit_transformed, [ u ] ->
       count stat_transforms;
       let p_result =
-        match run Instance.transform_safe u with
+        match run (Instance.transform_safe inst) u with
         | None -> skipped
         | Some (Ok (Ok (outcome, source, trace))) ->
           Ok
@@ -268,9 +274,9 @@ let serve ~deadline_exceeded ~cache (inv : Invocation.t) units =
     | Invocation.Analyze, [ u ] ->
       count stat_analyses;
       let p_result =
-        match run Instance.compile_safe u with
+        match run compile u with
         | None -> skipped
-        | Some (Ok c) -> analysed c
+        | Some (Ok c) -> analysed ~name:u.Protocol.q_name c
         | Some (Error f) -> Error (report ~name:u.Protocol.q_name f)
       in
       Protocol.Resp_analysis
@@ -279,7 +285,7 @@ let serve ~deadline_exceeded ~cache (inv : Invocation.t) units =
       let unit_reply (u : Protocol.request_unit) =
         let u_started = Clock.now () in
         let outcome, trace, hit =
-          match run Instance.compile_safe u with
+          match run compile u with
           | None ->
             ( Protocol.R_ok
                 {

@@ -53,8 +53,12 @@ let fault_write = Fault.point "store.write"
    v5: the "ast" and "ir" artifacts became manifests of per-slice
    fingerprints, the "pp" artifact carries its stream's digest, and a
    "fnast" artifact has a head that says whether the slice declares
-   anything. *)
-let schema_version = 5
+   anything.
+   v6: the "optir" artifact became [pack unroll_stats module] (Pipeline):
+   its body is the marshalled module itself, which the daemon forwards
+   without decoding.  A v5 optir payload would decode as the wrong
+   type. *)
+let schema_version = 6
 let magic = "MCST"
 let default_max_bytes = 512 * 1024 * 1024
 

@@ -26,14 +26,17 @@ let get_u32 s off =
   lor (Char.code s.[off + 2] lsl 8)
   lor Char.code s.[off + 3]
 
-let frame ~magic ~version payload =
+(* The 12 bytes ahead of a payload of [len] bytes. *)
+let header ~magic ~version len =
   if String.length magic <> 4 then invalid_arg "Binio.frame: magic must be 4 bytes";
-  let buf = Buffer.create (String.length payload + 12) in
+  let buf = Buffer.create 12 in
   Buffer.add_string buf magic;
   put_u32 buf version;
-  put_u32 buf (String.length payload);
-  Buffer.add_string buf payload;
+  put_u32 buf len;
   Buffer.contents buf
+
+let frame ~magic ~version payload =
+  header ~magic ~version (String.length payload) ^ payload
 
 type frame_error =
   | Truncated
@@ -86,8 +89,11 @@ let parse_frame ~magic ~version s =
       else if String.length s <> 12 + len then Error Truncated
       else Ok (String.sub s 12 len)
 
+(* The header, then the payload straight from the caller's string: a
+   large reply is never copied into a whole frame first. *)
 let write_frame ~magic ~version oc payload =
-  output_string oc (frame ~magic ~version payload);
+  output_string oc (header ~magic ~version (String.length payload));
+  output_string oc payload;
   flush oc
 
 (* ---- atomic file writes -------------------------------------------------- *)

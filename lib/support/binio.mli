@@ -37,7 +37,8 @@ val read_frame :
 (** Reads one frame from a channel (the wire format). *)
 
 val write_frame : magic:string -> version:int -> out_channel -> string -> unit
-(** Writes one frame and flushes. *)
+(** Writes one frame and flushes: the 12-byte header, then [payload]
+    itself, uncopied — the same bytes {!frame} renders. *)
 
 val write_file_atomic : path:string -> string -> (unit, string) result
 (** Write-to-tmp + rename in [path]'s directory, so concurrent readers

@@ -160,6 +160,46 @@ let test_hits_are_isolated_copies () =
     (Mc_ir.Printer.module_to_string (ir first))
     (Mc_ir.Printer.module_to_string (ir c))
 
+(* The two IR forms over one cache: [`Marshalled] gives no module and
+   bytes that decode to the cold IR, on a miss and on a hit (where they
+   are the stored optir body); [`Module] gives a module and no bytes. *)
+let test_ir_forms () =
+  let cache = Cache.create () in
+  let options = Invocation.to_driver_options cached_invocation in
+  let execute ir = Pipeline.execute ~cache ~options ~name:"a.c" ~ir source in
+  let cold_text =
+    Mc_ir.Printer.module_to_string
+      (Option.get (Driver.compile ~options ~name:"a.c" source).Driver.ir)
+  in
+  let decoded (x : Pipeline.exec) =
+    let r = x.Pipeline.x_result in
+    Alcotest.(check bool) "no module in marshalled form" true (r.Driver.ir = None);
+    match r.Driver.ir_payload with
+    | None -> Alcotest.fail "marshalled form carried no payload"
+    | Some bytes ->
+      ( bytes,
+        Mc_ir.Printer.module_to_string (Marshal.from_string bytes 0 : Mc_ir.Ir.modul) )
+  in
+  let miss = execute `Marshalled in
+  Alcotest.(check bool) "first is a miss" false miss.Pipeline.x_full_hit;
+  let miss_bytes, miss_text = decoded miss in
+  Alcotest.(check string) "miss payload decodes to the cold IR" cold_text miss_text;
+  let hit = execute `Marshalled in
+  Alcotest.(check bool) "second is a full hit" true hit.Pipeline.x_full_hit;
+  let hit_bytes, hit_text = decoded hit in
+  Alcotest.(check string) "hit payload decodes to the cold IR" cold_text hit_text;
+  Alcotest.(check string) "the hit forwards the bytes the miss stored"
+    miss_bytes hit_bytes;
+  let m = execute `Module in
+  Alcotest.(check bool) "module form is a full hit too" true m.Pipeline.x_full_hit;
+  Alcotest.(check bool) "module form carries no payload" true
+    (m.Pipeline.x_result.Driver.ir_payload = None);
+  Alcotest.(check string) "module form decodes the same IR" cold_text
+    (Mc_ir.Printer.module_to_string (Option.get m.Pipeline.x_result.Driver.ir));
+  let uncached = Pipeline.execute ~options ~name:"a.c" source in
+  Alcotest.(check bool) "an uncached module compile carries no payload" true
+    (uncached.Pipeline.x_result.Driver.ir_payload = None)
+
 let test_warnings_prevent_caching () =
   (* Stage artifacts are only stored while the compilation is still
      diagnostic-free: a hit replays no warnings, so a warned stage (and
@@ -234,4 +274,5 @@ let suite =
     tc "hits hand out isolated IR copies" test_hits_are_isolated_copies;
     tc "diagnosed units are not cached" test_warnings_prevent_caching;
     tc "warm batch hits 100%" test_batch_cache_hit_rate;
+    tc "IR forms: module or marshalled bytes" test_ir_forms;
   ]

@@ -105,6 +105,69 @@ let test_reproducer_replays () =
         check_contains ~what:"replayed ICE"
           f.Instance.f_ice.Crash_recovery.ice_exn "crash requested"))
 
+(* A bundle made under a transfo script replays from inside the bundle:
+   the script is copied in under its basename, and repro.sh names that
+   copy rather than the path the script was given by. *)
+let test_reproducer_carries_script () =
+  let script = "unroll partial(2) @ for(i)" in
+  let inv =
+    {
+      Invocation.default with
+      Invocation.action = Invocation.Emit_ir;
+      transfo_script =
+        Some
+          (Invocation.Source { name = "scripts/dir/unroll.transfo"; contents = script });
+    }
+  in
+  match Instance.compile_safe (Instance.create inv) ~name:"boom.c" crash_source with
+  | Ok _ -> Alcotest.fail "deliberate ICE was not contained"
+  | Error { Instance.f_reproducer = None; _ } ->
+    Alcotest.fail "no reproducer bundle written"
+  | Error { Instance.f_reproducer = Some dir; _ } -> (
+    let read name =
+      In_channel.with_open_bin (Filename.concat dir name) In_channel.input_all
+    in
+    Alcotest.(check string) "bundled script" script (read "unroll.transfo");
+    (* The argv repro.sh renders: each argument single-quoted. *)
+    let argv =
+      match
+        List.find_opt
+          (fun l -> String.starts_with ~prefix:"exec mcc " l)
+          (String.split_on_char '\n' (read "repro.sh"))
+      with
+      | None -> Alcotest.fail "repro.sh has no exec line"
+      | Some line ->
+        String.split_on_char ' ' line
+        |> List.filteri (fun i _ -> i >= 2)
+        |> List.map (fun a -> String.sub a 1 (String.length a - 2))
+    in
+    Alcotest.(check bool) "repro.sh names the bundled script" true
+      (List.mem "-transfo-script=unroll.transfo" argv);
+    let cwd = Sys.getcwd () in
+    Fun.protect
+      ~finally:(fun () -> Sys.chdir cwd)
+      (fun () ->
+        Sys.chdir dir;
+        match Invocation.of_argv (Array.of_list ("mcc" :: argv)) with
+        | Error e -> Alcotest.failf "reproducer argv does not parse: %s" e
+        | Ok replay -> (
+          match Invocation.load_transfo_script replay with
+          | Error e -> Alcotest.failf "replay cannot load its script: %s" e
+          | Ok replay ->
+            Alcotest.(check bool) "replay runs the same script" true
+              ((Invocation.to_driver_options replay).Driver.transfo_script
+              = Some script);
+            match
+              Instance.compile_safe
+                (Instance.create
+                   { replay with Invocation.gen_reproducer = false })
+                ~name:"boom.c" (read "boom.c")
+            with
+            | Ok _ -> Alcotest.fail "replay did not reproduce the ICE"
+            | Error f ->
+              check_contains ~what:"replayed ICE"
+                f.Instance.f_ice.Crash_recovery.ice_exn "crash requested")))
+
 let test_stack_overflow_contained () =
   let inst = Instance.create Invocation.default in
   match Instance.compile_safe inst ~name:"deep.c" overflow_source with
@@ -550,4 +613,6 @@ let suite =
     tc "bounded fuzz: no escapes at -j 1 and -j 2" test_fuzz_no_escape;
     tc "fuzz minimizer shrinks a crashing input" test_fuzz_minimizer;
     tc "transform_safe contains the transfo stage" test_transform_safe;
+    tc "reproducer bundle carries the transfo script"
+      test_reproducer_carries_script;
   ]

@@ -10,6 +10,8 @@ module Client = Mc_core.Client
 module Protocol = Mc_core.Protocol
 module Pipeline = Mc_core.Pipeline
 module Invocation = Mc_core.Invocation
+module Instance = Mc_core.Instance
+module Driver = Mc_core.Driver
 module Stats = Mc_support.Stats
 module Fault = Mc_support.Fault
 
@@ -139,6 +141,12 @@ let ir_text u =
   | Some m -> Mc_ir.Printer.module_to_string m
   | None -> Alcotest.fail "response carried no decodable IR"
 
+let ok_ir (u : Protocol.response_unit) =
+  match u.Protocol.r_outcome with
+  | Protocol.R_ok { ok_ir = Some bytes; _ } -> bytes
+  | Protocol.R_ok { ok_ir = None; _ } -> Alcotest.fail "reply carried no IR"
+  | Protocol.R_ice _ -> Alcotest.fail "unit ICEd"
+
 let test_warm_roundtrip () =
   let (), snap =
     with_daemon (fun socket_path ->
@@ -157,7 +165,20 @@ let test_warm_roundtrip () =
           "pp:hit ast:hit ir:hit optir:hit"
           (Pipeline.render_trace warm.Protocol.r_trace);
         Alcotest.(check string) "byte-identical IR across the wire"
-          (ir_text cold) (ir_text warm))
+          (ir_text cold) (ir_text warm);
+        (* The warm reply forwards the stored optir body: the very bytes
+           the cold reply marshalled, and those of an in-process
+           compile's module. *)
+        let in_process =
+          let c =
+            Instance.compile (Instance.create invocation) ~name:"a.c" source
+          in
+          Marshal.to_string (Option.get c.Instance.c_result.Driver.ir) []
+        in
+        Alcotest.(check string) "warm ok_ir is the cold ok_ir" (ok_ir cold)
+          (ok_ir warm);
+        Alcotest.(check string) "ok_ir is the in-process module, marshalled"
+          in_process (ok_ir cold))
   in
   check_count "server.requests" 2 (Stats.find snap "server.requests");
   check_count "server.units" 2 (Stats.find snap "server.units");
@@ -244,6 +265,33 @@ let test_ice_contained () =
   check_count "driver.ices" 3 (Stats.find snap "driver.ices");
   check_count "server.units" 4 (Stats.find snap "server.units");
   check_count "server.requests" 4 (Stats.find snap "server.requests")
+
+(* A unit codegen refuses cannot be analysed: the daemon's payload is the
+   very stderr text an in-process `mcc --analyze` prints for it. *)
+let test_analysis_refusal_wording () =
+  let refused = "int g = 1; int main(void) { return g; }" in
+  let inv = { invocation with Invocation.action = Invocation.Analyze } in
+  let in_process =
+    let r =
+      (Instance.compile
+         (Instance.create { inv with Invocation.analyze = Some [] })
+         ~name:"g.c" refused)
+        .Instance.c_result
+    in
+    Mc_diag.Diagnostics.render_all r.Driver.diag
+    ^ Instance.render_unanalysable ~name:"g.c" r
+  in
+  check_contains ~what:"in-process line" in_process "mcc: cannot analyse g.c: ";
+  let (), _ =
+    with_daemon (fun socket_path ->
+        let daemon =
+          unit_error "analysis" (fun () ->
+              Client.analyze ~socket_path inv ~name:"g.c" refused)
+        in
+        Alcotest.(check string) "daemon payload is the in-process stderr"
+          in_process daemon)
+  in
+  ()
 
 (* A transform or analysis answers for one unit: any other count is a
    counted rejection, and the daemon keeps serving. *)
@@ -817,4 +865,5 @@ let suite =
     tc "Bqueue: pop race during drain" test_bqueue_drain_race;
     tc "stale socket takeover" test_stale_socket_takeover;
     tc "multi-unit analysis is rejected" test_multi_unit_analysis_rejected;
+    tc "analysis refusal reads as in-process" test_analysis_refusal_wording;
   ]

@@ -370,7 +370,26 @@ let test_cache_survives_restart () =
       let ir c =
         Mc_ir.Printer.module_to_string (Option.get c.Instance.c_result.Driver.ir)
       in
-      Alcotest.(check string) "byte-identical IR" (ir cold) (ir warm))
+      Alcotest.(check string) "byte-identical IR" (ir cold) (ir warm);
+      (* A restarted daemon compiles in marshalled form: the optir body it
+         forwards comes from disk and decodes to the same IR. *)
+      let cache = Cache.create ~store:(Store.create ~dir ()) () in
+      match
+        Instance.compile_safe (Instance.create ~cache invocation) ~ir:`Marshalled
+          source
+      with
+      | Error _ -> Alcotest.fail "marshalled compile ICEd"
+      | Ok c ->
+        let r = c.Instance.c_result in
+        if not (store_faults ()) then
+          Alcotest.(check bool) "marshalled disk-warm is a hit" true
+            c.Instance.c_cache_hit;
+        Alcotest.(check bool) "no module in marshalled form" true
+          (r.Driver.ir = None);
+        Alcotest.(check string) "disk payload decodes to the cold IR" (ir cold)
+          (Mc_ir.Printer.module_to_string
+             (Marshal.from_string (Option.get r.Driver.ir_payload) 0
+               : Mc_ir.Ir.modul)))
 
 let test_lost_optir_entry_reruns_passes () =
   (* A store can lose any single entry independently (LRU eviction, a
