@@ -462,6 +462,7 @@ let run_analyze_action inst units =
           | _ -> None)
     with
     | Some (Ok a, p_wall) ->
+      prerr_string a.Protocol.an_diag;
       Printf.eprintf
         "[mcc --daemon: analysed %s: %d finding(s)%s, server %.6fs]\n%!" name
         a.Protocol.an_findings

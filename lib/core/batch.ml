@@ -114,9 +114,7 @@ let compile ?jobs ?cache ~invocation inputs =
   let cache =
     match cache with
     | Some _ as c -> c
-    | None ->
-      if invocation.Invocation.cache_enabled then Some (Cache.create ())
-      else None
+    | None -> Instance.default_cache invocation
   in
   let units, _registries, wall, jobs =
     compile_units ?cache ~jobs ~invocation inputs

@@ -51,8 +51,10 @@ val compile :
   t
 (** [compile ~invocation units] compiles each [(name, source)] unit.
     [jobs] defaults to the invocation's [jobs] field and is clamped to
-    the unit count; [cache] defaults to a fresh private cache when the
-    invocation enables caching, none otherwise. *)
+    the unit count; [cache] defaults to the invocation's
+    {!Instance.default_cache}, shared by every unit of the batch: a
+    store-backed cache under [--cache-dir], an in-memory one under
+    [--cache] or [--incremental], else none. *)
 
 val compile_into : Instance.t -> (string * string) list -> t
 (** Like {!compile}, but drives the batch on behalf of a parent

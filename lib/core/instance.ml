@@ -13,23 +13,21 @@ type t = {
   mutable exit_report_taken : bool;
 }
 
+let default_cache invocation =
+  match invocation.Invocation.cache_dir with
+  | Some dir ->
+    (* --cache-dir: the in-memory stage cache is layered over a
+       persistent on-disk store, so compiles start disk-warm and their
+       artifacts outlive the process. *)
+    Some (Cache.create ~store:(Store.create ~dir ()) ())
+  | None ->
+    if invocation.Invocation.cache_enabled || invocation.Invocation.incremental
+    then Some (Cache.create ())
+    else None
+
 let create ?cache invocation =
   let cache =
-    match cache with
-    | Some _ as c -> c
-    | None -> (
-      match invocation.Invocation.cache_dir with
-      | Some dir ->
-        (* --cache-dir: the in-memory stage cache is layered over a
-           persistent on-disk store, so this instance starts disk-warm
-           and its artifacts outlive the process. *)
-        Some (Cache.create ~store:(Store.create ~dir ()) ())
-      | None ->
-        if
-          invocation.Invocation.cache_enabled
-          || invocation.Invocation.incremental
-        then Some (Cache.create ())
-        else None)
+    match cache with Some _ as c -> c | None -> default_cache invocation
   in
   {
     invocation;

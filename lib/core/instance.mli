@@ -17,11 +17,16 @@
 
 type t
 
+val default_cache : Invocation.t -> Cache.t option
+(** The stage cache an invocation asks for: over a persistent
+    {!Store} under [cache_dir] when it is set, else in memory when
+    [cache_enabled] or [incremental] holds, else none.  Each call
+    creates a fresh cache. *)
+
 val create : ?cache:Cache.t -> Invocation.t -> t
-(** A fresh instance with a zeroed registry.  When the invocation has
-    [cache_enabled] (or [incremental]) and no [?cache] is supplied, a
-    private stage cache is created; pass an explicit [?cache] to share
-    one across instances (as {!Batch.compile} does across its
+(** A fresh instance with a zeroed registry.  Without [?cache] it gets
+    the invocation's {!default_cache}; pass an explicit [?cache] to
+    share one across instances (as {!Batch.compile} does across its
     workers). *)
 
 val invocation : t -> Invocation.t

@@ -46,8 +46,12 @@ let magic = "MCCD"
    v6: one request for every action — [Req_compile], [Req_transform]
    and [Req_analyze] became [Req_run], whose invocation's action picks
    the reply; the response shapes are unchanged.  [Pipeline.stage],
-   carried in every response trace, lost its [Lex] case. *)
-let version = 6
+   carried in every response trace, lost its [Lex] case.
+
+   v7: [analysis] carries the unit's rendered diagnostics ([an_diag]),
+   so an analysed unit's warnings reach the client as they do
+   in-process. *)
+let version = 7
 
 let default_socket () =
   match Sys.getenv_opt "MCCD_SOCKET" with
@@ -154,6 +158,7 @@ and transformed = {
 (* Both renderings travel so the client stays free of analysis code;
    the structured report stays server-side (it is cacheable there). *)
 and analysis = {
+  an_diag : string; (* rendered diagnostics: the unit's warnings *)
   an_text : string; (* Report.render_text *)
   an_json : string; (* Report.render_json *)
   an_findings : int; (* drives the client's exit code *)

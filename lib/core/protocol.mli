@@ -13,7 +13,8 @@
     unmarshalling.
 
     Version 6 merged the three action requests of v2–v5
-    ([Req_compile], [Req_transform], [Req_analyze]) into {!Req_run}. *)
+    ([Req_compile], [Req_transform], [Req_analyze]) into {!Req_run};
+    version 7 added [an_diag] to {!analysis}. *)
 
 val magic : string
 val version : int
@@ -120,6 +121,9 @@ and transformed = {
 }
 
 and analysis = {
+  an_diag : string;
+      (** {!Mc_diag.Diagnostics.render_all} of the unit: its warnings,
+          which the client prints to stderr as [mcc --analyze] does *)
   an_text : string;  (** {!Mc_analysis.Report.render_text} *)
   an_json : string;  (** {!Mc_analysis.Report.render_json} *)
   an_findings : int;  (** drives the client's exit code *)

@@ -196,9 +196,10 @@ let compiled (c : Instance.compilation) =
       ok_codegen_error = r.Driver.codegen_error;
     }
 
-(* A unit compiled as far as its analysis report.  Compilation failures
-   are a payload [Error], not a rejection — the client prints them as a
-   local `mcc --analyze` would, in the same words. *)
+(* A unit compiled as far as its analysis report, with its warnings.
+   Compilation failures are a payload [Error], not a rejection — the
+   client prints either as a local `mcc --analyze` would, in the same
+   words. *)
 let analysed ~name (c : Instance.compilation) =
   let r = c.Instance.c_result in
   let diags = Diag.render_all r.Driver.diag in
@@ -208,7 +209,8 @@ let analysed ~name (c : Instance.compilation) =
     | Some report ->
       Ok
         {
-          Protocol.an_text = Mc_analysis.Report.render_text report;
+          Protocol.an_diag = diags;
+          an_text = Mc_analysis.Report.render_text report;
           an_json = Mc_analysis.Report.render_json report;
           an_findings = Mc_analysis.Report.finding_count report;
           an_cache_hit = c.Instance.c_cache_hit;

@@ -316,16 +316,18 @@ let report_of (c : Instance.compilation) =
   | None -> Alcotest.fail "compilation carried no analysis report"
 
 let test_warm_cache_report_identity () =
-  let source = leaky in
-  let inst = Instance.create analyzing_invocation in
-  let cold = Instance.compile inst source in
-  let warm = Instance.compile inst source in
-  Alcotest.(check string) "cold and warm text reports are byte-identical"
-    (Report.render_text (report_of cold))
-    (Report.render_text (report_of warm));
-  Alcotest.(check string) "and the JSON reports too"
-    (Report.render_json (report_of cold))
-    (Report.render_json (report_of warm))
+  List.iter
+    (fun source ->
+      let inst = Instance.create analyzing_invocation in
+      let cold = Instance.compile inst source in
+      let warm = Instance.compile inst source in
+      Alcotest.(check string) "cold and warm text reports are byte-identical"
+        (Report.render_text (report_of cold))
+        (Report.render_text (report_of warm));
+      Alcotest.(check string) "and the JSON reports too"
+        (Report.render_json (report_of cold))
+        (Report.render_json (report_of warm)))
+    [ leaky; wide_unit ~edit:11 ]
 
 (* A body edit re-analyzes exactly the edited function: the per-function
    analysis stage rides the fnir fingerprints, so the sibling fragments
@@ -342,26 +344,30 @@ let unit_with ~edit =
     edit
 
 let test_body_edit_reanalyzes_one_function () =
-  let inst = Instance.create analyzing_invocation in
-  let cold = Instance.compile inst (unit_with ~edit:3) in
-  (* length-preserving edit: sibling source spans (and so their rendered
-     locations) stay put *)
-  let warm = Instance.compile inst (unit_with ~edit:9) in
-  let counter name =
-    try Stats.find warm.Instance.c_result.Driver.stats name
-    with Not_found -> 0
-  in
-  let hits = counter "analysis.fn-hits"
-  and misses = counter "analysis.fn-misses" in
-  Alcotest.(check int) "three sibling fragments adopted" 3 hits;
-  Alcotest.(check int) "exactly the edited function re-analyzed" 1 misses;
-  (* and the stitched report equals a cold analysis of the edited unit *)
-  let fresh = Instance.create analyzing_invocation in
-  let cold_edited = Instance.compile fresh (unit_with ~edit:9) in
-  Alcotest.(check string) "stitched report = cold report"
-    (Report.render_text (report_of cold_edited))
-    (Report.render_text (report_of warm));
-  ignore cold
+  List.iter
+    (fun (unit_with, adopted) ->
+      let inst = Instance.create analyzing_invocation in
+      let cold = Instance.compile inst (unit_with ~edit:3) in
+      Alcotest.(check int) "a clean unit draws no findings" 0
+        (Report.finding_count (report_of cold));
+      (* length-preserving edit: sibling source spans (and so their
+         rendered locations) stay put *)
+      let warm = Instance.compile inst (unit_with ~edit:9) in
+      let counter name =
+        try Stats.find warm.Instance.c_result.Driver.stats name
+        with Not_found -> 0
+      in
+      let hits = counter "analysis.fn-hits"
+      and misses = counter "analysis.fn-misses" in
+      Alcotest.(check int) "sibling fragments adopted" adopted hits;
+      Alcotest.(check int) "exactly the edited function re-analyzed" 1 misses;
+      (* and the stitched report equals a cold analysis of the edited unit *)
+      let fresh = Instance.create analyzing_invocation in
+      let cold_edited = Instance.compile fresh (unit_with ~edit:9) in
+      Alcotest.(check string) "stitched report = cold report"
+        (Report.render_text (report_of cold_edited))
+        (Report.render_text (report_of warm)))
+    [ (unit_with, 3); (wide_unit, 24) ]
 
 let suite =
   [

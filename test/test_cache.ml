@@ -232,38 +232,71 @@ let test_warnings_prevent_caching () =
   Alcotest.(check bool) "warning replayed" true
     (Mc_diag.Diagnostics.warning_count second.Instance.c_result.Driver.diag > 0)
 
+(* A twelve-function unit whose function names carry [seed]: the units
+   of one batch share no function slice, so each unit's misses and
+   stores are its own. *)
+let twelve_function_unit seed =
+  let buf = Buffer.create 2048 in
+  Buffer.add_string buf "void record(long x);\n";
+  for fn = 0 to 11 do
+    Buffer.add_string buf
+      (Printf.sprintf "long u%d_work%d(int n) {\n  long acc = %d;\n" seed fn seed);
+    for i = 0 to 5 do
+      Buffer.add_string buf
+        (Printf.sprintf
+           "  for (int i%d = 0; i%d < n; i%d += 1) acc += i%d * %d + (acc >> 2);\n"
+           i i i i (i + fn + seed))
+    done;
+    Buffer.add_string buf "  return acc;\n}\n"
+  done;
+  Buffer.add_string buf
+    (Printf.sprintf "int main(void) { record(u%d_work0(3)); return 0; }\n" seed);
+  Buffer.contents buf
+
 let test_batch_cache_hit_rate () =
-  (* Recompiling the same batch with a shared cache: every unit hits. *)
-  let inputs =
-    List.init 6 (fun i ->
-        ( Printf.sprintf "u%d.c" i,
-          Printf.sprintf
-            "void record(long x);\nint main(void) { long s = 0;\n\
-             for (int i = 0; i < %d; i += 1) s += i;\nrecord(s);\nreturn 0; }"
-            (10 + i) ))
-  in
-  let cache = Cache.create () in
-  let invocation = { Invocation.default with Invocation.cache_enabled = true } in
-  let cold = Batch.compile ~jobs:3 ~cache ~invocation inputs in
-  Alcotest.(check int) "cold: no hits" 0 (Batch.hits cold);
-  let warm = Batch.compile ~jobs:3 ~cache ~invocation inputs in
-  Alcotest.(check int) "warm: all hits" (List.length inputs) (Batch.hits warm);
-  Alcotest.(check bool) "warm all ok" true (Batch.all_ok warm);
-  (* The merged batch stats surface the hit counters. *)
-  Alcotest.(check int) "merged cache.hits" (List.length inputs)
-    (Stats.find warm.Batch.stats "cache.hits");
-  (* Warm results still execute correctly. *)
+  (* Recompiling the same batch with a shared cache: every unit hits.
+     Over six one-function units and eight twelve-function ones. *)
   List.iter
-    (fun u ->
-      match u.Batch.u_result with
-      | Ok r -> (
-        match Driver.run r with
-        | Ok _ -> ()
-        | Error e -> Alcotest.failf "%s: %s" u.Batch.u_name e)
-      | Error f ->
-        Alcotest.failf "%s: %s" u.Batch.u_name
-          f.Instance.f_ice.Mc_support.Crash_recovery.ice_exn)
-    warm.Batch.units
+    (fun inputs ->
+      let n = List.length inputs in
+      let cache = Cache.create () in
+      let invocation =
+        { Invocation.default with Invocation.cache_enabled = true }
+      in
+      let cold = Batch.compile ~jobs:3 ~cache ~invocation inputs in
+      Alcotest.(check bool) "cold all ok" true (Batch.all_ok cold);
+      Alcotest.(check int) "cold: no hits" 0 (Batch.hits cold);
+      Alcotest.(check int) "cold: one miss per unit" n
+        (Stats.find cold.Batch.stats "cache.misses");
+      Alcotest.(check int) "cold: one optir store per unit" n
+        (Stats.find cold.Batch.stats "cache.optir-stores");
+      let warm = Batch.compile ~jobs:3 ~cache ~invocation inputs in
+      Alcotest.(check int) "warm: all hits" n (Batch.hits warm);
+      Alcotest.(check bool) "warm all ok" true (Batch.all_ok warm);
+      (* The merged batch stats surface the hit counters. *)
+      Alcotest.(check int) "merged cache.hits" n
+        (Stats.find warm.Batch.stats "cache.hits");
+      (* Warm results still execute correctly. *)
+      List.iter
+        (fun u ->
+          match u.Batch.u_result with
+          | Ok r -> (
+            match Driver.run r with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%s: %s" u.Batch.u_name e)
+          | Error f ->
+            Alcotest.failf "%s: %s" u.Batch.u_name
+              f.Instance.f_ice.Mc_support.Crash_recovery.ice_exn)
+        warm.Batch.units)
+    [
+      List.init 6 (fun i ->
+          ( Printf.sprintf "u%d.c" i,
+            Printf.sprintf
+              "void record(long x);\nint main(void) { long s = 0;\n\
+               for (int i = 0; i < %d; i += 1) s += i;\nrecord(s);\nreturn 0; }"
+              (10 + i) ));
+      List.init 8 (fun i -> (Printf.sprintf "unit%d.c" i, twelve_function_unit i));
+    ]
 
 let suite =
   [

@@ -69,24 +69,39 @@ let run_trace inst (c : Instance.compilation) =
 (* ---- body edit: one slice re-runs, the rest relink ----------------------- *)
 
 let test_body_edit_is_function_granular () =
-  let inst = Instance.create cached_invocation in
-  ignore (compile inst base);
-  let c = compile inst edited in
-  Alcotest.(check string) "every stage partial"
-    "pp:run ast:partial ir:partial optir:partial" (trace_of c);
-  Alcotest.(check string) "only w2 re-ran"
-    "<decl>:hit w0:hit w1:hit w2:run w3:hit main:hit"
-    (Pipeline.render_fn_trace c.Instance.c_fn_trace);
-  Alcotest.(check int) "five slices adopted" 5 (counter c "cache.fn-hits");
-  Alcotest.(check int) "one slice re-parsed" 1 (counter c "cache.fn-misses");
-  Alcotest.(check bool) "sibling functions relinked" true
-    (counter c "cache.fn-relinks" > 0);
-  (* The relinked unit is behaviourally the edited program, not a stale
-     mix: a cold compile of the edited source agrees exactly. *)
-  let fresh = Instance.create Invocation.default in
-  let cold = compile fresh edited in
-  Alcotest.(check string) "same execution trace" (run_trace fresh cold)
-    (run_trace inst c)
+  List.iter
+    (fun (base, edited, fn_trace, adopted) ->
+      let inst = Instance.create cached_invocation in
+      ignore (compile inst base);
+      let c = compile inst edited in
+      Alcotest.(check string) "every stage partial"
+        "pp:run ast:partial ir:partial optir:partial" (trace_of c);
+      Alcotest.(check string) "only the edited function re-ran" fn_trace
+        (Pipeline.render_fn_trace c.Instance.c_fn_trace);
+      Alcotest.(check int) "sibling slices adopted" adopted
+        (counter c "cache.fn-hits");
+      Alcotest.(check int) "one slice re-parsed" 1
+        (counter c "cache.fn-misses");
+      Alcotest.(check bool) "sibling functions relinked" true
+        (counter c "cache.fn-relinks" > 0);
+      (* The relinked unit is behaviourally the edited program, not a
+         stale mix: a cold compile of the edited source agrees exactly. *)
+      let fresh = Instance.create Invocation.default in
+      let cold = compile fresh edited in
+      Alcotest.(check string) "same execution trace" (run_trace fresh cold)
+        (run_trace inst c))
+    [
+      (base, edited, "<decl>:hit w0:hit w1:hit w2:run w3:hit main:hit", 5);
+      ( wide_unit ~edit:11,
+        wide_unit ~edit:99,
+        String.concat " "
+          (("<decl>:hit"
+           :: List.init 24 (fun fn ->
+                  Printf.sprintf "w%d:%s" fn (if fn = 11 then "run" else "hit"))
+           )
+          @ [ "main:hit" ]),
+        25 );
+    ]
 
 let test_warm_ir_byte_identical_both_modes () =
   List.iter
@@ -153,23 +168,6 @@ let test_store_restart_reuses_functions () =
         (ir_text cold) (ir_text warm))
 
 (* ---- warm paths read only what they use ---------------------------------- *)
-
-(* 24 workers and main; [edit] expands only inside w11's body. *)
-let wide_unit ~edit =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "void record(long x);\n";
-  for fn = 0 to 23 do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "long w%d(int n) { long a = %d; for (int i = 0; i < n + %d; i += 1) \
-          a += i * %d; return a; }\n"
-         fn
-         (if fn = 11 then edit else fn)
-         (fn + 2) (fn + 1))
-  done;
-  Buffer.add_string buf
-    "int main(void) { record(w0(3) + w11(3) + w23(3)); return 0; }\n";
-  Buffer.contents buf
 
 let lookups c stage =
   counter c ("cache." ^ stage ^ "-hits") + counter c ("cache." ^ stage ^ "-misses")

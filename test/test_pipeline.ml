@@ -90,6 +90,7 @@ let test_recompile_warm_hits_every_stage () =
   Alcotest.(check string) "warm trace"
     "pp:hit ast:hit ir:hit optir:hit"
     (trace_of warm);
+  check_no_stage_ran "warm timings all zero" warm.Instance.c_result;
   Alcotest.(check string) "warm IR byte-identical to cold" (ir_text cold)
     (ir_text warm)
 

@@ -222,6 +222,7 @@ let transfo_invocation contents =
 let test_ice_contained () =
   let (), snap =
     with_daemon (fun socket_path ->
+        ignore (compile_unit ~socket_path invocation [ ("a.c", source) ]);
         let ice =
           compile_unit ~socket_path invocation [ ("boom.c", ice_source) ]
         in
@@ -256,15 +257,38 @@ let test_ice_contained () =
         let after =
           compile_unit ~socket_path invocation [ ("a.c", source) ]
         in
-        match after.Protocol.r_outcome with
+        check_flag "the unit compiled before the ICEs is a full hit" true
+          after.Protocol.r_cache_hit;
+        (match after.Protocol.r_outcome with
+        | Protocol.R_ok { ok_errors; _ } ->
+          Alcotest.(check bool) "daemon still serves hits" false ok_errors
+        | Protocol.R_ice _ -> Alcotest.fail "cache poisoned by earlier ICE");
+        (* A unit the daemon has not seen runs every stage after the
+           ICEs, and yields the module an in-process compile does. *)
+        let unseen =
+          "void record(long x);\nint main(void) {\nlong p = 1;\n\
+           for (int i = 1; i < 9; i += 1) p *= i;\nrecord(p);\nreturn 0; }"
+        in
+        let fresh =
+          compile_unit ~socket_path invocation [ ("b.c", unseen) ]
+        in
+        check_flag "the unseen unit is a miss" false fresh.Protocol.r_cache_hit;
+        (match fresh.Protocol.r_outcome with
         | Protocol.R_ok { ok_errors; _ } ->
           Alcotest.(check bool) "daemon still compiles" false ok_errors
-        | Protocol.R_ice _ -> Alcotest.fail "daemon poisoned by earlier ICE")
+        | Protocol.R_ice _ -> Alcotest.fail "daemon poisoned by earlier ICE");
+        let in_process =
+          Instance.compile (Instance.create invocation) ~name:"b.c" unseen
+        in
+        Alcotest.(check string) "the unseen unit's IR is the in-process IR"
+          (Mc_ir.Printer.module_to_string
+             (Option.get in_process.Instance.c_result.Driver.ir))
+          (ir_text fresh))
   in
   check_count "server.ices" 3 (Stats.find snap "server.ices");
   check_count "driver.ices" 3 (Stats.find snap "driver.ices");
-  check_count "server.units" 4 (Stats.find snap "server.units");
-  check_count "server.requests" 4 (Stats.find snap "server.requests")
+  check_count "server.units" 6 (Stats.find snap "server.units");
+  check_count "server.requests" 6 (Stats.find snap "server.requests")
 
 (* A unit codegen refuses cannot be analysed: the daemon's payload is the
    very stderr text an in-process `mcc --analyze` prints for it. *)
@@ -405,6 +429,68 @@ let test_transform_request () =
         check_contains ~what:"script failure" failure "matched no statement")
   in
   check_count "server.transforms" 3 (Stats.find snap "server.transforms")
+
+(* An analysis request: the reply carries the report an in-process
+   `mcc --analyze` prints, the unit's warnings with it, and a warm repeat
+   is served from the daemon's cache. *)
+let test_analysis_request () =
+  let warned =
+    "#define N 3\n#define N 4\nvoid record(long x);\nint main(void) {\n\
+     for (int i = 0; i < N; i += 1) record(i);\nreturn 0; }"
+  in
+  let inv = { invocation with Invocation.analyze = Some [] } in
+  let in_process src =
+    let r =
+      (Instance.compile (Instance.create inv) ~name:"a.c" src).Instance.c_result
+    in
+    ( Diag.render_all r.Driver.diag,
+      Mc_analysis.Report.render_text (Option.get r.Driver.analysis) )
+  in
+  let (), snap =
+    with_daemon (fun socket_path ->
+        let once src =
+          retrying (fun () ->
+              match Client.analyze ~socket_path inv ~name:"a.c" src with
+              | Ok
+                  {
+                    Client.response = Protocol.Resp_analysis { p_result = Ok a; _ };
+                    _;
+                  } ->
+                Ok a
+              | Ok
+                  {
+                    Client.response =
+                      Protocol.Resp_analysis { p_result = Error e; _ };
+                    _;
+                  } ->
+                if tolerant && has_substring e "injected" then
+                  Error "injected worker fault; re-rolling"
+                else Alcotest.failf "analysis failed: %s" e
+              | Ok { Client.response = Protocol.Resp_rejected reason; _ } ->
+                Error ("request rejected: " ^ reason)
+              | Ok _ -> Error "unexpected response shape"
+              | Error e -> Error ("round-trip failed: " ^ e))
+        in
+        let _, text = in_process source in
+        let cold = once source in
+        Alcotest.(check int) "clean unit, no findings" 0
+          cold.Protocol.an_findings;
+        Alcotest.(check string) "report is the in-process report" text
+          cold.Protocol.an_text;
+        Alcotest.(check string) "no diagnostics" "" cold.Protocol.an_diag;
+        check_flag "cold is a miss" false cold.Protocol.an_cache_hit;
+        let warm = once source in
+        check_flag "warm is a full hit" true warm.Protocol.an_cache_hit;
+        Alcotest.(check string) "identical report across the wire"
+          cold.Protocol.an_text warm.Protocol.an_text;
+        let diag, text = in_process warned in
+        check_contains ~what:"in-process warning" diag "macro redefined";
+        let a = once warned in
+        Alcotest.(check string) "warnings are the in-process diagnostics" diag
+          a.Protocol.an_diag;
+        Alcotest.(check string) "warned unit's report" text a.Protocol.an_text)
+  in
+  check_count "server.analyses" 3 (Stats.find snap "server.analyses")
 
 let test_unreachable_socket () =
   let path = fresh_socket () in
@@ -848,6 +934,7 @@ let suite =
     tc "ICE is contained, daemon survives" test_ice_contained;
     tc "digest mismatch is rejected" test_digest_mismatch_rejected;
     tc "transform request round-trips and caches" test_transform_request;
+    tc "analysis request round-trips and caches" test_analysis_request;
     tc "unreachable socket is a client error" test_unreachable_socket;
     tc "second daemon on a live socket is refused" test_double_start_refused;
     tc "ping reports queue depth and capacity" test_ping;

@@ -364,6 +364,7 @@ let test_cache_survives_restart () =
         Alcotest.(check string) "every stage served from disk"
           "pp:hit ast:hit ir:hit optir:hit"
           (Pipeline.render_trace warm.Instance.c_trace);
+        check_no_stage_ran "disk-warm timings all zero" warm.Instance.c_result;
         Alcotest.(check bool) "store hits recorded" true
           (Stats.find warm_stats "store.hits" > 0)
       end;
@@ -544,6 +545,14 @@ let test_older_schemas_removed () =
       Alcotest.(check bool) "foreign v1 tree left alone" true
         (Sys.file_exists foreign))
 
+let batch_inputs =
+  List.init 6 (fun i ->
+      ( Printf.sprintf "u%d.c" i,
+        Printf.sprintf
+          "void record(long x);\nint main(void) { long s = 0;\n\
+           for (int i = 0; i < %d; i += 1) s += i;\nrecord(s);\nreturn 0; }"
+          (10 + i) ))
+
 let test_batch_domains_share_store () =
   (* Batch worker domains write through one store-backed cache; a fresh
      cache over the same directory then serves the whole batch warm. *)
@@ -551,14 +560,7 @@ let test_batch_domains_share_store () =
     Fault.armed "store.read" || Fault.armed "store.write"
   in
   with_store_dir (fun dir ->
-      let inputs =
-        List.init 6 (fun i ->
-            ( Printf.sprintf "u%d.c" i,
-              Printf.sprintf
-                "void record(long x);\nint main(void) { long s = 0;\n\
-                 for (int i = 0; i < %d; i += 1) s += i;\nrecord(s);\nreturn 0; }"
-                (10 + i) ))
-      in
+      let inputs = batch_inputs in
       let cache = Cache.create ~store:(Store.create ~dir ()) () in
       let cold = Batch.compile ~jobs:2 ~cache ~invocation inputs in
       Alcotest.(check bool) "cold all ok" true (Batch.all_ok cold);
@@ -569,6 +571,29 @@ let test_batch_domains_share_store () =
       if not (store_faults ()) then
         Alcotest.(check int) "warm: all hits from disk" (List.length inputs)
           (Batch.hits warm))
+
+(* Without an explicit cache, a batch gets the cache its invocation asks
+   for, as an instance does: under --cache-dir, one over the store, so
+   the next batch (a fresh cache over the same directory) hits every
+   unit. *)
+let test_batch_default_cache_is_store_backed () =
+  with_store_dir (fun dir ->
+      let invocation =
+        match
+          Invocation.of_argv
+            (Array.of_list
+               ("mcc" :: "--cache-dir" :: dir :: List.map fst batch_inputs))
+        with
+        | Ok inv -> inv
+        | Error e -> Alcotest.failf "parse failed: %s" e
+      in
+      let cold = Batch.compile ~invocation batch_inputs in
+      Alcotest.(check bool) "cold all ok" true (Batch.all_ok cold);
+      let warm = Batch.compile ~invocation batch_inputs in
+      Alcotest.(check bool) "warm all ok" true (Batch.all_ok warm);
+      if not (Fault.armed "store.read" || Fault.armed "store.write") then
+        Alcotest.(check int) "second batch: all hits from disk"
+          (List.length batch_inputs) (Batch.hits warm))
 
 let suite =
   [
@@ -587,4 +612,6 @@ let suite =
       test_missing_manifest_member_is_a_counted_miss;
     tc "older schema trees removed on open" test_older_schemas_removed;
     tc "batch domains share one store" test_batch_domains_share_store;
+    tc "a batch's default cache is store-backed under --cache-dir"
+      test_batch_default_cache_is_store_backed;
   ]
