@@ -1,17 +1,14 @@
 (* Benchmark harness: regenerates every figure/listing-derived experiment of
    DESIGN.md's index.
 
-   Part 1 prints the structural reproduction metrics (the paper's
-   quantified claims: shadow-node budgets, skeleton structure, unroll
-   deferral, execution-step ablations), then checks the counters those
-   experiments leave in the global registry against an exact golden and
-   exits 1 on any difference.  Part 2 prints one bechamel timing per
-   experiment id: an indication only, with no floor; perfbench/ is the
-   sampled, spread-aware timing harness.  EXPERIMENTS.md records the
+   It prints the structural reproduction metrics (the paper's quantified
+   claims: shadow-node budgets, skeleton structure, unroll deferral,
+   execution-step ablations), then checks the counters those experiments
+   leave in the global registry against an exact golden and exits 1 on
+   any difference.  It times nothing: perfbench/ is the sampled,
+   spread-aware timing harness.  EXPERIMENTS.md records the
    paper-vs-measured comparison for each.  The harness writes no file. *)
 
-open Bechamel
-open Toolkit
 module Driver = Mc_core.Driver
 module Interp = Mc_interp.Interp
 module Visit = Mc_ast.Visit
@@ -36,7 +33,7 @@ let steps_of ?(options = classic) ?(num_threads = 4) source =
 let heading title = Printf.printf "\n===== %s =====\n%!" title
 
 (* --------------------------------------------------------------------- *)
-(* Part 1: structural metrics                                             *)
+(* Structural metrics                                                    *)
 (* --------------------------------------------------------------------- *)
 
 let find_directive tu =
@@ -275,28 +272,28 @@ let omp60_preview () =
    test/irdigest, change it only for an intended change and say why in
    CHANGES.md; a mismatch prints the current list in this format. *)
 let counter_golden =
-  {|ast.exprs-created 5623
-ast.stmts-created 835
-codegen.functions-emitted 38
-codegen.ir-instructions-classic 1676
+  {|ast.exprs-created 5437
+ast.stmts-created 787
+codegen.functions-emitted 35
+codegen.ir-instructions-classic 1628
 codegen.ir-instructions-irbuilder 963
 interp.chunks-static 16
 interp.parallel-regions 4
 interp.steps-executed 1164206
-lexer.buffers-lexed 43
-lexer.tokens-lexed 4132
-parser.external-decls 81
-parser.omp-directives 45
-passes.loops-partially-unrolled 10
+lexer.buffers-lexed 40
+lexer.tokens-lexed 3997
+parser.external-decls 78
+parser.omp-directives 42
+passes.loops-partially-unrolled 8
 passes.loops-unroll-skipped 2
-passes.pass-runs 250
-passes.passes-changed-ir 142
-pp.directives-processed 45
-pp.files-entered 43
-pp.pragmas-kept 45
-sema.canonical-loops 74
+passes.pass-runs 232
+passes.passes-changed-ir 133
+pp.directives-processed 42
+pp.files-entered 40
+pp.pragmas-kept 42
+sema.canonical-loops 71
 sema.loop-helpers-built 6
-sema.shadow-stmts-built 27
+sema.shadow-stmts-built 24
 sema.tile-transforms 5
 |}
 
@@ -318,177 +315,6 @@ let check_counter_golden () =
     exit 1
   end
 
-(* --------------------------------------------------------------------- *)
-(* Part 2: bechamel timing benchmarks                                     *)
-(* --------------------------------------------------------------------- *)
-
-(* A ~1000-line synthetic translation unit for the Fig. 1 stage timings. *)
-let big_source =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "void record(long x);\n";
-  for fn = 0 to 39 do
-    Buffer.add_string buf (Printf.sprintf "long work%d(int n) {\n" fn);
-    Buffer.add_string buf "  long acc = 0;\n";
-    for i = 0 to 9 do
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  for (int i%d = 0; i%d < n; i%d += 1) acc += i%d * %d + (acc >> 3);\n"
-           i i i i (i + fn))
-    done;
-    Buffer.add_string buf "  return acc;\n}\n"
-  done;
-  Buffer.add_string buf "int main(void) { record(work0(3)); return 0; }\n";
-  Buffer.contents buf
-
-let omp_source =
-  "void record(long x);\nint main(void) {\nlong s = 0;\n\
-   #pragma omp parallel for\n#pragma omp unroll partial(2)\n\
-   for (int i = 0; i < 50; i += 1) s += i;\nrecord(s);\nreturn 0; }"
-
-let fig2_source =
-  "void record(long x);\nint main(void) {\n\
-   #pragma omp parallel for schedule(static)\n\
-   for (int i = 7; i < 17; i += 3) record(i);\nreturn 0; }"
-
-let fig6_source =
-  "void record(long x);\nint main(void) {\n\
-   #pragma omp unroll full\n#pragma omp unroll partial(2)\n\
-   for (int i = 7; i < 17; i += 3) record(i);\nreturn 0; }"
-
-let fig8_source =
-  "void recordf(double x);\nint main(void) {\ndouble a[64];\n\
-   for (int i = 0; i < 64; i += 1) a[i] = i;\n\
-   for (double &v : a) recordf(v);\nreturn 0; }"
-
-let staged_frontend ?(options = classic) source =
-  Staged.stage (fun () -> ignore (Driver.frontend ~options source))
-
-(* Precompiled modules for execution benches. *)
-let prepared_run ?(options = classic) source =
-  let r = compile_or_fail ~options source in
-  let m = Option.get r.Driver.ir in
-  Staged.stage (fun () -> ignore (Interp.run_main m))
-
-let unrolled_exec_source factor =
-  Printf.sprintf
-    "int main(void) {\nlong s = 0;\n#pragma omp unroll partial(%d)\n\
-     for (int i = 0; i < 500; i += 1) s += i;\nreturn (int)s; }"
-    factor
-
-let tests =
-  [
-    (* F1: per-layer costs on the 1000-line unit. *)
-    Test.make ~name:"fig1/lex" (Staged.stage (fun () ->
-        let sm = Mc_srcmgr.Source_manager.create () in
-        let diag = Mc_diag.Diagnostics.create sm in
-        let buf = Mc_srcmgr.Memory_buffer.create ~name:"big.c" ~contents:big_source in
-        let id = Mc_srcmgr.Source_manager.load_buffer sm buf in
-        ignore (Mc_lexer.Lexer.tokenize diag ~file_id:id buf)));
-    Test.make ~name:"fig1/preprocess" (Staged.stage (fun () ->
-        let sm = Mc_srcmgr.Source_manager.create () in
-        let diag = Mc_diag.Diagnostics.create sm in
-        let fm = Mc_srcmgr.File_manager.create () in
-        let pp = Mc_pp.Preprocessor.create diag sm fm in
-        ignore
-          (Mc_pp.Preprocessor.preprocess_main pp
-             (Mc_srcmgr.Memory_buffer.create ~name:"big.c" ~contents:big_source))));
-    Test.make ~name:"fig1/parse-sema" (staged_frontend big_source);
-    Test.make ~name:"fig1/codegen-O0" (Staged.stage (fun () ->
-        ignore (Driver.compile ~options:(o0 classic) big_source)));
-    Test.make ~name:"fig1/full-O1" (Staged.stage (fun () ->
-        ignore (Driver.compile ~options:classic big_source)));
-    (* F2/F6/F8/F9: front-end cost of the paper's listings. *)
-    Test.make ~name:"fig2/frontend-parallel-for" (staged_frontend fig2_source);
-    Test.make ~name:"fig6/frontend-composed-unroll" (staged_frontend fig6_source);
-    Test.make ~name:"fig7/shadow-construction" (staged_frontend fig6_source);
-    Test.make ~name:"fig8/frontend-range-for" (staged_frontend fig8_source);
-    Test.make ~name:"fig9/canonical-construction"
-      (staged_frontend ~options:irbuilder fig6_source);
-    (* F10: skeleton creation cost at the IR level. *)
-    Test.make ~name:"fig10/create-canonical-loop" (Staged.stage (fun () ->
-        let m = Mc_ir.Ir.create_module "bench" in
-        let f = Mc_ir.Ir.define_function m ~name:"f" ~ret:Mc_ir.Ir.Void ~args:[] in
-        let entry = Mc_ir.Ir.create_block ~name:"entry" f in
-        let b = Mc_ir.Builder.create () in
-        Mc_ir.Builder.set_insertion_point b entry;
-        ignore
-          (Mc_ompbuilder.Omp_builder.create_canonical_loop b
-             ~trip_count:(Mc_ir.Ir.i32_const 128)
-             ~body_gen:(fun _ _ -> ())
-             ());
-        Mc_ir.Builder.ret b None));
-    (* L1/A3: execution cost, plain vs unrolled. *)
-    Test.make ~name:"lst1/exec-no-unroll"
-      (prepared_run ~options:(o0 classic) (unrolled_exec_source 4));
-    Test.make ~name:"lst1/exec-unrolled-4"
-      (prepared_run ~options:classic (unrolled_exec_source 4));
-    Test.make ~name:"lst1/exec-unrolled-8"
-      (prepared_run ~options:classic (unrolled_exec_source 8));
-    (* A1: end-to-end compile time of the two lowering paths. *)
-    Test.make ~name:"ablate/pipeline-shadow" (Staged.stage (fun () ->
-        ignore (Driver.compile ~options:classic omp_source)));
-    Test.make ~name:"ablate/pipeline-irbuilder" (Staged.stage (fun () ->
-        ignore (Driver.compile ~options:irbuilder omp_source)));
-    (* A4: codegen with and without on-the-fly folding. *)
-    Test.make ~name:"ablate/codegen-fold" (Staged.stage (fun () ->
-        ignore (Driver.compile ~options:(o0 classic) big_source)));
-    Test.make ~name:"ablate/codegen-no-fold" (Staged.stage (fun () ->
-        ignore
-          (Driver.compile ~options:{ (o0 classic) with Driver.fold = false }
-             big_source)));
-    (* X1: front-end cost of the OpenMP 6.0 preview transformations. *)
-    Test.make ~name:"omp60/reverse-shadow"
-      (staged_frontend
-         "void record(long x);\nint main(void) {\n#pragma omp reverse\n\
-          for (int i = 0; i < 8; i += 1) record(i);\nreturn 0; }");
-    Test.make ~name:"omp60/interchange-shadow"
-      (staged_frontend
-         "void record(long x);\nint main(void) {\n#pragma omp interchange\n\
-          for (int i = 0; i < 4; i += 1)\nfor (int j = 0; j < 4; j += 1) \
-          record(i + j);\nreturn 0; }");
-    Test.make ~name:"omp60/fuse-shadow"
-      (staged_frontend
-         "void record(long x);\nint main(void) {\n#pragma omp fuse\n{\n\
-          for (int i = 0; i < 4; i += 1) record(i);\n\
-          for (int j = 0; j < 4; j += 1) record(j);\n}\nreturn 0; }");
-    (* C1 cost angle: sema time of deep collapse nests. *)
-    Test.make ~name:"claims/sema-collapse3-classic" (staged_frontend (nest_source 3));
-    Test.make ~name:"claims/sema-collapse3-irbuilder"
-      (staged_frontend ~options:irbuilder (nest_source 3));
-  ]
-
-let run_benchmarks () =
-  heading "Timing benchmarks (bechamel, monotonic clock)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  Printf.printf "  %-38s %14s %10s\n" "benchmark" "time/run" "r^2";
-  Printf.printf "  %s\n" (String.make 66 '-');
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analysis = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let time_ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) -> t
-            | _ -> nan
-          in
-          let r2 = Option.value (Analyze.OLS.r_square ols_result) ~default:nan in
-          let pretty =
-            if time_ns > 1e6 then Printf.sprintf "%10.3f ms" (time_ns /. 1e6)
-            else if time_ns > 1e3 then Printf.sprintf "%10.3f us" (time_ns /. 1e3)
-            else Printf.sprintf "%10.1f ns" time_ns
-          in
-          Printf.printf "  %-38s %14s %10.4f\n%!" name pretty r2)
-        analysis)
-    tests
-
 let () =
   print_endline "Loop Transformations using Clang's AST — benchmark harness";
   print_endline "(see DESIGN.md for the experiment index, EXPERIMENTS.md for analysis)";
@@ -500,5 +326,4 @@ let () =
   ablation_a4 ();
   ablation_a1 ();
   omp60_preview ();
-  check_counter_golden ();
-  run_benchmarks ()
+  check_counter_golden ()

@@ -13,7 +13,8 @@
 
    Lexing is part of the pp stage's run, as Clang's Preprocessor pulls
    its tokens from the Lexer: a pp miss lexes the main buffer and then
-   preprocesses it, a pp hit lexes nothing.  Codegen has no unit
+   preprocesses it, a pp hit lexes nothing unless a parse needs the
+   stream.  Codegen has no unit
    artifact: each declaring slice's "fnir" key is derived from its
    "fnast" one, so the "ir" trace entry reports what codegen emitted.
 
@@ -38,9 +39,13 @@
    - the unit "ast" artifact is a manifest: the AST id watermark and the
      fnast fingerprints of the slices that declare something.  Decls and
      pre-pass snapshots are stored once, per slice;
-   - the "pp" artifact carries the canonical digest of its item stream,
-     which keys the AST stage, and keeps the items as bytes that only a
-     parse opens;
+   - the "pp" artifact is the canonical digest of its item stream, which
+     keys the AST stage, the source manager and the #include set, but not
+     the stream.  A hit that must parse (an AST miss under another sema
+     slice, or the manifest fallback's walk) lexes and preprocesses the
+     main buffer again, by the routine a miss runs, into a fresh source
+     manager laid out as a cold compile's; the trace still reads pp:hit,
+     and the time lands in the lex and preprocess phases;
    - past the AST stage the per-slice lookup order is fnoptir → fnir →
      fnast.  Each declaring slice looks up "fnoptir" (and "fnanalysis")
      first; it reads its "fnir" snapshot only when its passes or analysis
@@ -302,11 +307,12 @@ let body_bytes payload =
   let off = head_size payload in
   String.sub payload off (String.length payload - off)
 
-(* The PPTokens artifact's head: the canonical digest of the parser-ready
-   stream (the AST stage's input), the source manager its token locations
-   refer to, and the #include set (path + content digest) the
-   preprocessing actually entered — validated against the current file
-   manager before the entry may be reused.  Its body is the stream. *)
+(* The PPTokens artifact, marshalled whole: the canonical digest of the
+   parser-ready stream (the AST stage's input), the source manager its
+   token locations refer to, and the #include set (path + content digest)
+   the preprocessing actually entered — validated against the current
+   file manager before the entry may be reused.  It holds no stream: a
+   hit that must parse lexes and preprocesses the source again. *)
 type pp_head = {
   pl_digest : string;
   pl_srcmgr : Srcmgr.t;
@@ -802,15 +808,33 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
   let consult ?validate stage fp = find ?validate (stage_tag stage) fp in
   let save stage fp payload = store (stage_tag stage) fp payload in
   let buf = Buf.create ~name ~contents:source in
-  (* The main buffer loads first — file id 1, always — so token locations
-     inside cached artifacts stay valid whatever -D buffers or includes a
-     particular compilation loads afterwards. *)
-  let main_id = Srcmgr.load_main !srcmgr buf in
+  (* Lex and preprocess the main buffer into [sm], reporting to [d]: a pp
+     miss's run, and the re-derivation of a hit's stream when a parse
+     needs it.  The main buffer loads first — file id 1, always — then
+     the -D buffers and includes in order, so token locations inside
+     cached artifacts stay valid whatever a compilation loads after. *)
+  let lex_and_preprocess sm d =
+    let main_id = Srcmgr.load_main sm buf in
+    let toks, dt =
+      time "lex" (fun () -> Mc_lexer.Lexer.tokenize d ~file_id:main_id buf)
+    in
+    t_lex := !t_lex +. dt;
+    let pp = Mc_pp.Preprocessor.create d sm fmgr in
+    List.iter
+      (fun (n, body) -> Mc_pp.Preprocessor.define_object_macro pp ~name:n ~body)
+      options.defines;
+    let items, dt =
+      time (stage_name Preprocess) (fun () ->
+          Mc_pp.Preprocessor.preprocess_tokens pp ~file_id:main_id buf toks)
+    in
+    t_preprocess := !t_preprocess +. dt;
+    (items, Mc_pp.Preprocessor.include_digests pp)
+  in
 
   (* Stage: preprocess, lexing included.  Its output is the parser-ready
-     stream and the stream's canonical digest, which keys the AST stage;
-     on a hit nothing is lexed and the stream stays bytes until a parse
-     needs it. *)
+     stream and the stream's canonical digest, which keys the AST stage.
+     The artifact holds the digest but not the stream, so a hit lexes
+     nothing until a parse needs the stream, and then derives it again. *)
   let pp_fp =
     fingerprint (fun () ->
         stage_fingerprint Preprocess options
@@ -818,7 +842,7 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
   in
   let adopted = ref None in
   let validate payload =
-    let (h : pp_head) = head payload in
+    let (h : pp_head) = Marshal.from_string payload 0 in
     let ok =
       List.for_all
         (fun (path, dg) ->
@@ -827,47 +851,39 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
           | None -> false)
         h.pl_includes
     in
-    if ok then adopted := Some (h, payload);
+    if ok then adopted := Some h;
     ok
   in
   let items, items_digest =
     match consult ~validate Preprocess pp_fp with
     | Some _ ->
-      let h, payload = Option.get !adopted in
+      let h = Option.get !adopted in
       mark Preprocess Cache_hit;
-      (* Adopt the cached compilation state wholesale: the marshalled
-         source manager already holds the main buffer, -D buffers and
-         every include, and the replayed tokens point into it. *)
-      srcmgr := h.pl_srcmgr;
-      diag := Diag.create h.pl_srcmgr;
-      Diag.set_error_limit !diag options.error_limit;
-      ( lazy (body payload : Mc_pp.Preprocessor.item list),
+      (* Adopt the cached source manager: it already holds the main
+         buffer, -D buffers and every include, which the locations in the
+         AST and IR artifacts point into. *)
+      let rebind sm =
+        srcmgr := sm;
+        diag := Diag.create sm;
+        Diag.set_error_limit !diag options.error_limit
+      in
+      rebind h.pl_srcmgr;
+      ( lazy
+          (let sm = Srcmgr.create () in
+           rebind sm;
+           fst (lex_and_preprocess sm !diag)),
         Lazy.from_val h.pl_digest )
     | None ->
-      let toks, dt =
-        time "lex" (fun () -> Mc_lexer.Lexer.tokenize !diag ~file_id:main_id buf)
-      in
-      t_lex := dt;
-      let pp = Mc_pp.Preprocessor.create !diag !srcmgr fmgr in
-      List.iter
-        (fun (n, body) ->
-          Mc_pp.Preprocessor.define_object_macro pp ~name:n ~body)
-        options.defines;
-      let items, dt =
-        time (stage_name Preprocess) (fun () ->
-            Mc_pp.Preprocessor.preprocess_tokens pp ~file_id:main_id buf toks)
-      in
-      t_preprocess := dt;
+      let items, includes = lex_and_preprocess !srcmgr !diag in
       mark Preprocess Executed;
       let digest = lazy (Cache.canonical_digest items) in
       save Preprocess pp_fp (fun () ->
-          pack
+          marshal
             {
               pl_digest = Lazy.force digest;
               pl_srcmgr = !srcmgr;
-              pl_includes = Mc_pp.Preprocessor.include_digests pp;
-            }
-            items);
+              pl_includes = includes;
+            });
       (Lazy.from_val items, digest)
   in
 

@@ -11,7 +11,11 @@
     stage {!Cache}, each such stage first consults the cache under its
     fingerprint and only executes on a miss.  Lexing runs inside the pp
     stage, and codegen has no unit artifact: its per-slice keys derive
-    from the AST manifest.  Because the AST stage is content-addressed on
+    from the AST manifest.  The pp artifact holds the stream's canonical
+    digest, the source manager and the [#include] set, not the stream: a
+    pp hit that must parse (an AST miss, or the manifest fallback below)
+    lexes and preprocesses the source again, and that time shows in
+    [t_lex] and [t_preprocess] while the trace still reads [pp:hit].  Because the AST stage is content-addressed on
     the {e preprocessed stream}, a comment-only edit re-runs pp but
     reuses everything from the AST onward, while an option change
     invalidates exactly the stages whose slice mentions it.
@@ -80,7 +84,9 @@ type timings = {
   t_passes : float;
 }
 (** Wall-clock seconds actually spent executing each stage in this
-    compilation; a stage served from the cache contributes 0. *)
+    compilation; a stage served from the cache contributes 0, except a pp
+    hit whose stream a parse needs: re-deriving it counts in [t_lex] and
+    [t_preprocess]. *)
 
 type result = {
   diag : Mc_diag.Diagnostics.t;

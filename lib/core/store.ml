@@ -57,8 +57,12 @@ let fault_write = Fault.point "store.write"
    v6: the "optir" artifact became [pack unroll_stats module] (Pipeline):
    its body is the marshalled module itself, which the daemon forwards
    without decoding.  A v5 optir payload would decode as the wrong
-   type. *)
-let schema_version = 6
+   type.
+   v7: the "pp" artifact holds no token stream: its payload is the
+   marshalled head alone (digest, source manager, #include set), and a
+   hit that must parse lexes the source again.  A v6 pp payload would
+   decode as the wrong type. *)
+let schema_version = 7
 let magic = "MCST"
 let default_max_bytes = 512 * 1024 * 1024
 

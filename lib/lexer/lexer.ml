@@ -14,7 +14,7 @@ let stat_buffers =
 type t = {
   diag : Diag.t;
   file_id : int;
-  buf : Buf.t;
+  src : string;
   len : int;
   mutable pos : int;
   mutable at_line_start : bool;
@@ -26,7 +26,7 @@ let create diag ~file_id buf =
   {
     diag;
     file_id;
-    buf;
+    src = Buf.contents buf;
     len = Buf.length buf;
     pos = 0;
     at_line_start = true;
@@ -34,69 +34,124 @@ let create diag ~file_id buf =
   }
 
 let loc_at t pos = Loc.encode ~file_id:t.file_id ~offset:pos
-let peek t = if t.pos < t.len then Some (Buf.char_at t.buf t.pos) else None
 
-let peek2 t =
-  if t.pos + 1 < t.len then Some (Buf.char_at t.buf (t.pos + 1)) else None
+(* The character at [i], or NUL past the end.  No scanner accepts NUL, so
+   only the scanners a NUL in the source cannot stop (comments, character
+   and string literals) test [i < t.len] themselves. *)
+let at t i = if i < t.len then String.unsafe_get t.src i else '\000'
 
 let advance t = t.pos <- t.pos + 1
 
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_cont c = is_ident_start c || is_digit c
-let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
+(* Consume [n] characters and return [kind]. *)
+let take t n kind =
+  t.pos <- t.pos + n;
+  kind
+
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_ident_cont = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
+
+let is_hex_digit = function
+  | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+  | _ -> false
+
+let rec scan_while pred t i = if pred (at t i) then scan_while pred t (i + 1) else i
+
+(* [scan_while is_ident_cont], without the indirect call: identifiers are
+   the scan most characters go through. *)
+let rec scan_ident t i = if is_ident_cont (at t i) then scan_ident t (i + 1) else i
+
+(* Length of the line splice at [i] — a backslash and the newline after
+   it, LF or CRLF, which translation phase 2 deletes — or 0. *)
+let splice_len t i =
+  if at t i <> '\\' then 0
+  else
+    match at t (i + 1) with
+    | '\n' -> 2
+    | '\r' when at t (i + 2) = '\n' -> 3
+    | _ -> 0
+
+(* Whether the line starting at [i] is, after blanks, a // comment. *)
+let line_comment_at t i =
+  let i = scan_while (function ' ' | '\t' -> true | _ -> false) t i in
+  at t i = '/' && at t (i + 1) = '/'
+
+(* A // comment runs to its newline, which it leaves for [skip_trivia].
+   Splices come before comments (phase 2 before phase 3), so a comment
+   ending in a backslash continues onto the next line; like Clang, warn
+   unless that line is a // comment itself. *)
+let skip_line_comment t =
+  let rec go i =
+    if i >= t.len then i
+    else
+      match String.unsafe_get t.src i with
+      | '\n' -> i
+      | '\\' ->
+        let n = splice_len t i in
+        if n = 0 then go (i + 1)
+        else begin
+          if not (line_comment_at t (i + n)) then
+            Diag.warning t.diag ~loc:(loc_at t i) "multi-line // comment";
+          go (i + n)
+        end
+      | _ -> go (i + 1)
+  in
+  t.pos <- go (t.pos + 2)
+
+let skip_block_comment t =
+  let start = t.pos in
+  let rec go i =
+    if i >= t.len then begin
+      t.pos <- i;
+      Diag.error t.diag ~loc:(loc_at t start) "unterminated /* comment"
+    end
+    else
+      match String.unsafe_get t.src i with
+      | '*' when at t (i + 1) = '/' -> t.pos <- i + 2
+      | '\n' ->
+        t.at_line_start <- true;
+        go (i + 1)
+      | _ -> go (i + 1)
+  in
+  go (start + 2)
 
 let rec skip_trivia t =
-  match peek t with
-  | Some (' ' | '\t' | '\r') ->
+  match at t t.pos with
+  | ' ' | '\t' | '\r' ->
     t.has_space <- true;
     advance t;
     skip_trivia t
-  | Some '\n' ->
+  | '\n' ->
     t.at_line_start <- true;
     t.has_space <- true;
     advance t;
     skip_trivia t
-  | Some '\\' when peek2 t = Some '\n' ->
+  | '\\' ->
     (* Line continuation: splice without starting a new line. *)
-    t.has_space <- true;
-    advance t;
-    advance t;
-    skip_trivia t
-  | Some '/' when peek2 t = Some '/' ->
-    while peek t <> None && peek t <> Some '\n' do
-      advance t
-    done;
-    t.has_space <- true;
-    skip_trivia t
-  | Some '/' when peek2 t = Some '*' ->
-    let start = t.pos in
-    advance t;
-    advance t;
-    let rec find () =
-      match peek t with
-      | None -> Diag.error t.diag ~loc:(loc_at t start) "unterminated /* comment"
-      | Some '*' when peek2 t = Some '/' ->
-        advance t;
-        advance t
-      | Some '\n' ->
-        t.at_line_start <- true;
-        advance t;
-        find ()
-      | Some _ ->
-        advance t;
-        find ()
-    in
-    find ();
-    t.has_space <- true;
-    skip_trivia t
+    let n = splice_len t t.pos in
+    if n > 0 then begin
+      t.has_space <- true;
+      t.pos <- t.pos + n;
+      skip_trivia t
+    end
+  | '/' -> (
+    match at t (t.pos + 1) with
+    | '/' ->
+      skip_line_comment t;
+      t.has_space <- true;
+      skip_trivia t
+    | '*' ->
+      skip_block_comment t;
+      t.has_space <- true;
+      skip_trivia t
+    | _ -> ())
   | _ -> ()
 
 let lex_ident t start =
-  while match peek t with Some c -> is_ident_cont c | None -> false do
-    advance t
-  done;
-  let text = Buf.sub t.buf ~pos:start ~len:(t.pos - start) in
+  t.pos <- scan_ident t (start + 1);
+  let text = String.sub t.src start (t.pos - start) in
   match Token.keyword_of_string text with
   | Some kw -> Token.Keyword kw
   | None -> Token.Ident (Mc_support.Intern.share text)
@@ -105,43 +160,29 @@ let lex_ident t start =
    decimal floats with optional fraction and exponent. *)
 let lex_number t start =
   let is_hex =
-    peek t = Some '0' && (peek2 t = Some 'x' || peek2 t = Some 'X')
+    at t t.pos = '0' && match at t (t.pos + 1) with 'x' | 'X' -> true | _ -> false
   in
-  if is_hex then begin
-    advance t;
-    advance t;
-    while match peek t with Some c -> is_hex_digit c | None -> false do
-      advance t
-    done
-  end
-  else begin
-    while match peek t with Some c -> is_digit c | None -> false do
-      advance t
-    done
-  end;
+  t.pos <-
+    (if is_hex then scan_while is_hex_digit t (t.pos + 2)
+     else scan_while is_digit t t.pos);
   let is_float = ref false in
-  if (not is_hex) && peek t = Some '.' then begin
+  if (not is_hex) && at t t.pos = '.' then begin
     is_float := true;
-    advance t;
-    while match peek t with Some c -> is_digit c | None -> false do
-      advance t
-    done
+    t.pos <- scan_while is_digit t (t.pos + 1)
   end;
-  if (not is_hex) && (peek t = Some 'e' || peek t = Some 'E') then begin
+  if (not is_hex) && (at t t.pos = 'e' || at t t.pos = 'E') then begin
     let save = t.pos in
     advance t;
-    (match peek t with Some ('+' | '-') -> advance t | _ -> ());
-    if match peek t with Some c -> is_digit c | None -> false then begin
+    (match at t t.pos with '+' | '-' -> advance t | _ -> ());
+    if is_digit (at t t.pos) then begin
       is_float := true;
-      while match peek t with Some c -> is_digit c | None -> false do
-        advance t
-      done
+      t.pos <- scan_while is_digit t t.pos
     end
     else t.pos <- save
   end;
   if !is_float then begin
-    (match peek t with Some ('f' | 'F' | 'l' | 'L') -> advance t | _ -> ());
-    let text = Buf.sub t.buf ~pos:start ~len:(t.pos - start) in
+    (match at t t.pos with 'f' | 'F' | 'l' | 'L' -> advance t | _ -> ());
+    let text = String.sub t.src start (t.pos - start) in
     let digits =
       match text.[String.length text - 1] with
       | 'f' | 'F' | 'l' | 'L' -> String.sub text 0 (String.length text - 1)
@@ -157,20 +198,20 @@ let lex_number t start =
   else begin
     let suffix_unsigned = ref false and suffix_long = ref false in
     let rec suffixes () =
-      match peek t with
-      | Some ('u' | 'U') ->
+      match at t t.pos with
+      | 'u' | 'U' ->
         suffix_unsigned := true;
         advance t;
         suffixes ()
-      | Some ('l' | 'L') ->
+      | 'l' | 'L' ->
         suffix_long := true;
         advance t;
-        (match peek t with Some ('l' | 'L') -> advance t | _ -> ());
+        (match at t t.pos with 'l' | 'L' -> advance t | _ -> ());
         suffixes ()
       | _ -> ()
     in
     suffixes ();
-    let text = Buf.sub t.buf ~pos:start ~len:(t.pos - start) in
+    let text = String.sub t.src start (t.pos - start) in
     let digits =
       let stop = ref (String.length text) in
       while
@@ -226,136 +267,121 @@ let escape_char t = function
 let lex_char_lit t start =
   advance t (* opening quote *);
   let value =
-    match peek t with
-    | Some '\\' ->
-      advance t;
-      let c = match peek t with Some c -> c | None -> '\000' in
-      advance t;
-      Char.code (escape_char t c)
-    | Some c ->
-      advance t;
-      Char.code c
-    | None -> 0
+    if t.pos >= t.len then 0
+    else
+      match String.unsafe_get t.src t.pos with
+      | '\\' ->
+        advance t;
+        if t.pos >= t.len then 0
+        else begin
+          let c = String.unsafe_get t.src t.pos in
+          advance t;
+          Char.code (escape_char t c)
+        end
+      | c ->
+        advance t;
+        Char.code c
   in
-  (match peek t with
-  | Some '\'' -> advance t
-  | _ -> Diag.error t.diag ~loc:(loc_at t start) "unterminated character literal");
-  let text = Buf.sub t.buf ~pos:start ~len:(t.pos - start) in
+  if at t t.pos = '\'' then advance t
+  else Diag.error t.diag ~loc:(loc_at t start) "unterminated character literal";
+  let text = String.sub t.src start (t.pos - start) in
   Token.Char_lit { value; text }
 
 let lex_string_lit t start =
   advance t (* opening quote *);
   let out = Buffer.create 16 in
   let rec go () =
-    match peek t with
-    | None | Some '\n' ->
+    let c = at t t.pos in
+    if t.pos >= t.len || c = '\n' then
       Diag.error t.diag ~loc:(loc_at t start) "unterminated string literal"
-    | Some '"' -> advance t
-    | Some '\\' ->
-      advance t;
-      (match peek t with
-      | Some c ->
+    else
+      match c with
+      | '"' -> advance t
+      | '\\' ->
         advance t;
-        Buffer.add_char out (escape_char t c)
-      | None -> ());
-      go ()
-    | Some c ->
-      advance t;
-      Buffer.add_char out c;
-      go ()
+        if t.pos < t.len then begin
+          let c = String.unsafe_get t.src t.pos in
+          advance t;
+          Buffer.add_char out (escape_char t c)
+        end;
+        go ()
+      | c ->
+        advance t;
+        Buffer.add_char out c;
+        go ()
   in
   go ();
-  let text = Buf.sub t.buf ~pos:start ~len:(t.pos - start) in
+  let text = String.sub t.src start (t.pos - start) in
   Token.String_lit { value = Buffer.contents out; text }
 
-let lex_punct t =
+(* A punctuator starting with [c] at [t.pos], by maximal munch.  Every
+   kind returned is a constant. *)
+let lex_punct t c =
   let open Token in
-  let c = match peek t with Some c -> c | None -> assert false in
-  let if2 c2 yes no =
-    advance t;
-    if peek t = Some c2 then begin
-      advance t;
-      yes
-    end
-    else no
-  in
+  let c2 = at t (t.pos + 1) in
   match c with
-  | '(' -> advance t; Some LParen
-  | ')' -> advance t; Some RParen
-  | '{' -> advance t; Some LBrace
-  | '}' -> advance t; Some RBrace
-  | '[' -> advance t; Some LBracket
-  | ']' -> advance t; Some RBracket
-  | ';' -> advance t; Some Semi
-  | ',' -> advance t; Some Comma
-  | '?' -> advance t; Some Question
-  | ':' -> advance t; Some Colon
-  | '~' -> advance t; Some Tilde
-  | '!' -> Some (if2 '=' ExclaimEqual Exclaim)
-  | '=' -> Some (if2 '=' EqualEqual Equal)
-  | '^' -> Some (if2 '=' CaretEqual Caret)
+  | '(' -> take t 1 (Punct LParen)
+  | ')' -> take t 1 (Punct RParen)
+  | '{' -> take t 1 (Punct LBrace)
+  | '}' -> take t 1 (Punct RBrace)
+  | '[' -> take t 1 (Punct LBracket)
+  | ']' -> take t 1 (Punct RBracket)
+  | ';' -> take t 1 (Punct Semi)
+  | ',' -> take t 1 (Punct Comma)
+  | '?' -> take t 1 (Punct Question)
+  | ':' -> take t 1 (Punct Colon)
+  | '~' -> take t 1 (Punct Tilde)
+  | '!' -> if c2 = '=' then take t 2 (Punct ExclaimEqual) else take t 1 (Punct Exclaim)
+  | '=' -> if c2 = '=' then take t 2 (Punct EqualEqual) else take t 1 (Punct Equal)
+  | '^' -> if c2 = '=' then take t 2 (Punct CaretEqual) else take t 1 (Punct Caret)
   | '.' ->
-    advance t;
-    if peek t = Some '.' && peek2 t = Some '.' then begin
-      advance t;
-      advance t;
-      Some Ellipsis
-    end
-    else Some Period
-  | '#' -> Some (if2 '#' HashHash Hash)
-  | '+' ->
-    advance t;
-    (match peek t with
-    | Some '+' -> advance t; Some PlusPlus
-    | Some '=' -> advance t; Some PlusEqual
-    | _ -> Some Plus)
-  | '-' ->
-    advance t;
-    (match peek t with
-    | Some '-' -> advance t; Some MinusMinus
-    | Some '=' -> advance t; Some MinusEqual
-    | Some '>' -> advance t; Some Arrow
-    | _ -> Some Minus)
-  | '*' -> Some (if2 '=' StarEqual Star)
-  | '/' -> Some (if2 '=' SlashEqual Slash)
-  | '%' -> Some (if2 '=' PercentEqual Percent)
-  | '&' ->
-    advance t;
-    (match peek t with
-    | Some '&' -> advance t; Some AmpAmp
-    | Some '=' -> advance t; Some AmpEqual
-    | _ -> Some Amp)
-  | '|' ->
-    advance t;
-    (match peek t with
-    | Some '|' -> advance t; Some PipePipe
-    | Some '=' -> advance t; Some PipeEqual
-    | _ -> Some Pipe)
-  | '<' ->
-    advance t;
-    (match peek t with
-    | Some '=' -> advance t; Some LessEqual
-    | Some '<' ->
-      advance t;
-      if peek t = Some '=' then begin
-        advance t;
-        Some LessLessEqual
-      end
-      else Some LessLess
-    | _ -> Some Less)
-  | '>' ->
-    advance t;
-    (match peek t with
-    | Some '=' -> advance t; Some GreaterEqual
-    | Some '>' ->
-      advance t;
-      if peek t = Some '=' then begin
-        advance t;
-        Some GreaterGreaterEqual
-      end
-      else Some GreaterGreater
-    | _ -> Some Greater)
-  | _ -> None
+    if c2 = '.' && at t (t.pos + 2) = '.' then take t 3 (Punct Ellipsis)
+    else take t 1 (Punct Period)
+  | '#' -> if c2 = '#' then take t 2 (Punct HashHash) else take t 1 (Punct Hash)
+  | '+' -> (
+    match c2 with
+    | '+' -> take t 2 (Punct PlusPlus)
+    | '=' -> take t 2 (Punct PlusEqual)
+    | _ -> take t 1 (Punct Plus))
+  | '-' -> (
+    match c2 with
+    | '-' -> take t 2 (Punct MinusMinus)
+    | '=' -> take t 2 (Punct MinusEqual)
+    | '>' -> take t 2 (Punct Arrow)
+    | _ -> take t 1 (Punct Minus))
+  | '*' -> if c2 = '=' then take t 2 (Punct StarEqual) else take t 1 (Punct Star)
+  | '/' -> if c2 = '=' then take t 2 (Punct SlashEqual) else take t 1 (Punct Slash)
+  | '%' ->
+    if c2 = '=' then take t 2 (Punct PercentEqual) else take t 1 (Punct Percent)
+  | '&' -> (
+    match c2 with
+    | '&' -> take t 2 (Punct AmpAmp)
+    | '=' -> take t 2 (Punct AmpEqual)
+    | _ -> take t 1 (Punct Amp))
+  | '|' -> (
+    match c2 with
+    | '|' -> take t 2 (Punct PipePipe)
+    | '=' -> take t 2 (Punct PipeEqual)
+    | _ -> take t 1 (Punct Pipe))
+  | '<' -> (
+    match c2 with
+    | '=' -> take t 2 (Punct LessEqual)
+    | '<' ->
+      if at t (t.pos + 2) = '=' then take t 3 (Punct LessLessEqual)
+      else take t 2 (Punct LessLess)
+    | _ -> take t 1 (Punct Less))
+  | '>' -> (
+    match c2 with
+    | '=' -> take t 2 (Punct GreaterEqual)
+    | '>' ->
+      if at t (t.pos + 2) = '=' then take t 3 (Punct GreaterGreaterEqual)
+      else take t 2 (Punct GreaterGreater)
+    | _ -> take t 1 (Punct Greater))
+  | _ ->
+    Diag.error t.diag ~loc:(loc_at t t.pos)
+      (Printf.sprintf "unexpected character '%c' (0x%02x)" c (Char.code c));
+    (* Re-lex from the next character rather than emitting a junk token. *)
+    take t 1 (Punct Semi)
 
 let next t =
   skip_trivia t;
@@ -364,28 +390,19 @@ let next t =
   t.at_line_start <- false;
   t.has_space <- false;
   let start = t.pos in
-  let loc = loc_at t start in
   let kind =
-    match peek t with
-    | None -> Token.Eof
-    | Some c when is_ident_start c -> lex_ident t start
-    | Some c when is_digit c -> lex_number t start
-    | Some '.' when (match peek2 t with Some d -> is_digit d | None -> false) ->
-      lex_number t start
-    | Some '\'' -> lex_char_lit t start
-    | Some '"' -> lex_string_lit t start
-    | Some c -> (
-      match lex_punct t with
-      | Some p -> Token.Punct p
-      | None ->
-        Diag.error t.diag ~loc
-          (Printf.sprintf "unexpected character '%c' (0x%02x)" c (Char.code c));
-        advance t;
-        (* Re-lex from the next character rather than emitting a junk token. *)
-        Token.Punct Token.Semi)
+    if start >= t.len then Token.Eof
+    else
+      match String.unsafe_get t.src start with
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident t start
+      | '0' .. '9' -> lex_number t start
+      | '.' when is_digit (at t (start + 1)) -> lex_number t start
+      | '\'' -> lex_char_lit t start
+      | '"' -> lex_string_lit t start
+      | c -> lex_punct t c
   in
-  if kind <> Token.Eof then Stats.incr stat_tokens;
-  { Token.kind; loc; len = t.pos - start; at_line_start; has_space_before }
+  (match kind with Token.Eof -> () | _ -> Stats.incr stat_tokens);
+  { Token.kind; loc = loc_at t start; len = t.pos - start; at_line_start; has_space_before }
 
 let tokenize diag ~file_id buf =
   let lexer = create diag ~file_id buf in

@@ -94,42 +94,59 @@ type t = {
   has_space_before : bool;
 }
 
-let keyword_table =
-  [
-    ("int", Kw_int);
-    ("long", Kw_long);
-    ("short", Kw_short);
-    ("char", Kw_char);
-    ("signed", Kw_signed);
-    ("unsigned", Kw_unsigned);
-    ("float", Kw_float);
-    ("double", Kw_double);
-    ("void", Kw_void);
-    ("bool", Kw_bool);
-    ("_Bool", Kw_bool);
-    ("const", Kw_const);
-    ("auto", Kw_auto);
-    ("if", Kw_if);
-    ("else", Kw_else);
-    ("switch", Kw_switch);
-    ("case", Kw_case);
-    ("default", Kw_default);
-    ("for", Kw_for);
-    ("while", Kw_while);
-    ("do", Kw_do);
-    ("return", Kw_return);
-    ("break", Kw_break);
-    ("continue", Kw_continue);
-    ("sizeof", Kw_sizeof);
-  ]
+let keyword_of_string = function
+  | "int" -> Some Kw_int
+  | "long" -> Some Kw_long
+  | "short" -> Some Kw_short
+  | "char" -> Some Kw_char
+  | "signed" -> Some Kw_signed
+  | "unsigned" -> Some Kw_unsigned
+  | "float" -> Some Kw_float
+  | "double" -> Some Kw_double
+  | "void" -> Some Kw_void
+  | "bool" | "_Bool" -> Some Kw_bool
+  | "const" -> Some Kw_const
+  | "auto" -> Some Kw_auto
+  | "if" -> Some Kw_if
+  | "else" -> Some Kw_else
+  | "switch" -> Some Kw_switch
+  | "case" -> Some Kw_case
+  | "default" -> Some Kw_default
+  | "for" -> Some Kw_for
+  | "while" -> Some Kw_while
+  | "do" -> Some Kw_do
+  | "return" -> Some Kw_return
+  | "break" -> Some Kw_break
+  | "continue" -> Some Kw_continue
+  | "sizeof" -> Some Kw_sizeof
+  | _ -> None
 
-let keyword_of_string s = List.assoc_opt s keyword_table
-
-let keyword_to_string kw =
-  (* The table maps two spellings to [Kw_bool]; the first match is canonical. *)
-  match List.find_opt (fun (_, k) -> k = kw) keyword_table with
-  | Some (s, _) -> s
-  | None -> assert false
+(* [Kw_bool] has two spellings; "bool" is canonical. *)
+let keyword_to_string = function
+  | Kw_int -> "int"
+  | Kw_long -> "long"
+  | Kw_short -> "short"
+  | Kw_char -> "char"
+  | Kw_signed -> "signed"
+  | Kw_unsigned -> "unsigned"
+  | Kw_float -> "float"
+  | Kw_double -> "double"
+  | Kw_void -> "void"
+  | Kw_bool -> "bool"
+  | Kw_const -> "const"
+  | Kw_auto -> "auto"
+  | Kw_if -> "if"
+  | Kw_else -> "else"
+  | Kw_switch -> "switch"
+  | Kw_case -> "case"
+  | Kw_default -> "default"
+  | Kw_for -> "for"
+  | Kw_while -> "while"
+  | Kw_do -> "do"
+  | Kw_return -> "return"
+  | Kw_break -> "break"
+  | Kw_continue -> "continue"
+  | Kw_sizeof -> "sizeof"
 
 let punct_to_string = function
   | LParen -> "("
@@ -201,7 +218,7 @@ let describe = function
   | Punct p -> Printf.sprintf "'%s'" (punct_to_string p)
   | Eof -> "end of file"
 
-let is_eof t = t.kind = Eof
+let is_eof t = match t.kind with Eof -> true | _ -> false
 let is_ident t name = match t.kind with Ident s -> String.equal s name | _ -> false
 let is_punct t p = match t.kind with Punct q -> p = q | _ -> false
 let is_keyword t kw = match t.kind with Keyword k -> k = kw | _ -> false

@@ -36,23 +36,25 @@ type cond_state = {
   was_live : bool; (* the enclosing context was live *)
 }
 
-(* A token source on the include stack: either a live lexer, or a replay
-   of an already-lexed token list (how the stage-graph pipeline, which
-   times lexing as a phase of its own, feeds the main buffer's tokens
-   through preprocessing).
-   A replay keeps handing out its synthetic [Eof] forever once drained,
-   matching [Lexer.next]'s end-of-buffer behaviour. *)
-type source = Src_lexer of Lexer.t | Src_replay of replay
-and replay = { mutable r_toks : Token.t list; r_eof : Token.t }
+(* A token source on the include stack: a live lexer, or a replay of an
+   already-lexed token list (how the stage-graph pipeline, which times
+   lexing as a phase of its own, feeds the main buffer's tokens through
+   preprocessing).  [ahead] holds tokens handed back to this source —
+   the first token of the line after a directive — so that they follow
+   whatever an #include pushes on top of it.  A drained source keeps
+   handing out its [Eof] forever, as [Lexer.next] does. *)
+type source = {
+  mutable ahead : Token.t list;
+  lexer : Lexer.t option; (* [None]: a replay of [ahead], then [eof] *)
+  eof : Token.t;
+}
 
-let source_next = function
-  | Src_lexer lexer -> Lexer.next lexer
-  | Src_replay r -> (
-    match r.r_toks with
-    | [] -> r.r_eof
-    | tok :: rest ->
-      r.r_toks <- rest;
-      tok)
+let source_next s =
+  match s.ahead with
+  | tok :: rest ->
+    s.ahead <- rest;
+    tok
+  | [] -> ( match s.lexer with Some lexer -> Lexer.next lexer | None -> s.eof)
 
 type t = {
   diag : Diag.t;
@@ -93,6 +95,8 @@ let eof_token =
     at_line_start = true;
     has_space_before = false;
   }
+
+let lexer_source lexer = { ahead = []; lexer = Some lexer; eof = eof_token }
 
 (* Raw token fetch: next token from the innermost source, popping finished
    includes.  Does not consult the pending queue. *)
@@ -418,25 +422,48 @@ let eval_condition t (toks : Token.t list) ~loc =
 (* ---- Directive handling ----------------------------------------------- *)
 
 (* Collect the raw tokens of one directive line: everything until the next
-   token flagged [at_line_start] (which is pushed back) or the end of the
-   *current* file — a directive never continues into the including file, so
-   this must not pop the lexer stack. *)
+   token flagged [at_line_start] or the end of the *current* file — a
+   directive never continues into the including file, so this must not pop
+   the lexer stack.  The line-starting token goes back to its own source,
+   not to the pending queue: an #include then pushes the header above it,
+   and the header's tokens come first. *)
 let directive_tokens t =
-  let next_same_file () =
-    match t.sources with [] -> eof_token | source :: _ -> source_next source
-  in
-  let rec go acc =
-    let tok = next_same_file () in
-    if Token.is_eof tok then List.rev acc
-    else if tok.Token.at_line_start then begin
-      push_back t { tok; hide = [] };
-      List.rev acc
-    end
-    else go (tok :: acc)
-  in
-  go []
+  match t.sources with
+  | [] -> []
+  | source :: _ ->
+    let rec go acc =
+      let tok = source_next source in
+      if Token.is_eof tok then List.rev acc
+      else if tok.Token.at_line_start then begin
+        source.ahead <- tok :: source.ahead;
+        List.rev acc
+      end
+      else go (tok :: acc)
+    in
+    go []
 
 let live t = List.for_all (fun c -> c.live) t.conds
+
+(* C11 6.10.3p2: a redefinition is allowed, silently, when it has the same
+   parameters and a replacement list with the same spellings and the same
+   whitespace separation.  Whitespace before the first replacement token
+   separates nothing, so it is not compared. *)
+let same_definition a b =
+  let rec same_body ~first xs ys =
+    match (xs, ys) with
+    | [], [] -> true
+    | (x : Token.t) :: xs, (y : Token.t) :: ys ->
+      String.equal (Token.spelling x) (Token.spelling y)
+      && (first || Bool.equal x.Token.has_space_before y.Token.has_space_before)
+      && same_body ~first:false xs ys
+    | _ -> false
+  in
+  match (a, b) with
+  | Object xs, Object ys -> same_body ~first:true xs ys
+  | Function f, Function g ->
+    List.equal String.equal f.params g.params
+    && same_body ~first:true f.body g.body
+  | Object _, Function _ | Function _, Object _ -> false
 
 let handle_define t loc toks =
   match toks with
@@ -464,8 +491,10 @@ let handle_define t loc toks =
         Function { params; body }
       | body -> Object body
     in
-    if Hashtbl.mem t.macros name then
-      Diag.warning t.diag ~loc (Printf.sprintf "'%s' macro redefined" name);
+    (match Hashtbl.find_opt t.macros name with
+    | Some old when not (same_definition old macro) ->
+      Diag.warning t.diag ~loc (Printf.sprintf "'%s' macro redefined" name)
+    | _ -> ());
     Hashtbl.replace t.macros name macro
   | _ -> Diag.error t.diag ~loc "macro name missing in #define"
 
@@ -487,7 +516,7 @@ let handle_include t loc toks =
         t.includes <- (path, Mc_srcmgr.Memory_buffer.digest buf) :: t.includes;
         let file_id = Srcmgr.load_buffer t.srcmgr buf in
         t.include_depth <- t.include_depth + 1;
-        t.sources <- Src_lexer (Lexer.create t.diag ~file_id buf) :: t.sources)
+        t.sources <- lexer_source (Lexer.create t.diag ~file_id buf) :: t.sources)
   | _ -> Diag.error t.diag ~loc "expected \"FILENAME\" after #include"
 
 (* Skip tokens of a dead conditional branch, honouring nesting.  Returns at
@@ -495,8 +524,6 @@ let handle_include t loc toks =
    caller then processes. *)
 
 let rec next_item t : item option =
-  (* Must go through [fetch]: directive handling pushes the first token of
-     the following line back onto the pending queue. *)
   let p = fetch t in
   let tok = p.tok in
   match tok.Token.kind with
@@ -638,7 +665,7 @@ let drive t =
 let preprocess_main t buf =
   Stats.incr stat_files;
   let file_id = Srcmgr.load_main t.srcmgr buf in
-  t.sources <- [ Src_lexer (Lexer.create t.diag ~file_id buf) ];
+  t.sources <- [ lexer_source (Lexer.create t.diag ~file_id buf) ];
   drive t
 
 let preprocess_tokens t ~file_id buf toks =
@@ -655,5 +682,5 @@ let preprocess_tokens t ~file_id buf toks =
       has_space_before = false;
     }
   in
-  t.sources <- [ Src_replay { r_toks = toks; r_eof = eof } ];
+  t.sources <- [ { ahead = toks; lexer = None; eof } ];
   drive t

@@ -78,22 +78,9 @@ let check_contains ~what haystack needle =
   if not (contains_substring haystack needle) then
     Alcotest.failf "%s: expected to find %S in:\n%s" what needle haystack
 
-(* 24 workers and main; [edit] expands only inside w11's body. *)
-let wide_unit ~edit =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "void record(long x);\n";
-  for fn = 0 to 23 do
-    Buffer.add_string buf
-      (Printf.sprintf
-         "long w%d(int n) { long a = %d; for (int i = 0; i < n + %d; i += 1) \
-          a += i * %d; return a; }\n"
-         fn
-         (if fn = 11 then edit else fn)
-         (fn + 2) (fn + 1))
-  done;
-  Buffer.add_string buf
-    "int main(void) { record(w0(3) + w11(3) + w23(3)); return 0; }\n";
-  Buffer.contents buf
+(* 24 workers and main; [edit] expands only inside w11's body.  Defined
+   beside the token golden, which lexes it. *)
+let wide_unit ~edit = Tok_digest.wide_unit ~edit ()
 
 (* A full cache hit runs no stage, so it spends no time in any. *)
 let check_no_stage_ran what (r : Driver.result) =

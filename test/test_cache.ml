@@ -232,6 +232,90 @@ let test_warnings_prevent_caching () =
   Alcotest.(check bool) "warning replayed" true
     (Mc_diag.Diagnostics.warning_count second.Instance.c_result.Driver.diag > 0)
 
+let test_identical_redefinition_caches () =
+  (* C11 6.10.3p2 allows redefining a macro with the same parameters and
+     replacement list (same spellings, same whitespace separation): no
+     warning, so the unit caches.  Any difference still warns. *)
+  let source redefinition =
+    "#define N (2 + 1)\n" ^ redefinition
+    ^ "\nvoid record(long x);\nint main(void) {\n\
+       for (int i = 0; i < N; i += 1) record(i);\nreturn 0; }"
+  in
+  let inst =
+    Instance.create ~cache:(Cache.create ())
+      { Invocation.default with Invocation.cache_enabled = true }
+  in
+  let same = source "#define  N  (2 +   1)" in
+  let first = compile inst same in
+  Alcotest.(check string) "identical redefinition is silent" ""
+    (Mc_diag.Diagnostics.render_all first.Instance.c_result.Driver.diag);
+  let second = compile inst same in
+  Alcotest.(check bool) "and caches: a full hit" true
+    second.Instance.c_cache_hit;
+  check_trace "every stage hits" "pp:hit ast:hit ir:hit optir:hit" second;
+  List.iter
+    (fun redefinition ->
+      let c = Instance.compile inst (source redefinition) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S warns" redefinition)
+        true
+        (contains_substring
+           (Mc_diag.Diagnostics.render_all c.Instance.c_result.Driver.diag)
+           "warning: 'N' macro redefined"))
+    [ "#define N (2 + 2)"; "#define N (2+1)"; "#define N(x) (2 + 1)" ]
+
+let test_pp_hit_that_must_parse () =
+  (* The pp artifact holds no token stream.  A hit whose AST misses — here
+     under another -floop-nest-limit — lexes and preprocesses the source
+     again (the -D buffer and the include too) and compiles exactly what
+     an uncached compile does, diagnostics included. *)
+  let src =
+    "#include \"scale.h\"\nvoid record(long x);\n\
+     long scale(long v) { return v * K; }\n\
+     int main(void) {\nlong s = 0;\n\
+     #pragma omp tile sizes(2, 2)\n\
+     for (int i = 0; i < 8; i += 1)\n\
+     for (int j = 0; j < 8; j += 1) s += scale(i + j);\n\
+     record(s);\nreturn 0; }\n"
+  in
+  let inv ~cache_enabled limit =
+    {
+      Invocation.default with
+      Invocation.cache_enabled;
+      defines = [ ("K", "3") ];
+      extra_files = [ ("scale.h", "long scale(long v);\n") ];
+      loop_nest_limit = limit;
+    }
+  in
+  let cache = Cache.create () in
+  let cached limit =
+    Instance.compile
+      (Instance.create ~cache (inv ~cache_enabled:true limit))
+      ~name:"m.c" src
+  in
+  let uncached limit =
+    Instance.compile
+      (Instance.create (inv ~cache_enabled:false limit))
+      ~name:"m.c" src
+  in
+  ignore (ir_text (cached 64));
+  let c = cached 8 in
+  check_trace "the pp lookup hits, the rest re-runs"
+    "pp:hit ast:run ir:run optir:run" c;
+  Alcotest.(check bool) "the hit lexed the source again" true
+    (Stats.find c.Instance.c_result.Driver.stats "lexer.tokens-lexed" > 0);
+  Alcotest.(check string) "IR of an uncached compile" (ir_text (uncached 8))
+    (ir_text c);
+  let c = cached 1 in
+  check_trace "too low a limit" "pp:hit ast:run" c;
+  let render (c : Instance.compilation) =
+    Mc_diag.Diagnostics.render_all c.Instance.c_result.Driver.diag
+  in
+  check_contains ~what:"the limit is diagnosed" (render c)
+    "exceeds the maximum of 1";
+  Alcotest.(check string) "diagnostics of an uncached compile"
+    (render (uncached 1)) (render c)
+
 (* A twelve-function unit whose function names carry [seed]: the units
    of one batch share no function slice, so each unit's misses and
    stores are its own. *)
@@ -306,6 +390,9 @@ let suite =
     tc "comment-only change still hits" test_comment_change_still_hits;
     tc "hits hand out isolated IR copies" test_hits_are_isolated_copies;
     tc "diagnosed units are not cached" test_warnings_prevent_caching;
+    tc "an identical macro redefinition is silent and caches"
+      test_identical_redefinition_caches;
+    tc "a pp hit that must parse lexes again" test_pp_hit_that_must_parse;
     tc "warm batch hits 100%" test_batch_cache_hit_rate;
     tc "IR forms: module or marshalled bytes" test_ir_forms;
   ]

@@ -115,6 +115,42 @@ let test_line_splice () =
       (List.nth toks 1).Token.at_line_start
   | other -> Alcotest.failf "got %s" (String.concat "," other)
 
+(* Translation phase 2 splices lines before phase 3 removes comments, and
+   a splice's newline may be CRLF. *)
+let test_crlf_splice () =
+  let toks = lex "#define N 3 + \\\r\n  4\r\nN" in
+  Alcotest.(check (list string)) "CRLF splice"
+    [ "#"; "define"; "N"; "3"; "+"; "4"; "N" ]
+    (List.map Token.spelling toks);
+  Alcotest.(check bool) "the spliced line starts no line" false
+    (List.nth toks 5).Token.at_line_start;
+  Alcotest.(check bool) "the line after it does" true
+    (List.nth toks 6).Token.at_line_start
+
+let test_line_comment_splice () =
+  let lex_diag source =
+    let sm = Srcmgr.create () in
+    let diag = Diag.create sm in
+    let buf = Buf.create ~name:"lex.c" ~contents:source in
+    let toks = Lexer.tokenize diag ~file_id:(Srcmgr.load_buffer sm buf) buf in
+    (List.map Token.spelling toks, Diag.render_all diag)
+  in
+  let spellings, rendered =
+    lex_diag "int x = 1; // comment \\\nx = 5;\nreturn x;"
+  in
+  Alcotest.(check (list string)) "the comment swallows the next line"
+    [ "int"; "x"; "="; "1"; ";"; "return"; "x"; ";" ]
+    spellings;
+  Alcotest.(check string) "Clang's warning, at the backslash"
+    "lex.c:1:23: warning: multi-line // comment\n\
+     int x = 1; // comment \\\n\
+    \                      ^\n"
+    rendered;
+  let spellings, rendered = lex_diag "a // one \\\n// two\nb" in
+  Alcotest.(check (list string)) "continued into a // comment" [ "a"; "b" ]
+    spellings;
+  Alcotest.(check string) "which does not warn" "" rendered
+
 let test_errors () =
   let sm = Srcmgr.create () in
   let diag = Diag.create sm in
@@ -151,6 +187,8 @@ let suite =
     tc "punctuators incl. maximal munch" test_punctuators;
     tc "comments and token flags" test_comments_and_flags;
     tc "line splices" test_line_splice;
+    tc "a CRLF line splice" test_crlf_splice;
+    tc "a // comment ending in a splice" test_line_comment_splice;
     tc "lexical errors" test_errors;
     relex_prop;
   ]

@@ -181,6 +181,31 @@ let test_include_edit_invalidates_pp () =
   Alcotest.(check bool) "original is a whole-pipeline hit" true
     c3.Instance.c_cache_hit
 
+let test_include_declares_in_order () =
+  (* A header holding declarations lands before the line after its
+     #include, so the unit compiles to exactly the IR of the same unit
+     with the header pasted in place, cached or not. *)
+  let header = "void record(long x);\nlong twice(long v);\n" in
+  let body =
+    "int main(void) { record(twice(21)); return 0; }\n\
+     long twice(long v) { return v + v; }\n"
+  in
+  let inv files = { Invocation.default with Invocation.extra_files = files } in
+  let pasted =
+    ir_text (compile (Instance.create (inv [])) ~name:"m.c" (header ^ body))
+  in
+  let included = "#include \"decls.h\"\n" ^ body in
+  let files = [ ("decls.h", header) ] in
+  Alcotest.(check string) "uncached" pasted
+    (ir_text (compile (Instance.create (inv files)) ~name:"m.c" included));
+  let inst = Instance.create ~cache:(Cache.create ()) (inv files) in
+  Alcotest.(check string) "cached, cold" pasted
+    (ir_text (compile inst ~name:"m.c" included));
+  let warm = compile inst ~name:"m.c" included in
+  Alcotest.(check string) "cached, warm" "pp:hit ast:hit ir:hit optir:hit"
+    (trace_of warm);
+  Alcotest.(check string) "cached, warm IR" pasted (ir_text warm)
+
 (* ---- determinism -------------------------------------------------------- *)
 
 let test_cold_warm_and_domain_count_determinism () =
@@ -228,6 +253,8 @@ let suite =
     tc "-floop-nest-limit invalidates sema onward"
       test_loop_nest_limit_invalidates_sema_onward;
     tc "include edit invalidates pp" test_include_edit_invalidates_pp;
+    tc "a header's declarations include in order"
+      test_include_declares_in_order;
     tc "cold/warm and -j1/-j4 IR identical"
       test_cold_warm_and_domain_count_determinism;
   ]

@@ -73,6 +73,27 @@ let test_include () =
     [ "int"; "x"; "="; "5"; ";" ]
     (spellings items)
 
+(* The first token of the line after an #include belongs after the
+   header's tokens, and a directive on that line is read from the
+   including file. *)
+let test_include_declaration () =
+  let items, _ =
+    preprocess ~files:[ ("inc.h", "int g;\n") ]
+      "#include \"inc.h\"\nlong f(int n) { return n; }"
+  in
+  Alcotest.(check (list string)) "header first"
+    [ "int"; "g"; ";"; "long"; "f"; "("; "int"; "n"; ")"; "{"; "return"; "n";
+      ";"; "}" ]
+    (spellings items);
+  let items, _ =
+    preprocess
+      ~files:[ ("a.h", "#define A 1\nint a;\n") ]
+      "#include \"a.h\"\n#define B 2\nlong x = A + B;"
+  in
+  Alcotest.(check (list string)) "a directive after an #include"
+    [ "int"; "a"; ";"; "long"; "x"; "="; "1"; "+"; "2"; ";" ]
+    (spellings items)
+
 let test_include_missing () =
   let _, diag = preprocess ~expect_errors:true "#include \"nope.h\"\n" in
   check_contains ~what:"missing include" (Diag.render_all diag) "file not found"
@@ -152,6 +173,7 @@ let suite =
     tc "recursion guard" test_recursion_guard;
     tc "conditional compilation" test_conditionals;
     tc "#include via virtual FS" test_include;
+    tc "#include of a header holding a declaration" test_include_declaration;
     tc "#include missing file" test_include_missing;
     tc "#pragma omp assembly" test_pragma_assembly;
     tc "macro expansion inside pragmas" test_pragma_macro_expansion;

@@ -515,6 +515,30 @@ let test_missing_manifest_member_is_a_counted_miss () =
             ]))
     [ ("loop unit", source); ("builtin stub", builtin_stub) ]
 
+let test_pp_artifact_holds_no_stream () =
+  (* The pp artifact is the stream's digest, the source manager and the
+     #include set: on disk it outweighs the source by a bounded header,
+     not by the token stream (about 8x the source when it held one). *)
+  let src = Tok_digest.wide_unit ~fns:64 ~edit:11 () in
+  with_store_dir (fun dir ->
+      let cache = Cache.create ~store:(Store.create ~dir ()) () in
+      ignore (Instance.compile (Instance.create ~cache invocation) src);
+      let pp_dir =
+        Filename.concat
+          (Filename.concat dir (Printf.sprintf "v%d" Store.schema_version))
+          "pp"
+      in
+      let entries = if Sys.file_exists pp_dir then Sys.readdir pp_dir else [||] in
+      if not (Fault.armed "store.write") then
+        Alcotest.(check int) "one pp entry" 1 (Array.length entries);
+      Array.iter
+        (fun f ->
+          let size = String.length (read_file (Filename.concat pp_dir f)) in
+          if size >= String.length src + 4096 then
+            Alcotest.failf "pp entry of %d bytes for a %d-byte source" size
+              (String.length src))
+        entries)
+
 let test_older_schemas_removed () =
   with_store_dir (fun dir ->
       let put tree contents =
@@ -610,6 +634,7 @@ let suite =
       test_lost_optir_entry_reruns_passes;
     tc "missing manifest member is a counted miss"
       test_missing_manifest_member_is_a_counted_miss;
+    tc "the pp artifact holds no token stream" test_pp_artifact_holds_no_stream;
     tc "older schema trees removed on open" test_older_schemas_removed;
     tc "batch domains share one store" test_batch_domains_share_store;
     tc "a batch's default cache is store-backed under --cache-dir"
