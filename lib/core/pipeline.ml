@@ -8,7 +8,7 @@
    before?":
 
      pp     : hash(source, -D slice)           + #include-set validation
-     ast    : hash(canonical PPTokens stream, sema slice)
+     ast    : hash(canonical PPTokens stream, sema slice) + limit validation
      optir  : hash(hash(ast fp, codegen slice), pass slice)
 
    Lexing is part of the pp stage's run, as Clang's Preprocessor pulls
@@ -21,10 +21,19 @@
    Content-addressing the AST stage on the preprocessor's *output* is what
    makes a comment-only edit (pp re-run, same expanded stream) reuse
    everything from the AST stage onward, while a -D that changes expansion
-   or a -floop-nest-limit change invalidates exactly the stages whose
-   input or slice it touches.  -ferror-limit is deliberately in no slice:
-   only diagnostic-free stage outputs are ever cached, and a
-   diagnostic-free run is identical under any error limit.
+   or a lowering change invalidates exactly the stages whose input or
+   slice it touches.  -ferror-limit is deliberately in no slice: only
+   diagnostic-free stage outputs are ever cached, and a diagnostic-free
+   run is identical under any error limit.
+
+   The resource limits -floop-nest-limit and -fbracket-depth are
+   validated, not keyed.  A limit changes a parse only by diagnosing, so
+   the "ast" manifest and each "fnast" artifact record the demand their
+   diagnostic-free parse made on the two limits (the deepest directive
+   nest Sema checked, the deepest nesting the parser entered), and a
+   lookup is valid only under limits that cover it.  A limit that binds
+   turns the lookup into an invalidation plus a miss: the parse re-runs,
+   diagnoses as an uncached compile would, and stores nothing.
 
    From the parser on, the unit is worked in top-level slices
    ({!slice_unit}): parsed one by one against a shared sema, emitted,
@@ -36,16 +45,17 @@
 
    Warm paths read and write only what their callers use:
 
-   - the unit "ast" artifact is a manifest: the AST id watermark and the
-     fnast fingerprints of the slices that declare something.  Decls and
-     pre-pass snapshots are stored once, per slice;
+   - the unit "ast" artifact is a manifest: the AST id watermark, the
+     fnast fingerprints of the slices that declare something and the
+     demand over all slices.  Decls and pre-pass snapshots are stored
+     once, per slice;
    - the "pp" artifact is the canonical digest of its item stream, which
      keys the AST stage, the source manager and the #include set, but not
      the stream.  A hit that must parse (an AST miss under another sema
-     slice, or the manifest fallback's walk) lexes and preprocesses the
-     main buffer again, by the routine a miss runs, into a fresh source
-     manager laid out as a cold compile's; the trace still reads pp:hit,
-     and the time lands in the lex and preprocess phases;
+     slice or a binding limit, or the manifest fallback's walk) lexes and
+     preprocesses the main buffer again, by the routine a miss runs, into
+     a fresh source manager laid out as a cold compile's; the trace still
+     reads pp:hit, and the time lands in the lex and preprocess phases;
    - past the AST stage the per-slice lookup order is fnoptir → fnir →
      fnast.  Each declaring slice looks up "fnoptir" (and "fnanalysis")
      first; it reads its "fnir" snapshot only when its passes or analysis
@@ -212,9 +222,7 @@ let option_slice stage o =
     | None -> "")
   | Preprocess ->
     String.concat "\x01" (List.map (fun (k, v) -> k ^ "\x02" ^ v) o.defines)
-  | Parse_sema ->
-    Printf.sprintf "irbuilder=%b;bdepth=%d;nlimit=%d" o.use_irbuilder
-      o.bracket_depth o.loop_nest_limit
+  | Parse_sema -> Printf.sprintf "irbuilder=%b" o.use_irbuilder
   | Codegen ->
     Printf.sprintf "irbuilder=%b;fold=%b" o.use_irbuilder o.fold
   | Passes -> Printf.sprintf "optimize=%b" o.optimize
@@ -506,33 +514,65 @@ let slice_digest sl =
   Cache.canonical_items buf sl.sl_items;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* ---- resource limits ----------------------------------------------------- *)
+
+(* What a diagnostic-free parse demanded of the two resource limits: the
+   deepest directive loop nest Sema checked and the deepest nesting the
+   parser entered.  A limit changes a parse only by diagnosing, and a
+   parse under limits that cover its demand diagnoses nothing, so the
+   limits are in no option slice: the AST artifacts record their demand,
+   and a lookup is valid only under limits that cover it. *)
+type demand = { d_nest : int; d_bracket : int }
+
+let no_demand = { d_nest = 0; d_bracket = 0 }
+
+let max_demand a b =
+  { d_nest = max a.d_nest b.d_nest; d_bracket = max a.d_bracket b.d_bracket }
+
+(* Against the effective limits, clamped as [Sema.create] and
+   [Parser.parse_translation_unit] clamp them. *)
+let covers o d =
+  d.d_nest <= max 1 o.loop_nest_limit && d.d_bracket <= max 1 o.bracket_depth
+
 (* ---- per-slice artifacts ------------------------------------------------- *)
+
+(* A fnast artifact: head (AST id watermark, whether the slice declares
+   anything, the parse's demand), body the decls. *)
+type fnast_head = { f_watermark : int; f_declares : bool; f_demand : demand }
+
+let fnast_payload decls demand =
+  pack
+    {
+      f_watermark = Mc_ast.Tree.current_id ();
+      f_declares = decls <> [];
+      f_demand = demand;
+    }
+    decls
 
 (* A slice past the AST stage: its "fnast" fingerprint ("" uncached) and
    its sema'd decls, as far as this compilation has read them — held in
-   memory, still the bytes of a fnast artifact the walk looked up, or not
-   yet looked up because the unit's AST manifest named the slice. *)
-type decls = Held of Mc_ast.Tree.tu_decl list | Stored of string | Unread
+   memory, still the bytes of a fnast artifact the walk looked up (with
+   its head, decoded once), or not yet looked up because the unit's AST
+   manifest named the slice. *)
+type decls =
+  | Held of Mc_ast.Tree.tu_decl list
+  | Stored of (fnast_head * string)
+  | Unread
 
 type ast_slice = { a_fp : string; mutable a_decls : decls }
-
-(* A fnast artifact: head (AST id watermark, whether the slice declares
-   anything), body the decls. *)
-let fnast_payload decls = pack (Mc_ast.Tree.current_id (), decls <> []) decls
 
 (* The manifest lists only slices that declare something: the others
    emit nothing and have no backend artifacts. *)
 let declares s =
   match s.a_decls with
   | Held decls -> decls <> []
-  | Stored payload -> snd (head payload : int * bool)
+  | Stored (h, _) -> h.f_declares
   | Unread -> true
 
 (* Open a fnast payload: claim its watermark, so ids allocated later never
    collide with the adopted nodes, and keep the decls. *)
-let unpack s payload =
-  let ((wm, _) : int * bool) = head payload in
-  Mc_ast.Tree.claim_up_to wm;
+let unpack s (h, payload) =
+  Mc_ast.Tree.claim_up_to h.f_watermark;
   let decls : Mc_ast.Tree.tu_decl list = body payload in
   s.a_decls <- Held decls;
   decls
@@ -902,6 +942,18 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
         stage_fingerprint Parse_sema options ~input:(Lazy.force items_digest))
   in
   let fn_trace = ref [] in
+  (* A fnast lookup, valid only under limits that cover the slice's
+     demand.  The head is decoded once, by the validation. *)
+  let find_fnast fp =
+    let adopted = ref None in
+    let validate payload =
+      let (h : fnast_head) = head payload in
+      let ok = covers options h.f_demand in
+      if ok then adopted := Some (h, payload);
+      ok
+    in
+    Option.bind (find ~validate "fnast" fp) (fun _ -> !adopted)
+  in
   (* A hit stays bytes until a later slice must be parsed against it; it
      is then adopted into the sema.  A miss parses just that slice and
      stores its new decls with earlier functions' bodies stripped, so an
@@ -929,6 +981,8 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
         decls
     in
     let reused = ref 0 in
+    (* The largest demand over the slices, parsed or reused. *)
+    let demand = ref no_demand in
     (* Hits not yet adopted, newest first. *)
     let pending = ref [] in
     let parse_one sl =
@@ -941,30 +995,36 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
       context :=
         fingerprint (fun () -> hash (!context ^ "\x00" ^ slice_interface sl));
       let s = { a_fp = fp; a_decls = Unread } in
-      let cached = if clean () then find "fnast" fp else None in
+      let cached = if clean () then find_fnast fp else None in
       (match cached with
-      | Some payload ->
+      | Some ((h, _) as stored) ->
         incr reused;
         Stats.incr stat_fn_hits;
-        s.a_decls <- Stored payload;
-        pending := (s, payload) :: !pending
+        demand := max_demand !demand h.f_demand;
+        s.a_decls <- Stored stored;
+        pending := (s, stored) :: !pending
       | None ->
         if memo then Stats.incr stat_fn_misses;
         List.iter
-          (fun (s, payload) ->
-            let decls = unpack s payload in
+          (fun (s, stored) ->
+            let decls = unpack s stored in
             List.iter (Mc_sema.Sema.adopt_tu_decl sema) decls;
             define decls)
           (List.rev !pending);
         pending := [];
         let start = Mc_sema.Sema.decl_mark sema in
         let builtins = Mc_sema.Sema.defined_builtins sema in
-        let (_ : Mc_ast.Tree.translation_unit), dt =
+        Mc_sema.Sema.reset_deepest_nest sema;
+        let ((_ : Mc_ast.Tree.translation_unit), bracket), dt =
           time (stage_name Parse_sema) (fun () ->
-              Mc_parser.Parser.parse_translation_unit
+              Mc_parser.Parser.parse_measured
                 ~bracket_depth:options.bracket_depth sema sl.sl_items)
         in
         t_parse_sema := !t_parse_sema +. dt;
+        let used =
+          { d_nest = Mc_sema.Sema.deepest_nest sema; d_bracket = bracket }
+        in
+        demand := max_demand !demand used;
         let fresh = Mc_sema.Sema.decls_since sema start in
         if clean () then begin
           (* The merge rule in [slice_unit] keeps every definition in
@@ -1009,7 +1069,7 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
                     List.iter
                       (fun (fn, b) -> fn.Mc_ast.Tree.fn_body <- Some b)
                       stripped)
-                  (fun () -> fnast_payload fresh))
+                  (fun () -> fnast_payload fresh used))
         end;
         s.a_decls <- Held fresh;
         define fresh);
@@ -1019,28 +1079,41 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
       s
     in
     let slices = List.map parse_one slices in
-    (slices, if !reused = 0 then Executed else Partial)
+    (slices, (if !reused = 0 then Executed else Partial), !demand)
   in
   let slice_walk () = parse_slices (slice_unit (Lazy.force items)) in
+  (* The manifest: the AST id watermark, the declaring slices' fnast
+     fingerprints and the largest demand over all slices, which a lookup
+     must cover.  Decoded once, by the validation. *)
+  let manifest = ref None in
+  let validate_manifest payload =
+    let ((_, _, d) as m : int * string list * demand) =
+      Marshal.from_string payload 0
+    in
+    let ok = covers options d in
+    if ok then manifest := Some m;
+    ok
+  in
   (* Every slice, in unit order, and the walk again after a manifest hit:
      it rebuilds the members the cache no longer holds.  Otherwise nothing
      keeps the token stream alive past this stage. *)
   let slices, walk_again =
-    match consult Parse_sema ast_fp with
-    | Some payload ->
+    match consult ~validate:validate_manifest Parse_sema ast_fp with
+    | Some _ ->
       mark Parse_sema Cache_hit;
-      let ((wm, fps) : int * string list) = Marshal.from_string payload 0 in
+      let wm, fps, _ = Option.get !manifest in
       Mc_ast.Tree.claim_up_to wm;
       (List.map (fun fp -> { a_fp = fp; a_decls = Unread }) fps, Some slice_walk)
     | None ->
-      let slices, outcome = slice_walk () in
+      let slices, outcome, demand = slice_walk () in
       mark Parse_sema outcome;
       save Parse_sema ast_fp (fun () ->
           marshal
             ( Mc_ast.Tree.current_id (),
               List.filter_map
                 (fun s -> if declares s then Some s.a_fp else None)
-                slices ));
+                slices,
+              demand ));
       (slices, None)
   in
   let declaring = Array.of_list (List.filter declares slices) in
@@ -1051,15 +1124,15 @@ and walk_stages ?cache ~frontend_only ~ir_form ~options ~name ~transfo source =
   let rec decls_of s =
     match s.a_decls with
     | Held decls -> decls
-    | Stored payload -> unpack s payload
+    | Stored stored -> unpack s stored
     | Unread ->
-      (match find "fnast" s.a_fp with
-      | Some payload -> s.a_decls <- Stored payload
+      (match find_fnast s.a_fp with
+      | Some stored -> s.a_decls <- Stored stored
       | None -> rewalk (Option.get walk_again));
       decls_of s
   and rewalk slice_walk =
     Cache.reject ~stage:(stage_tag Parse_sema);
-    let walked, outcome = slice_walk () in
+    let walked, outcome, _ = slice_walk () in
     trace :=
       List.map
         (fun (st, o) -> if st = Parse_sema then (st, outcome) else (st, o))

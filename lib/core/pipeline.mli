@@ -15,16 +15,22 @@
     digest, the source manager and the [#include] set, not the stream: a
     pp hit that must parse (an AST miss, or the manifest fallback below)
     lexes and preprocesses the source again, and that time shows in
-    [t_lex] and [t_preprocess] while the trace still reads [pp:hit].  Because the AST stage is content-addressed on
-    the {e preprocessed stream}, a comment-only edit re-runs pp but
-    reuses everything from the AST onward, while an option change
-    invalidates exactly the stages whose slice mentions it.
+    [t_lex] and [t_preprocess] while the trace still reads [pp:hit].
+    Because the AST stage is content-addressed on the {e preprocessed
+    stream}, a comment-only edit re-runs pp but reuses everything from
+    the AST onward, while an option change invalidates exactly the
+    stages whose slice mentions it.
 
     Only diagnostic-free stage outputs are ever cached, and storing is
     the last act of an executed stage — a compilation that ICEs can never
     have polluted the cache.  [-ferror-limit] is deliberately in no
     slice for the same reason: a diagnostic-free run is identical under
-    any error limit.
+    any error limit.  The resource limits [-floop-nest-limit] and
+    [-fbracket-depth] are validated, not keyed: the AST manifest and
+    each "fnast" artifact record the demand their parse made on the two
+    limits, and a lookup is valid only under limits that cover it.  A
+    limit that binds makes the lookup an invalidation plus a miss, and
+    the parse diagnoses as an uncached one would.
 
     Warm paths read only what their caller uses.  The unit AST artifact
     is a manifest naming per-slice "fnast" artifacts, from which each
@@ -172,8 +178,9 @@ type exec = {
 val option_slice : stage -> options -> string
 (** The canonical rendering of the slice of [options] that can affect a
     stage's output — the part of the fingerprint that makes, e.g., a
-    [loop_nest_limit] change invalidate the AST stage (and therefore
-    everything downstream) while leaving the pp artifact reusable. *)
+    [use_irbuilder] change invalidate the AST stage (and therefore
+    everything downstream) while leaving the pp artifact reusable.  No
+    slice renders [loop_nest_limit], [bracket_depth] or [error_limit]. *)
 
 val source_fingerprint : name:string -> string -> string
 

@@ -61,8 +61,12 @@ let fault_write = Fault.point "store.write"
    v7: the "pp" artifact holds no token stream: its payload is the
    marshalled head alone (digest, source manager, #include set), and a
    hit that must parse lexes the source again.  A v6 pp payload would
-   decode as the wrong type. *)
-let schema_version = 7
+   decode as the wrong type.
+   v8: -floop-nest-limit and -fbracket-depth left the AST key.  The "ast"
+   manifest and every "fnast" head record the demand the parse made on
+   the two limits, which a lookup must cover.  A v7 manifest or head
+   would decode as the wrong type. *)
+let schema_version = 8
 let magic = "MCST"
 let default_max_bytes = 512 * 1024 * 1024
 

@@ -19,6 +19,12 @@ type t = {
   mutable pos : int;
   mutable at_line_start : bool;
   mutable has_space : bool;
+  phys : int array;
+      (* [src]'s offsets in the file when [src] is a splice-free copy of
+         it; [||] when [src] is the file itself *)
+  mutable splice : int; (* the next line splice, once looked for *)
+  mutable splice_line : int;
+      (* the start of [splice]'s line, or [len] when no splice is left *)
 }
 
 let create diag ~file_id buf =
@@ -31,9 +37,15 @@ let create diag ~file_id buf =
     pos = 0;
     at_line_start = true;
     has_space = false;
+    phys = [||];
+    splice = -1;
+    splice_line = 0;
   }
 
-let loc_at t pos = Loc.encode ~file_id:t.file_id ~offset:pos
+let loc_at t pos =
+  let n = Array.length t.phys in
+  Loc.encode ~file_id:t.file_id
+    ~offset:(if n = 0 then pos else t.phys.(min pos (n - 1)))
 
 (* The character at [i], or NUL past the end.  No scanner accepts NUL, so
    only the scanners a NUL in the source cannot stop (comments, character
@@ -148,6 +160,26 @@ let rec skip_trivia t =
       skip_trivia t
     | _ -> ())
   | _ -> ()
+
+(* The next line splice at or after [i], and the start of its line.  A
+   token cannot cross a newline but by a splice, so a token that starts
+   before that line takes the fast path, which reads the source in
+   place. *)
+let find_splice t i =
+  let rec go i =
+    match String.index_from_opt t.src i '\\' with
+    | None ->
+      t.splice <- t.len;
+      t.splice_line <- t.len
+    | Some b when splice_len t b > 0 ->
+      t.splice <- b;
+      t.splice_line <-
+        (match String.rindex_from_opt t.src b '\n' with
+        | Some nl -> nl + 1
+        | None -> 0)
+    | Some b -> go (b + 1)
+  in
+  go i
 
 let lex_ident t start =
   t.pos <- scan_ident t (start + 1);
@@ -383,6 +415,59 @@ let lex_punct t c =
     (* Re-lex from the next character rather than emitting a junk token. *)
     take t 1 (Punct Semi)
 
+let lex_token t start =
+  match String.unsafe_get t.src start with
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident t start
+  | '0' .. '9' -> lex_number t start
+  | '.' when is_digit (at t (start + 1)) -> lex_number t start
+  | '\'' -> lex_char_lit t start
+  | '"' -> lex_string_lit t start
+  | c -> lex_punct t c
+
+(* The slow path, for a token on a line that ends in a splice: lex it
+   from a copy of the source with every splice deleted (translation phase
+   2), so "ma\<newline>in" is one identifier and a splice inside a string
+   literal is no escape.  The copy ends at a newline, or, for a token
+   that is no literal, at the first blank past a splice: no such token
+   reaches further.  The token ends right after its last character, so a
+   splice just past it stays trivia. *)
+let lex_spliced t start =
+  let literal = match t.src.[start] with '"' | '\'' -> true | _ -> false in
+  let text = Buffer.create 64 and offs = ref [] in
+  let rec copy i ~spliced =
+    if i < t.len then
+      let n = splice_len t i in
+      if n > 0 then copy (i + n) ~spliced:true
+      else begin
+        let c = String.unsafe_get t.src i in
+        Buffer.add_char text c;
+        offs := i :: !offs;
+        match c with
+        | '\n' -> ()
+        | ' ' | '\t' | '\r' when spliced && not literal -> ()
+        | _ -> copy (i + 1) ~spliced
+      end
+  in
+  copy start ~spliced:false;
+  let phys = Array.of_list (List.rev !offs) in
+  let sub =
+    { t with src = Buffer.contents text; len = Buffer.length text; pos = 0; phys }
+  in
+  let kind = lex_token sub 0 in
+  t.pos <- phys.(sub.pos - 1) + 1;
+  kind
+
+(* A token at or past [splice_line]: the end of the buffer, or look for
+   the next splice once the last one is behind, and take the slow path
+   on a splice's line.  [next] then tests one bound per token, as it
+   would for the end of the buffer alone. *)
+let lex_near_splice t start =
+  if start >= t.len then Token.Eof
+  else begin
+    if start > t.splice then find_splice t start;
+    if start < t.splice_line then lex_token t start else lex_spliced t start
+  end
+
 let next t =
   skip_trivia t;
   let at_line_start = t.at_line_start in
@@ -391,8 +476,10 @@ let next t =
   t.has_space <- false;
   let start = t.pos in
   let kind =
-    if start >= t.len then Token.Eof
+    if start >= t.splice_line then lex_near_splice t start
     else
+      (* [lex_token], written out: ocamlopt does not inline the call, and
+         the fast path would pay for it on every token. *)
       match String.unsafe_get t.src start with
       | 'a' .. 'z' | 'A' .. 'Z' | '_' -> lex_ident t start
       | '0' .. '9' -> lex_number t start
@@ -402,7 +489,13 @@ let next t =
       | c -> lex_punct t c
   in
   (match kind with Token.Eof -> () | _ -> Stats.incr stat_tokens);
-  { Token.kind; loc = loc_at t start; len = t.pos - start; at_line_start; has_space_before }
+  {
+    Token.kind;
+    loc = Loc.encode ~file_id:t.file_id ~offset:start;
+    len = t.pos - start;
+    at_line_start;
+    has_space_before;
+  }
 
 let tokenize diag ~file_id buf =
   let lexer = create diag ~file_id buf in

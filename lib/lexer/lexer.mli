@@ -3,9 +3,13 @@
     Pull-based, like Clang: the preprocessor calls {!next} to obtain one
     token at a time.  Comments and whitespace are skipped but recorded in the
     [at_line_start] / [has_space_before] token flags.  A line splice (a
-    backslash before an LF or CRLF newline) is deleted between tokens and
-    continues a [//] comment onto the next line, with Clang's
-    "multi-line // comment" warning.  Lexical errors are reported through
+    backslash before an LF or CRLF newline) is deleted wherever it stands
+    (translation phase 2): between tokens it counts as whitespace, inside
+    an identifier, number, punctuator or literal it joins the two lines'
+    characters into one token, and it continues a [//] comment onto the
+    next line, with Clang's "multi-line // comment" warning.  Only the
+    lines that end in a splice take the copying slow path.  Lexical
+    errors are reported through
     the diagnostics engine and a best-effort token is produced so that
     lexing always makes progress. *)
 

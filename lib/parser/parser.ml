@@ -20,6 +20,7 @@ type t = {
   mutable items : Pp.item list;
   bracket_depth : int; (* -fbracket-depth: max statement/expression nesting *)
   mutable depth : int; (* current nesting level *)
+  mutable deepest : int; (* deepest level entered *)
 }
 
 let eof_token =
@@ -107,9 +108,12 @@ let synchronize t =
    nesting level, so pathological inputs ("((((...." or "{{{{....") would
    otherwise turn into a Stack_overflow.  The counter is bumped on the two
    recursion workhorses (parse_unary, parse_statement); crossing the limit
-   is diagnosed exactly once per excursion and recovered from. *)
+   is diagnosed exactly once per excursion and recovered from.  The
+   deepest level entered is the least limit the parse runs unchanged
+   under. *)
 let enter_depth t ~loc =
   t.depth <- t.depth + 1;
+  if t.depth > t.deepest then t.deepest <- t.depth;
   if t.depth = t.bracket_depth + 1 then
     error t ~loc "nesting level exceeds maximum of %d [-fbracket-depth=]"
       t.bracket_depth;
@@ -915,16 +919,25 @@ and parse_statement_guarded t : stmt =
       advance t;
       Sema.push_scope t.sema;
       let stmts = ref [] in
+      (* Progress guarantee, as at file scope: a statement past the
+         -fbracket-depth limit recovers without consuming a token when
+         synchronisation stops in front of it (an operand, a pragma), and
+         would otherwise be parsed again forever. *)
+      let statement () =
+        let before = t.items in
+        stmts := parse_statement t :: !stmts;
+        if t.items == before then advance t
+      in
       let rec go () =
         match (peek t, peek_pragma t) with
         | _, Some _ ->
-          stmts := parse_statement t :: !stmts;
+          statement ();
           go ()
         | tok, None when Token.is_punct tok Token.RBrace -> advance t
         | tok, None when Token.is_eof tok ->
           error t ~loc "unterminated compound statement"
         | _ ->
-          stmts := parse_statement t :: !stmts;
+          statement ();
           go ()
       in
       go ();
@@ -1213,10 +1226,17 @@ let parse_external_decl t =
 
 let default_bracket_depth = 256 (* Clang's -fbracket-depth default *)
 
-let parse_translation_unit ?(bracket_depth = default_bracket_depth) sema items =
+let parse_measured ?(bracket_depth = default_bracket_depth) sema items =
   let bracket_depth = max 1 bracket_depth in
   let t =
-    { sema; diag = Sema.diagnostics sema; items; bracket_depth; depth = 0 }
+    {
+      sema;
+      diag = Sema.diagnostics sema;
+      items;
+      bracket_depth;
+      depth = 0;
+      deepest = 0;
+    }
   in
   let rec go () =
     match t.items with
@@ -1237,4 +1257,7 @@ let parse_translation_unit ?(bracket_depth = default_bracket_depth) sema items =
       go ()
   in
   go ();
-  Sema.translation_unit sema
+  (Sema.translation_unit sema, t.deepest)
+
+let parse_translation_unit ?bracket_depth sema items =
+  fst (parse_measured ?bracket_depth sema items)

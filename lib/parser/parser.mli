@@ -20,3 +20,12 @@ val parse_translation_unit :
 (** [?bracket_depth] bounds expression/statement nesting (the
     [-fbracket-depth] recursion guard): exceeding it is diagnosed and
     recovered from instead of overflowing the stack. *)
+
+val parse_measured :
+  ?bracket_depth:int ->
+  Mc_sema.Sema.t ->
+  Mc_pp.Preprocessor.item list ->
+  Mc_ast.Tree.translation_unit * int
+(** {!parse_translation_unit}, also returning the deepest nesting level
+    the parse entered: the least [?bracket_depth] under which it runs
+    unchanged. *)

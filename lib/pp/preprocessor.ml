@@ -126,7 +126,8 @@ let push_back t p = t.pending <- p :: t.pending
 let substitutable name hide = not (List.mem name hide)
 
 (* Collect a function-like macro's arguments.  The opening paren has been
-   consumed.  Returns the arguments (token lists) in order. *)
+   consumed.  Returns the arguments (token lists) in order.  The end of
+   input goes back to the queue: it ends an isolated expansion too. *)
 let collect_args t =
   let rec arg depth acc args =
     let p = fetch t in
@@ -134,6 +135,7 @@ let collect_args t =
     | Token.Eof ->
       Diag.error t.diag ~loc:p.tok.Token.loc
         "unterminated macro argument list";
+      push_back t p;
       List.rev (List.rev acc :: args)
     | Token.Punct Token.LParen -> arg (depth + 1) (p :: acc) args
     | Token.Punct Token.RParen when depth = 0 -> List.rev (List.rev acc :: args)
@@ -145,7 +147,7 @@ let collect_args t =
 
 (* One step of expansion for an identifier token: returns [true] when it
    expanded (the expansion is now in the pending queue). *)
-let try_expand t (p : ptok) =
+let rec try_expand t (p : ptok) =
   match p.tok.Token.kind with
   | Token.Ident name when substitutable name p.hide -> (
     match Hashtbl.find_opt t.macros name with
@@ -179,9 +181,23 @@ let try_expand t (p : ptok) =
             | Token.Ident id -> List.assoc_opt id binding
             | _ -> None
           in
+          (* An argument that is no operand of # or ## is macro-replaced
+             completely before it is substituted (C11 6.10.3.1), once. *)
+          let expanded =
+            List.combine params
+              (List.map (fun arg -> lazy (expand_isolated t arg)) args)
+          in
+          (* The # operator keeps one space where the argument had
+             whitespace between two tokens, and no other (6.10.3.2). *)
           let spell_arg arg_toks =
-            String.concat " "
-              (List.map (fun (a : ptok) -> Token.spelling a.tok) arg_toks)
+            let buf = Buffer.create 16 in
+            List.iteri
+              (fun i (a : ptok) ->
+                if i > 0 && a.tok.Token.has_space_before then
+                  Buffer.add_char buf ' ';
+                Buffer.add_string buf (Token.spelling a.tok))
+              arg_toks;
+            Buffer.contents buf
           in
           (* Pass 1: the # and ## operators (on the spelling level, like a
              real preprocessor: their operands do not macro-expand). *)
@@ -249,10 +265,12 @@ let try_expand t (p : ptok) =
               (function
                 | `Tok tok -> [ { tok; hide } ] (* from # or ##: no expansion *)
                 | `Raw (btok : Token.t) -> (
-                  match subst_of btok with
-                  | Some arg_toks ->
-                    List.map (fun (a : ptok) -> { a with hide }) arg_toks
-                  | None -> [ { tok = btok; hide } ]))
+                  match btok.Token.kind with
+                  | Token.Ident id when List.mem_assoc id expanded ->
+                    List.map
+                      (fun (a : ptok) -> { a with hide = hide @ a.hide })
+                      (Lazy.force (List.assoc id expanded))
+                  | _ -> [ { tok = btok; hide } ]))
               (operators [] body)
           in
           t.pending <- substituted @ t.pending;
@@ -262,6 +280,23 @@ let try_expand t (p : ptok) =
         push_back t next;
         false))
   | _ -> false
+
+(* Macro-replace [toks] completely and in isolation, as the rest of a
+   file that ends after them: a function-like macro name at the end stays
+   as it is rather than reading on.  A macro argument before substitution,
+   an #if line and a pragma line expand this way. *)
+and expand_isolated t toks =
+  let saved = t.pending in
+  t.pending <- toks @ [ { tok = eof_token; hide = [] } ];
+  let rec drain acc =
+    let p = fetch t in
+    if Token.is_eof p.tok then List.rev acc
+    else if try_expand t p then drain acc
+    else drain (p :: acc)
+  in
+  let out = drain [] in
+  t.pending <- saved;
+  out
 
 (* ---- #if expression evaluation --------------------------------------- *)
 
@@ -298,37 +333,36 @@ let eval_condition t (toks : Token.t list) ~loc =
         mk false :: resolve_defined rest)
     | tok :: rest -> tok :: resolve_defined rest
   in
-  (* Phase 2: macro-expand by feeding through the pending queue. *)
-  let saved = t.pending in
-  t.pending <- List.map (fun tok -> { tok; hide = [] }) (resolve_defined toks);
-  let rec drain acc =
-    match t.pending with
-    | [] -> List.rev acc
-    | _ ->
-      let p = fetch t in
-      if try_expand t p then drain acc else drain (p.tok :: acc)
+  (* Phase 2: macro-expand. *)
+  let toks =
+    List.map
+      (fun p -> p.tok)
+      (expand_isolated t
+         (List.map (fun tok -> { tok; hide = [] }) (resolve_defined toks)))
   in
-  let toks = drain [] in
-  t.pending <- saved;
-  (* Phase 3: recursive-descent evaluation; unknown identifiers become 0. *)
+  (* Phase 3: recursive-descent evaluation; unknown identifiers become 0.
+     Every value is an intmax_t or a uintmax_t (C11 6.10.1p4): an int64
+     and whether it is unsigned, under the usual arithmetic
+     conversions. *)
   let toks = ref toks in
   let peek () = match !toks with [] -> None | x :: _ -> Some x in
   let advance () = match !toks with [] -> () | _ :: r -> toks := r in
   let error msg =
     Diag.error t.diag ~loc msg;
-    0L
+    (0L, false)
   in
   let rec primary () =
     match peek () with
-    | Some { Token.kind = Token.Int_lit { value; _ }; _ } ->
+    | Some { Token.kind = Token.Int_lit { value; suffix; _ }; _ } ->
       advance ();
-      value
+      (* A constant too large for intmax_t is a uintmax_t. *)
+      (value, suffix.Token.suffix_unsigned || Int64.compare value 0L < 0)
     | Some { Token.kind = Token.Char_lit { value; _ }; _ } ->
       advance ();
-      Int64.of_int value
+      (Int64.of_int value, false)
     | Some { Token.kind = Token.Ident _; _ } ->
       advance ();
-      0L
+      (0L, false)
     | Some { Token.kind = Token.Punct Token.LParen; _ } ->
       advance ();
       let v = ternary () in
@@ -338,16 +372,18 @@ let eval_condition t (toks : Token.t list) ~loc =
       v
     | Some { Token.kind = Token.Punct Token.Exclaim; _ } ->
       advance ();
-      if Int64.equal (primary ()) 0L then 1L else 0L
+      ((if Int64.equal (fst (primary ())) 0L then 1L else 0L), false)
     | Some { Token.kind = Token.Punct Token.Minus; _ } ->
       advance ();
-      Int64.neg (primary ())
+      let v, u = primary () in
+      (Int64.neg v, u)
     | Some { Token.kind = Token.Punct Token.Plus; _ } ->
       advance ();
       primary ()
     | Some { Token.kind = Token.Punct Token.Tilde; _ } ->
       advance ();
-      Int64.lognot (primary ())
+      let v, u = primary () in
+      (Int64.lognot v, u)
     | _ -> error "expected expression in preprocessor condition"
   and binary_level level =
     (* Precedence climbing over the usual C binary operators. *)
@@ -366,25 +402,35 @@ let eval_condition t (toks : Token.t list) ~loc =
       | Token.PipePipe -> Some 1
       | _ -> None
     in
-    let apply p a b =
-      let bool v = if v then 1L else 0L in
+    let apply p (a, ua) (b, ub) =
+      let bool v = ((if v then 1L else 0L), false) in
+      (* The usual arithmetic conversions: unsigned if either operand is;
+         a shift has its left operand's type. *)
+      let u = ua || ub in
+      let cmp () = if u then Int64.unsigned_compare a b else Int64.compare a b in
       match (p : Token.punct) with
-      | Token.Star -> Int64.mul a b
-      | Token.Slash -> if Int64.equal b 0L then error "division by zero in #if" else Int64.div a b
-      | Token.Percent -> if Int64.equal b 0L then error "modulo by zero in #if" else Int64.rem a b
-      | Token.Plus -> Int64.add a b
-      | Token.Minus -> Int64.sub a b
-      | Token.LessLess -> Int64.shift_left a (Int64.to_int b land 63)
-      | Token.GreaterGreater -> Int64.shift_right a (Int64.to_int b land 63)
-      | Token.Less -> bool (Int64.compare a b < 0)
-      | Token.LessEqual -> bool (Int64.compare a b <= 0)
-      | Token.Greater -> bool (Int64.compare a b > 0)
-      | Token.GreaterEqual -> bool (Int64.compare a b >= 0)
+      | Token.Star -> (Int64.mul a b, u)
+      | Token.Slash ->
+        if Int64.equal b 0L then error "division by zero in #if"
+        else ((if u then Int64.unsigned_div a b else Int64.div a b), u)
+      | Token.Percent ->
+        if Int64.equal b 0L then error "modulo by zero in #if"
+        else ((if u then Int64.unsigned_rem a b else Int64.rem a b), u)
+      | Token.Plus -> (Int64.add a b, u)
+      | Token.Minus -> (Int64.sub a b, u)
+      | Token.LessLess -> (Int64.shift_left a (Int64.to_int b land 63), ua)
+      | Token.GreaterGreater ->
+        let n = Int64.to_int b land 63 in
+        ((if ua then Int64.shift_right_logical a n else Int64.shift_right a n), ua)
+      | Token.Less -> bool (cmp () < 0)
+      | Token.LessEqual -> bool (cmp () <= 0)
+      | Token.Greater -> bool (cmp () > 0)
+      | Token.GreaterEqual -> bool (cmp () >= 0)
       | Token.EqualEqual -> bool (Int64.equal a b)
       | Token.ExclaimEqual -> bool (not (Int64.equal a b))
-      | Token.Amp -> Int64.logand a b
-      | Token.Caret -> Int64.logxor a b
-      | Token.Pipe -> Int64.logor a b
+      | Token.Amp -> (Int64.logand a b, u)
+      | Token.Caret -> (Int64.logxor a b, u)
+      | Token.Pipe -> (Int64.logor a b, u)
       | Token.AmpAmp -> bool ((not (Int64.equal a 0L)) && not (Int64.equal b 0L))
       | Token.PipePipe -> bool ((not (Int64.equal a 0L)) || not (Int64.equal b 0L))
       | _ ->
@@ -414,10 +460,11 @@ let eval_condition t (toks : Token.t list) ~loc =
       | Some { Token.kind = Token.Punct Token.Colon; _ } -> advance ()
       | _ -> ignore (error "expected ':' in preprocessor conditional"));
       let b = ternary () in
-      if Int64.equal c 0L then b else a
+      (* The result has the converted type of both branches. *)
+      ((if Int64.equal (fst c) 0L then fst b else fst a), snd a || snd b)
     | _ -> c
   in
-  not (Int64.equal (ternary ()) 0L)
+  not (Int64.equal (fst (ternary ())) 0L)
 
 (* ---- Directive handling ----------------------------------------------- *)
 
@@ -565,17 +612,11 @@ and handle_directive t hash_tok : item option =
       next_item t
     | "pragma" when live t -> (
       (* Expand macros in the pragma's token stream, as OpenMP requires. *)
-      let saved = t.pending in
-      t.pending <- List.map (fun tok -> { tok; hide = [] }) rest;
-      let rec drain acc =
-        match t.pending with
-        | [] -> List.rev acc
-        | _ ->
-          let p = fetch t in
-          if try_expand t p then drain acc else drain (p.tok :: acc)
+      let pragma_toks =
+        List.map
+          (fun p -> p.tok)
+          (expand_isolated t (List.map (fun tok -> { tok; hide = [] }) rest))
       in
-      let pragma_toks = drain [] in
-      t.pending <- saved;
       match pragma_toks with
       | { Token.kind = Token.Ident ("omp" | "clang"); _ } :: _ ->
         Stats.incr stat_pragmas;

@@ -5,7 +5,13 @@
     reproduction — recognises [#pragma omp ...] / [#pragma clang loop ...]
     lines, macro-expands their token stream (as the OpenMP specification
     requires), and hands them to the parser as first-class {!pragma} items
-    interleaved with ordinary tokens. *)
+    interleaved with ordinary tokens.
+
+    As C11 asks: [#if] evaluates in [intmax_t]/[uintmax_t] under the usual
+    arithmetic conversions (6.10.1p4); a macro argument is macro-replaced
+    completely before substitution unless it is an operand of [#] or [##]
+    (6.10.3.1); and [#] keeps one space where its argument had whitespace
+    between tokens (6.10.3.2). *)
 
 type pragma = {
   pragma_loc : Mc_srcmgr.Source_location.t; (* location of the '#' *)

@@ -292,7 +292,7 @@ let act_on_directive_inner sema ~kind ~clauses ~assoc ~loc =
       error sema ~loc "'%s' requires a 'sizes' clause"
         (if kind = D_tile then "tile" else "stripe")
     | _ -> ());
-    if depth > Sema.loop_nest_limit sema then begin
+    if not (Sema.check_nest_depth sema depth) then begin
       (* A resource limit, not a crash: e.g. [collapse(1000000)] would drive
          the nest collection (and downstream transformation builders) to an
          absurd recursion depth.  Diagnose and keep the directive un-analyzed. *)

@@ -19,6 +19,7 @@ type t = {
   mutable loop_depth : int;
   mutable switch_stack : (int64 list ref * bool ref) list; (* seen cases, default? *)
   loop_nest_limit : int; (* -floop-nest-limit; cap on directive loop nests *)
+  mutable deepest_nest : int; (* deepest directive nest checked since reset *)
 }
 
 let default_loop_nest_limit = 64
@@ -49,6 +50,7 @@ let create ?(mode = Classic) ?(loop_nest_limit = default_loop_nest_limit) diag =
       loop_depth = 0;
       switch_stack = [];
       loop_nest_limit = max 1 loop_nest_limit;
+      deepest_nest = 0;
     }
   in
   List.iter
@@ -72,6 +74,13 @@ let create ?(mode = Classic) ?(loop_nest_limit = default_loop_nest_limit) diag =
 let diagnostics t = t.diag
 let mode t = t.sema_mode
 let loop_nest_limit t = t.loop_nest_limit
+
+let check_nest_depth t depth =
+  if depth > t.deepest_nest then t.deepest_nest <- depth;
+  depth <= t.loop_nest_limit
+
+let deepest_nest t = t.deepest_nest
+let reset_deepest_nest t = t.deepest_nest <- 0
 let error t ~loc fmt = Printf.ksprintf (fun s -> Diag.error t.diag ~loc s) fmt
 let warn t ~loc fmt = Printf.ksprintf (fun s -> Diag.warning t.diag ~loc s) fmt
 

@@ -29,6 +29,17 @@ val mode : t -> mode
 val loop_nest_limit : t -> int
 (** The configured [-floop-nest-limit] (clamped to at least 1). *)
 
+val check_nest_depth : t -> int -> bool
+(** [check_nest_depth t d]: may a directive collect a loop nest of depth
+    [d] under the limit?  Every check also raises {!deepest_nest}. *)
+
+val deepest_nest : t -> int
+(** The deepest directive loop nest checked since {!create} or the last
+    {!reset_deepest_nest}: the least [-floop-nest-limit] under which the
+    analysis so far runs unchanged. *)
+
+val reset_deepest_nest : t -> unit
+
 (* ---- scopes and declarations ---------------------------------------- *)
 
 val push_scope : t -> unit

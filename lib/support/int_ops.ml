@@ -38,7 +38,11 @@ let add w a b = truncate w (Int64.add a b)
 let sub w a b = truncate w (Int64.sub a b)
 let mul w a b = truncate w (Int64.mul a b)
 
+(* Division reads its operands at the width, as [shr] and [lt] do: an
+   unsigned operand carried sign-extended (a negated [unsigned int], say)
+   must divide as its low bits. *)
 let div w a b =
+  let a = truncate w a and b = truncate w b in
   if Int64.equal b 0L then None
   else if w.signed then
     if Int64.equal a (min_value w) && Int64.equal b (-1L) then None
@@ -46,6 +50,7 @@ let div w a b =
   else Some (truncate w (Int64.unsigned_div a b))
 
 let rem w a b =
+  let a = truncate w a and b = truncate w b in
   if Int64.equal b 0L then None
   else if w.signed then
     if Int64.equal a (min_value w) && Int64.equal b (-1L) then None

@@ -27,6 +27,7 @@ let () =
       ("store", Test_store.suite);
       ("server", Test_server.suite);
       ("pipeline", Test_pipeline.suite);
+      ("limits", Test_limits.suite);
       ("fngrain", Test_fngrain.suite);
       ("transfo", Test_transfo.suite);
       ("goldens", Test_goldens.suite);

@@ -266,9 +266,10 @@ let test_identical_redefinition_caches () =
 
 let test_pp_hit_that_must_parse () =
   (* The pp artifact holds no token stream.  A hit whose AST misses — here
-     under another -floop-nest-limit — lexes and preprocesses the source
-     again (the -D buffer and the include too) and compiles exactly what
-     an uncached compile does, diagnostics included. *)
+     under the other lowering, or under a -floop-nest-limit that binds —
+     lexes and preprocesses the source again (the -D buffer and the
+     include too) and compiles exactly what an uncached compile does,
+     diagnostics included. *)
   let src =
     "#include \"scale.h\"\nvoid record(long x);\n\
      long scale(long v) { return v * K; }\n\
@@ -278,36 +279,42 @@ let test_pp_hit_that_must_parse () =
      for (int j = 0; j < 8; j += 1) s += scale(i + j);\n\
      record(s);\nreturn 0; }\n"
   in
-  let inv ~cache_enabled limit =
+  let inv ?(irbuilder = false) ~cache_enabled limit =
     {
       Invocation.default with
       Invocation.cache_enabled;
       defines = [ ("K", "3") ];
       extra_files = [ ("scale.h", "long scale(long v);\n") ];
       loop_nest_limit = limit;
+      use_irbuilder = irbuilder;
     }
   in
   let cache = Cache.create () in
-  let cached limit =
+  let cached ?irbuilder limit =
     Instance.compile
-      (Instance.create ~cache (inv ~cache_enabled:true limit))
+      (Instance.create ~cache (inv ?irbuilder ~cache_enabled:true limit))
       ~name:"m.c" src
   in
-  let uncached limit =
+  let uncached ?irbuilder limit =
     Instance.compile
-      (Instance.create (inv ~cache_enabled:false limit))
+      (Instance.create (inv ?irbuilder ~cache_enabled:false limit))
       ~name:"m.c" src
   in
   ignore (ir_text (cached 64));
-  let c = cached 8 in
+  let c = cached ~irbuilder:true 64 in
   check_trace "the pp lookup hits, the rest re-runs"
     "pp:hit ast:run ir:run optir:run" c;
   Alcotest.(check bool) "the hit lexed the source again" true
     (Stats.find c.Instance.c_result.Driver.stats "lexer.tokens-lexed" > 0);
-  Alcotest.(check string) "IR of an uncached compile" (ir_text (uncached 8))
+  Alcotest.(check string) "IR of an uncached compile"
+    (ir_text (uncached ~irbuilder:true 64))
     (ir_text c);
   let c = cached 1 in
-  check_trace "too low a limit" "pp:hit ast:run" c;
+  (* The slices the limit does not bind (the prototypes and scale) are
+     reused; main's is invalidated, re-parsed and diagnosed. *)
+  check_trace "too low a limit" "pp:hit ast:partial" c;
+  Alcotest.(check int) "one slice's artifact invalidated" 1
+    (Stats.find c.Instance.c_result.Driver.stats "cache.fnast-invalidations");
   let render (c : Instance.compilation) =
     Mc_diag.Diagnostics.render_all c.Instance.c_result.Driver.diag
   in

@@ -322,6 +322,28 @@ let test_bracket_depth () =
   check_contains ~what:"brace depth diagnostic" (Diag.render_all diag)
     "[-fbracket-depth=]"
 
+(* A statement whose first operand or pragma lies just past the limit
+   recovers without consuming a token; the enclosing block then steps
+   over it, so the parse ends with one diagnostic instead of parsing the
+   same statement forever. *)
+let test_bracket_depth_progress () =
+  List.iter
+    (fun (depth, source) ->
+      let diag, _ =
+        Driver.frontend ~options:{ classic with Driver.bracket_depth = depth }
+          source
+      in
+      check_contains ~what:source (Diag.render_all diag)
+        (Printf.sprintf "nesting level exceeds maximum of %d [-fbracket-depth=]"
+           depth))
+    [
+      (2, "void f(long *C) { int i = 0; }");
+      (2, "void f(void) { long i; for (i = 0;;) ; }");
+      (2, "void f(long *C) { for (int i = 0; i < 8; i += 1) C[i] = 0; }");
+      (1, "int main(void) {\n#pragma omp unroll partial(2)\n\
+           for (int i = 0; i < 4; i += 1) ;\nreturn 0; }");
+    ]
+
 let test_loop_nest_limit () =
   let source =
     "int main(void) {\nlong s = 0;\n#pragma omp for collapse(100)\n\
@@ -615,4 +637,6 @@ let suite =
     tc "transform_safe contains the transfo stage" test_transform_safe;
     tc "reproducer bundle carries the transfo script"
       test_reproducer_carries_script;
+    tc "a statement at the -fbracket-depth limit makes progress"
+      test_bracket_depth_progress;
   ]

@@ -36,6 +36,54 @@ let test_div_rem_edges () =
   Alcotest.(check (option int64)) "unsigned div" (Some 2147483647L)
     (I.div I.u32 (I.truncate I.u32 (-1L)) 2L)
 
+(* An unsigned operand carried sign-extended (the interpreter's and the
+   IR builder's form of a negated [unsigned int]) divides as its low
+   bits: (unsigned)-7 is 4294967289. *)
+let test_div_rem_read_the_width () =
+  let check what expected got =
+    Alcotest.(check (option int64)) what (Some expected) got
+  in
+  check "u32 div" 2147483644L (I.div I.u32 (-7L) 2L);
+  check "u32 rem" 4L (I.rem I.u32 (-7L) 7L);
+  check "u32 div, canonical operand" 2147483644L
+    (I.div I.u32 (I.truncate I.u32 (-7L)) 2L);
+  check "u8 div" 124L (I.div I.u8 (-7L) 2L);
+  check "u16 rem" 2L (I.rem I.u16 (-7L) 7L);
+  check "i32 div, zero-extended operand" (-3L) (I.div I.i32 0xFFFFFFF9L 2L);
+  Alcotest.(check (option int64)) "u32 divisor of 2^32 is zero" None
+    (I.div I.u32 7L 0x100000000L)
+
+(* The same values through each caller: the interpreter (-O0 without
+   folding), the IR builder's folding (constant operands), the -O1
+   passes, and Sema's constant evaluator (case labels). *)
+let test_unsigned_div_rem_end_to_end () =
+  let source =
+    "void record(long x);\n\
+     long pick(long v) {\n\
+     switch (v) { case -7u / 2: return 1; case -7u % 7: return 2; }\n\
+     return 0; }\n\
+     int main(void) {\n\
+     unsigned int u = 7;\n\
+     record(-u / 2); record(-u % 7);\n\
+     record(-7u / 2); record(-7u % 7);\n\
+     record(pick(2147483644)); record(pick(4));\n\
+     return 0; }"
+  in
+  List.iter
+    (fun (what, options) ->
+      Alcotest.(check (list int64)) what
+        [ 2147483644L; 4L; 2147483644L; 4L; 1L; 2L ]
+        (List.map
+           (function Mc_interp.Interp.T_int v -> v | T_float _ -> 0L)
+           (trace_of ~options source)))
+    [
+      ("classic -O0 no-fold", { (o0 classic) with Driver.fold = false });
+      ("classic -O0", o0 classic);
+      ("classic -O1", classic);
+      ("irbuilder -O0 no-fold", { (o0 irbuilder) with Driver.fold = false });
+      ("irbuilder -O1", irbuilder);
+    ]
+
 let test_shifts () =
   Alcotest.(check int64) "shl wraps width" 2L (I.shl I.i32 1L 33L);
   Alcotest.(check int64) "ashr sign" (-1L) (I.shr I.i32 (-2L) 1L);
@@ -107,6 +155,9 @@ let suite =
     tc "truncate basics" test_truncate_basics;
     tc "min/max values" test_min_max;
     tc "division edge cases" test_div_rem_edges;
+    tc "division reads its operands at the width" test_div_rem_read_the_width;
+    tc "unsigned division agrees in every caller"
+      test_unsigned_div_rem_end_to_end;
     tc "shifts" test_shifts;
     tc "to_string signedness" test_to_string;
     tc "conversions" test_convert;

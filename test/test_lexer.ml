@@ -107,13 +107,50 @@ let test_comments_and_flags () =
   Alcotest.(check bool) "c has space" true c.Token.has_space_before
 
 let test_line_splice () =
-  let toks = lex "ab\\\ncd" in
-  match List.map Token.spelling toks with
-  | [ "ab"; "cd" ] ->
-    (* The splice removes the newline, so 'cd' does NOT start a line. *)
-    Alcotest.(check bool) "no line start" false
-      (List.nth toks 1).Token.at_line_start
-  | other -> Alcotest.failf "got %s" (String.concat "," other)
+  (* Translation phase 2 deletes every backslash-newline, inside a token
+     too: "ab\<newline>cd" is the one identifier abcd. *)
+  Alcotest.(check (list string)) "a splice inside an identifier" [ "abcd" ]
+    (List.map Token.spelling (lex "ab\\\ncd"));
+  (* Between tokens the splice is trivia: the newline is gone, so 'cd'
+     does NOT start a line. *)
+  let toks = lex "ab \\\ncd" in
+  Alcotest.(check (list string)) "a splice between tokens" [ "ab"; "cd" ]
+    (List.map Token.spelling toks);
+  Alcotest.(check bool) "no line start" false
+    (List.nth toks 1).Token.at_line_start
+
+let test_splice_in_identifier () =
+  List.iter
+    (fun (what, source) ->
+      let toks = lex source in
+      Alcotest.(check (list string)) what
+        [ "int"; "main"; "("; "void"; ")"; "{"; "return"; "4"; ";"; "}" ]
+        (List.map Token.spelling toks);
+      let main = List.nth toks 1 in
+      Alcotest.(check int) (what ^ ": the token spans the splice")
+        (String.index source '(' - String.length "int ")
+        main.Token.len)
+    [
+      ("LF", "int ma\\\nin(void) { return 4; }");
+      ("CRLF", "int ma\\\r\nin(void) { return 4; }");
+      ("two splices", "int m\\\na\\\r\nin(void) { return 4; }");
+    ]
+
+let test_splice_in_string () =
+  List.iter
+    (fun (what, source) ->
+      let sm = Srcmgr.create () in
+      let diag = Diag.create sm in
+      let buf = Buf.create ~name:"lex.c" ~contents:source in
+      let toks = Lexer.tokenize diag ~file_id:(Srcmgr.load_buffer sm buf) buf in
+      (match List.map (fun t -> t.Token.kind) toks with
+      | [ Token.String_lit { value; text }; Token.Punct Token.Semi ] ->
+        Alcotest.(check string) (what ^ ": value") "abcd" value;
+        Alcotest.(check string) (what ^ ": spelling") "\"abcd\"" text
+      | _ -> Alcotest.failf "%s: got %d tokens" what (List.length toks));
+      Alcotest.(check string) (what ^ ": no escape warning") ""
+        (Diag.render_all diag))
+    [ ("LF", "\"ab\\\ncd\";"); ("CRLF", "\"ab\\\r\ncd\";") ]
 
 (* Translation phase 2 splices lines before phase 3 removes comments, and
    a splice's newline may be CRLF. *)
@@ -187,6 +224,8 @@ let suite =
     tc "punctuators incl. maximal munch" test_punctuators;
     tc "comments and token flags" test_comments_and_flags;
     tc "line splices" test_line_splice;
+    tc "a splice inside an identifier" test_splice_in_identifier;
+    tc "a splice inside a string literal" test_splice_in_string;
     tc "a CRLF line splice" test_crlf_splice;
     tc "a // comment ending in a splice" test_line_comment_splice;
     tc "lexical errors" test_errors;

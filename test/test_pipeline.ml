@@ -40,17 +40,31 @@ let ir_text (c : Instance.compilation) =
 
 let test_option_slices () =
   let o = Driver.default_options in
-  (* -floop-nest-limit is sema-relevant, invisible to pp/codegen/passes. *)
-  let o' = { o with Driver.loop_nest_limit = 2 } in
+  (* The resource limits are in no slice: the AST artifacts record the
+     demand their parse made on them, and a lookup validates it. *)
+  List.iter
+    (fun (what, o') ->
+      List.iter
+        (fun st ->
+          Alcotest.(check string)
+            (Pipeline.stage_tag st ^ " slice ignores " ^ what)
+            (Pipeline.option_slice st o) (Pipeline.option_slice st o'))
+        Pipeline.stages)
+    [
+      ("loop_nest_limit", { o with Driver.loop_nest_limit = 2 });
+      ("bracket_depth", { o with Driver.bracket_depth = 3 });
+    ];
+  (* The lowering is sema-relevant, invisible to pp and passes. *)
+  let oi = { o with Driver.use_irbuilder = true } in
   List.iter
     (fun st ->
       Alcotest.(check string)
-        (Pipeline.stage_tag st ^ " slice ignores loop_nest_limit")
-        (Pipeline.option_slice st o) (Pipeline.option_slice st o'))
-    [ Pipeline.Preprocess; Pipeline.Codegen; Pipeline.Passes ];
-  Alcotest.(check bool) "ast slice sees loop_nest_limit" false
+        (Pipeline.stage_tag st ^ " slice ignores the lowering")
+        (Pipeline.option_slice st o) (Pipeline.option_slice st oi))
+    [ Pipeline.Preprocess; Pipeline.Passes ];
+  Alcotest.(check bool) "ast slice sees the lowering" false
     (Pipeline.option_slice Pipeline.Parse_sema o
-    = Pipeline.option_slice Pipeline.Parse_sema o');
+    = Pipeline.option_slice Pipeline.Parse_sema oi);
   (* -O is pass-relevant only. *)
   let oO0 = { o with Driver.optimize = false } in
   List.iter
@@ -134,21 +148,39 @@ let test_body_edit_reruns_backend () =
   Alcotest.(check bool) "not a whole-pipeline hit" false c.Instance.c_cache_hit
 
 let test_loop_nest_limit_invalidates_sema_onward () =
-  (* A -floop-nest-limit change touches only the sema slice: the pp
-     artifact survives, the AST stage and everything downstream re-run. *)
+  (* A -floop-nest-limit below the unit's demand (a depth-2 tile) touches
+     only the sema stage: the pp artifact survives, the AST lookup is an
+     invalidation, and the AST stage re-runs and diagnoses, so nothing
+     downstream runs. *)
+  let src =
+    "void record(long x);
+int main(void) {
+long s = 0;
+     #pragma omp tile sizes(2, 2)
+     for (int i = 0; i < 8; i += 1)
+     for (int j = 0; j < 8; j += 1) s += i * j;
+     record(s);
+return 0; }"
+  in
   let cache = Cache.create () in
   let base = { Invocation.default with Invocation.cache_enabled = true } in
   let inst = Instance.create ~cache base in
-  ignore (compile inst source);
-  let bumped =
-    Instance.create ~cache
-      { base with Invocation.loop_nest_limit = base.Invocation.loop_nest_limit + 1 }
+  ignore (compile inst src);
+  let c =
+    Instance.compile
+      (Instance.create ~cache { base with Invocation.loop_nest_limit = 1 })
+      src
   in
-  let c = compile bumped source in
-  Alcotest.(check string) "limit change re-runs sema and later"
-    "pp:hit ast:run ir:run optir:run" (trace_of c);
+  (* The record prototype's slice makes no demand and is reused. *)
+  Alcotest.(check string) "limit below the demand re-runs sema"
+    "pp:hit ast:partial" (trace_of c);
+  Alcotest.(check int) "the manifest is invalidated" 1
+    (counter c "cache.ast-invalidations");
+  check_contains ~what:"the limit is diagnosed"
+    (Mc_diag.Diagnostics.render_all c.Instance.c_result.Driver.diag)
+    "exceeds the maximum of 1";
   (* And coming back to the original limit hits everything again. *)
-  let back = compile (Instance.create ~cache base) source in
+  let back = compile (Instance.create ~cache base) src in
   Alcotest.(check string) "original limit fully warm"
     "pp:hit ast:hit ir:hit optir:hit" (trace_of back)
 

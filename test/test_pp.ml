@@ -156,6 +156,79 @@ let test_stringize_and_paste () =
   in
   Alcotest.(check bool) "errors" true (Mc_diag.Diagnostics.has_errors diag)
 
+(* C11 6.10.1p4: #if evaluates in intmax_t/uintmax_t under the usual
+   arithmetic conversions. *)
+let test_if_arithmetic_types () =
+  let taken cond =
+    let items, _ =
+      preprocess (Printf.sprintf "#if %s\nyes\n#else\nno\n#endif" cond)
+    in
+    match spellings items with
+    | [ "yes" ] -> true
+    | [ "no" ] -> false
+    | other -> Alcotest.failf "%s: got %s" cond (String.concat " " other)
+  in
+  List.iter
+    (fun (cond, expected) -> Alcotest.(check bool) cond expected (taken cond))
+    [
+      ("-1 < 0u", false);
+      ("-1 < 0", true);
+      ("0u - 1 > 0", true);
+      ("-1 / 2u > 0", true);
+      ("-7 % 5u == 4", true);
+      ("-7 % 5 == -2", true);
+      ("0xFFFFFFFFFFFFFFFF > 0", true);
+      ("18446744073709551615 == -1", true);
+      ("(0u - 1) >> 63 == 1", true);
+      ("-1 >> 63 == -1", true);
+      ("1u << 63 > 0", true);
+      ("(1 ? -1 : 0u) > 0", true);
+      ("(1 ? -1 : 0) > 0", false);
+      ("!0u - 2 < 0", true);
+      ("~0u == 0xFFFFFFFFFFFFFFFF", true);
+    ]
+
+(* C11 6.10.3.1: an argument that is no operand of # or ## is
+   macro-replaced completely before substitution. *)
+let test_argument_pre_expansion () =
+  check_spellings "nested call" "#define ID(x) x\nID(ID(5))" [ "5" ];
+  check_spellings "three deep" "#define ID(x) x\nID(ID(ID(7)))" [ "7" ];
+  check_spellings "another macro in the argument"
+    "#define ID(x) x\n#define F(x) x + 1\nID(F(2))" [ "2"; "+"; "1" ];
+  check_spellings "a name completed by the argument"
+    "#define ID(x) x\n#define G ID\nID(G(3))" [ "3" ];
+  check_spellings "a lone function-like name stays"
+    "#define ID(x) x\n#define F(x) x\nID(F) (4)" [ "4" ];
+  check_spellings "## operands do not expand"
+    "#define N 4\n#define CAT(a, b) a ## b\nCAT(N, 2)" [ "N2" ];
+  check_spellings "self-reference still stops"
+    "#define ID(x) x\n#define X ID(X)\nX" [ "X" ]
+
+(* C11 6.10.3.2: # spells its argument with one space where the argument
+   had whitespace, and none elsewhere. *)
+let test_stringize_spacing () =
+  let prelude = "#define ID(x) x\n#define STR(x) #x\n#define XSTR(x) STR(x)\n" in
+  List.iter
+    (fun (use, expected) ->
+      check_spellings use (prelude ^ use) [ expected ])
+    [
+      ("STR(ID(5))", "\"ID(5)\"");
+      ("XSTR(ID(5))", "\"5\"");
+      ("STR(  a   +  b )", "\"a + b\"");
+      ("STR(f (x))", "\"f (x)\"");
+      ("STR(a\n+b)", "\"a +b\"");
+    ];
+  (* And the value the parser sees: sizeof("ID(5)") is 6. *)
+  let run src = (run_ok src).Mc_interp.Interp.trace in
+  Alcotest.(check (list string)) "sizeof through the compiler" [ "6"; "2"; "5" ]
+    (List.map
+       (function Mc_interp.Interp.T_int v -> Int64.to_string v | T_float _ -> "")
+       (run
+          (prelude
+          ^ "void record(long x);\nint main(void) {\n\
+             record(sizeof(STR(ID(5)))); record(sizeof(XSTR(ID(5))));\n\
+             record(ID(ID(5)));\nreturn 0; }")))
+
 let test_predefine () =
   let sm = Srcmgr.create () in
   let fm = Fmgr.create () in
@@ -182,4 +255,7 @@ let suite =
     tc "unterminated #if" test_unterminated_if;
     tc "stringize (#) and paste (##)" test_stringize_and_paste;
     tc "predefined macros (-D)" test_predefine;
+    tc "#if arithmetic in intmax_t and uintmax_t" test_if_arithmetic_types;
+    tc "arguments expand before substitution" test_argument_pre_expansion;
+    tc "# spells whitespace as the argument had it" test_stringize_spacing;
   ]

@@ -184,6 +184,49 @@ let test_warm_roundtrip () =
   check_count "server.units" 2 (Stats.find snap "server.units");
   check_count "server.ices" 0 (Stats.find snap "server.ices")
 
+(* -floop-nest-limit is validated, not keyed: against a daemon warmed at
+   the default limit, a limit that covers the unit's demand is a full hit
+   forwarding the IR of an uncached in-process compile at that limit,
+   and one that binds diagnoses as that compile does. *)
+let test_limit_switch_through_the_daemon () =
+  let tiled =
+    "void record(long x);\nint main(void) {\nlong s = 0;\n\
+     #pragma omp tile sizes(2, 2)\n\
+     for (int i = 0; i < 8; i += 1)\n\
+     for (int j = 0; j < 8; j += 1) s += i * j;\n\
+     record(s);\nreturn 0; }"
+  in
+  let at limit = { invocation with Invocation.loop_nest_limit = limit } in
+  let in_process limit =
+    (Instance.compile (Instance.create (at limit)) ~name:"a.c" tiled)
+      .Instance.c_result
+  in
+  let (), _snap =
+    with_daemon (fun socket_path ->
+        let compile limit =
+          compile_unit ~socket_path (at limit) [ ("a.c", tiled) ]
+        in
+        ignore (compile 64);
+        let warm = compile 8 in
+        check_flag "a covering limit is a full hit" true
+          warm.Protocol.r_cache_hit;
+        check_trace "every stage reused" "pp:hit ast:hit ir:hit optir:hit"
+          (Pipeline.render_trace warm.Protocol.r_trace);
+        Alcotest.(check string) "ok_ir is the uncached module at that limit"
+          (Marshal.to_string (Option.get (in_process 8).Driver.ir) [])
+          (ok_ir warm);
+        let bound = compile 1 in
+        check_flag "a binding limit is no hit" false bound.Protocol.r_cache_hit;
+        match bound.Protocol.r_outcome with
+        | Protocol.R_ok { ok_errors; ok_diag; _ } ->
+          Alcotest.(check bool) "diagnosed" true ok_errors;
+          Alcotest.(check string) "the diagnostics of an uncached compile"
+            (Mc_diag.Diagnostics.render_all (in_process 1).Driver.diag)
+            ok_diag
+        | Protocol.R_ice _ -> Alcotest.fail "binding compile ICEd")
+  in
+  ()
+
 (* The payload [Error] of a one-unit transform or analysis reply; under
    the fault matrix, a reply the injected worker fault crashed re-rolls. *)
 let unit_error what reply =
@@ -931,6 +974,7 @@ let test_stale_socket_takeover () =
 let suite =
   [
     tc "warm round-trip is a full hit" test_warm_roundtrip;
+    tc "a limit switch through the daemon" test_limit_switch_through_the_daemon;
     tc "ICE is contained, daemon survives" test_ice_contained;
     tc "digest mismatch is rejected" test_digest_mismatch_rejected;
     tc "transform request round-trips and caches" test_transform_request;
