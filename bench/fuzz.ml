@@ -2,6 +2,7 @@
 
      fuzz -n 500 -seed 1 -jobs 1,4 -corpus examples -out fuzz-failures
      fuzz -mode diff -n 500 -seed 1 -jobs 1,4 -out diff-mismatches
+     fuzz -mode audit -n 500 -seed 1 -out audit-findings
 
    The default (crash) mode drives [Mc_fuzz.Fuzz.run] over generated
    programs and mutations of the corpus and asserts crash containment;
@@ -97,6 +98,36 @@ let run_diff_mode ~n ~seed ~jobs ~out_dir =
       (List.length mismatches) report.Mc_fuzz.Differential.dm_total;
     exit 1
 
+(* The change-report audit ([Mc_fuzz.Pass_audit]): under both lowerings,
+   every function whose printed form an -O1 pass moved must be one the
+   pass reported changing, or the pass manager's verifier skip would
+   leave it unchecked. *)
+let run_audit_mode ~n ~seed ~out_dir =
+  let report = Mc_fuzz.Pass_audit.run ~n ~seed () in
+  match report.Mc_fuzz.Pass_audit.pa_findings with
+  | [] ->
+    Printf.printf
+      "fuzz: OK: %d audit inputs (seed %d) under both lowerings: every \
+       function an -O1 pass moved was reported changed\n"
+      report.Mc_fuzz.Pass_audit.pa_total seed
+  | findings ->
+    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
+    List.iter
+      (fun (f : Mc_fuzz.Pass_audit.finding) ->
+        let base = Filename.concat out_dir (Filename.remove_extension f.pa_name) in
+        Out_channel.with_open_text (base ^ ".c") (fun oc ->
+            Out_channel.output_string oc f.pa_source);
+        if f.pa_pass = "" then
+          Printf.eprintf "fuzz: %s [%s] did not lower: %s\n" f.pa_name f.pa_lowering
+            f.pa_detail
+        else
+          Printf.eprintf "fuzz: UNREPORTED %s [%s]: pass '%s' changed '%s' without reporting it\n  input: %s.c\n"
+            f.pa_name f.pa_lowering f.pa_pass f.pa_detail base)
+      findings;
+    Printf.eprintf "fuzz: %d finding(s) over %d audit inputs\n" (List.length findings)
+      report.Mc_fuzz.Pass_audit.pa_total;
+    exit 1
+
 let run_analyze_mode ~n ~seed ~out_dir =
   let report = Mc_fuzz.Analysis_oracle.run ~n ~seed () in
   match report.Mc_fuzz.Analysis_oracle.av_violations with
@@ -138,7 +169,8 @@ let () =
       ( "-mode",
         Arg.Set_string mode,
         "MODE  'crash' (containment, default), 'diff' (differential \
-         semantics) or 'analyze' (dataflow-analysis oracles)" );
+         semantics), 'analyze' (dataflow-analysis oracles) or 'audit' \
+         (pass change reports)" );
       ("-n", Arg.Set_int n, "NUM  number of inputs (default 500)");
       ("-seed", Arg.Set_int seed, "SEED  campaign seed (default 1)");
       ( "-jobs",
@@ -151,12 +183,12 @@ let () =
       ( "-out",
         Arg.Set_string out_dir,
         "DIR  where failing inputs are written (default fuzz-failures / \
-         diff-mismatches)" );
+         diff-mismatches / analysis-violations / audit-findings)" );
     ]
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad (Printf.sprintf "unexpected argument %S" a)))
-    "fuzz [-mode crash|diff|analyze] [-n NUM] [-seed SEED] [-jobs LIST] \
+    "fuzz [-mode crash|diff|analyze|audit] [-n NUM] [-seed SEED] [-jobs LIST] \
      [-corpus DIR] [-out DIR]";
   let jobs =
     String.split_on_char ',' !jobs
@@ -175,7 +207,10 @@ let () =
   | "analyze" ->
     let out_dir = if !out_dir = "" then "analysis-violations" else !out_dir in
     run_analyze_mode ~n:!n ~seed:!seed ~out_dir
+  | "audit" ->
+    let out_dir = if !out_dir = "" then "audit-findings" else !out_dir in
+    run_audit_mode ~n:!n ~seed:!seed ~out_dir
   | m ->
     Printf.eprintf
-      "fuzz: unknown -mode %S (expected 'crash', 'diff' or 'analyze')\n" m;
+      "fuzz: unknown -mode %S (expected 'crash', 'diff', 'analyze' or 'audit')\n" m;
     exit 2

@@ -287,7 +287,7 @@ parser.omp-directives 42
 passes.loops-partially-unrolled 8
 passes.loops-unroll-skipped 2
 passes.pass-runs 232
-passes.passes-changed-ir 133
+passes.passes-changed-ir 135
 pp.directives-processed 42
 pp.files-entered 40
 pp.pragmas-kept 42
@@ -295,6 +295,8 @@ sema.canonical-loops 71
 sema.loop-helpers-built 6
 sema.shadow-stmts-built 24
 sema.tile-transforms 5
+verifier.functions-verified 178
+verifier.unchanged-skipped 113
 |}
 
 let check_counter_golden () =

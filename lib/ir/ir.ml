@@ -461,6 +461,5 @@ let func_inst_count f =
 
 let module_inst_count m =
   List.fold_left
-    (fun acc f -> acc + func_inst_count f)
-    0
-    (List.filter (fun f -> not f.f_is_decl) m.m_funcs)
+    (fun acc f -> if f.f_is_decl then acc else acc + func_inst_count f)
+    0 m.m_funcs

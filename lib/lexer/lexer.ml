@@ -85,6 +85,11 @@ let splice_len t i =
     | '\r' when at t (i + 2) = '\n' -> 3
     | _ -> 0
 
+(* The first index at or after [i] that does not start a line splice. *)
+let rec past_splices t i =
+  let n = splice_len t i in
+  if n = 0 then i else past_splices t (i + n)
+
 (* Whether the line starting at [i] is, after blanks, a // comment. *)
 let line_comment_at t i =
   let i = scan_while (function ' ' | '\t' -> true | _ -> false) t i in
@@ -94,7 +99,7 @@ let line_comment_at t i =
    Splices come before comments (phase 2 before phase 3), so a comment
    ending in a backslash continues onto the next line; like Clang, warn
    unless that line is a // comment itself. *)
-let skip_line_comment t =
+let skip_line_comment t ~body =
   let rec go i =
     if i >= t.len then i
     else
@@ -110,9 +115,11 @@ let skip_line_comment t =
         end
       | _ -> go (i + 1)
   in
-  t.pos <- go (t.pos + 2)
+  t.pos <- go body
 
-let skip_block_comment t =
+(* [body] is the index after the opening delimiter.  The closing one may
+   be split by splices too ("*\<newline>/"), which phase 2 joins. *)
+let skip_block_comment t ~body =
   let start = t.pos in
   let rec go i =
     if i >= t.len then begin
@@ -121,13 +128,19 @@ let skip_block_comment t =
     end
     else
       match String.unsafe_get t.src i with
-      | '*' when at t (i + 1) = '/' -> t.pos <- i + 2
+      | '*' -> (
+        match at t (i + 1) with
+        | '/' -> t.pos <- i + 2
+        | '\\' ->
+          let j = past_splices t (i + 1) in
+          if at t j = '/' then t.pos <- j + 1 else go (i + 1)
+        | _ -> go (i + 1))
       | '\n' ->
         t.at_line_start <- true;
         go (i + 1)
       | _ -> go (i + 1)
   in
-  go (start + 2)
+  go body
 
 let rec skip_trivia t =
   match at t t.pos with
@@ -149,13 +162,17 @@ let rec skip_trivia t =
       skip_trivia t
     end
   | '/' -> (
-    match at t (t.pos + 1) with
+    (* Splices come first (phase 2), so "/\<newline>/" opens a comment. *)
+    let second =
+      if at t (t.pos + 1) = '\\' then past_splices t (t.pos + 1) else t.pos + 1
+    in
+    match at t second with
     | '/' ->
-      skip_line_comment t;
+      skip_line_comment t ~body:(second + 1);
       t.has_space <- true;
       skip_trivia t
     | '*' ->
-      skip_block_comment t;
+      skip_block_comment t ~body:(second + 1);
       t.has_space <- true;
       skip_trivia t
     | _ -> ())

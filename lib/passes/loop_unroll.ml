@@ -4,6 +4,8 @@ type stats = { fully_unrolled : int; partially_unrolled : int; skipped : int }
 
 let empty_stats = { fully_unrolled = 0; partially_unrolled = 0; skipped = 0 }
 
+let processed s = s.fully_unrolled + s.partially_unrolled + s.skipped
+
 let add_stats a b =
   {
     fully_unrolled = a.fully_unrolled + b.fully_unrolled;
@@ -296,8 +298,14 @@ let choose_heuristic_factor ~body_size ~trip_count =
     | Some f -> Some f
     | None -> Some 1)
 
+(* A request lives on a loop latch, so a function none of whose blocks
+   carries one has no loop to analyse: not before the first request, and
+   not after the last one is cleared. *)
+let has_request func =
+  List.exists (fun b -> Option.is_some b.b_loop_md.md_unroll) func.f_blocks
+
 let run_func ?(threshold = 4096) func =
-  if func.f_is_decl then empty_stats
+  if func.f_is_decl || not (has_request func) then empty_stats
   else begin
     let stats = ref empty_stats in
     let skip () = { !stats with skipped = !stats.skipped + 1 } in
@@ -357,7 +365,7 @@ let run_func ?(threshold = 4096) func =
         | Some _ | None ->
           stats := skip ();
           retry := true);
-        if !retry then process ()
+        if !retry && has_request func then process ()
     in
     process ();
     !stats

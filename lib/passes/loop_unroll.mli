@@ -31,9 +31,15 @@ val empty_stats : stats
 val add_stats : stats -> stats -> stats
 (** Field-wise sum. *)
 
+val processed : stats -> int
+(** Requests handled, whatever the outcome.  Each one changed the
+    function: a skipped request still has its metadata cleared. *)
+
 val run_func : ?threshold:int -> Mc_ir.Ir.func -> stats
 (** [threshold] caps the number of cloned instructions per full unroll
-    (default 4096). *)
+    (default 4096).  A function none of whose blocks carries
+    [md_unroll] returns at once, before any dominator or loop
+    analysis. *)
 
 val run : ?threshold:int -> Mc_ir.Ir.modul -> stats
 

@@ -351,6 +351,19 @@ let eval_condition t (toks : Token.t list) ~loc =
     Diag.error t.diag ~loc msg;
     (0L, false)
   in
+  (* Above zero while parsing an operand C leaves unevaluated: the right
+     operand of a false [&&] or a true [||], and the arm [?:] does not
+     take (6.5.13-6.5.15).  It is still parsed, so a syntax error stands,
+     and an arm still contributes its type; only evaluation errors are
+     not raised. *)
+  let unevaluated = ref 0 in
+  let skipping f =
+    incr unevaluated;
+    let v = f () in
+    decr unevaluated;
+    v
+  in
+  let eval_error msg u = if !unevaluated > 0 then (0L, u) else error msg in
   let rec primary () =
     match peek () with
     | Some { Token.kind = Token.Int_lit { value; suffix; _ }; _ } ->
@@ -411,10 +424,10 @@ let eval_condition t (toks : Token.t list) ~loc =
       match (p : Token.punct) with
       | Token.Star -> (Int64.mul a b, u)
       | Token.Slash ->
-        if Int64.equal b 0L then error "division by zero in #if"
+        if Int64.equal b 0L then eval_error "division by zero in #if" u
         else ((if u then Int64.unsigned_div a b else Int64.div a b), u)
       | Token.Percent ->
-        if Int64.equal b 0L then error "modulo by zero in #if"
+        if Int64.equal b 0L then eval_error "modulo by zero in #if" u
         else ((if u then Int64.unsigned_rem a b else Int64.rem a b), u)
       | Token.Plus -> (Int64.add a b, u)
       | Token.Minus -> (Int64.sub a b, u)
@@ -444,7 +457,14 @@ let eval_condition t (toks : Token.t list) ~loc =
         match op_level p with
         | Some l when l >= level ->
           advance ();
-          let rhs = binary_level (l + 1) in
+          let decided =
+            match p with
+            | Token.AmpAmp -> Int64.equal (fst lhs) 0L
+            | Token.PipePipe -> not (Int64.equal (fst lhs) 0L)
+            | _ -> false
+          in
+          let operand () = binary_level (l + 1) in
+          let rhs = if decided then skipping operand else operand () in
           loop (apply p lhs rhs)
         | _ -> lhs)
       | _ -> lhs
@@ -455,11 +475,12 @@ let eval_condition t (toks : Token.t list) ~loc =
     match peek () with
     | Some { Token.kind = Token.Punct Token.Question; _ } ->
       advance ();
-      let a = ternary () in
+      let taken = not (Int64.equal (fst c) 0L) in
+      let a = if taken then ternary () else skipping ternary in
       (match peek () with
       | Some { Token.kind = Token.Punct Token.Colon; _ } -> advance ()
       | _ -> ignore (error "expected ':' in preprocessor conditional"));
-      let b = ternary () in
+      let b = if taken then skipping ternary else ternary () in
       (* The result has the converted type of both branches. *)
       ((if Int64.equal (fst c) 0L then fst b else fst a), snd a || snd b)
     | _ -> c

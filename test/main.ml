@@ -15,6 +15,7 @@ let () =
       ("canonical", Test_canonical.suite);
       ("shadow", Test_shadow.suite);
       ("ir", Test_ir.suite);
+      ("verifier", Test_verifier.suite);
       ("ompbuilder", Test_ompbuilder.suite);
       ("passes", Test_passes.suite);
       ("interp", Test_interp.suite);

@@ -188,6 +188,35 @@ let test_line_comment_splice () =
     spellings;
   Alcotest.(check string) "which does not warn" "" rendered
 
+(* Phase 2 runs before comments are recognised, so a splice may split a
+   comment's opening or closing delimiter. *)
+let test_splice_in_comment_delimiter () =
+  let lex_diag source =
+    let sm = Srcmgr.create () in
+    let diag = Diag.create sm in
+    let buf = Buf.create ~name:"lex.c" ~contents:source in
+    let toks = Lexer.tokenize diag ~file_id:(Srcmgr.load_buffer sm buf) buf in
+    (List.map Token.spelling toks, Diag.render_all diag)
+  in
+  let main = [ "int"; "main"; "("; "void"; ")"; "{"; "return"; "3"; ";"; "}" ] in
+  List.iter
+    (fun (what, source, expected) ->
+      Alcotest.(check (pair (list string) string)) what (expected, "") (lex_diag source))
+    [
+      ("// split by a splice", "int main(void) { return 3; } /\\\n/ comment\n", main);
+      ("// split by a CRLF splice", "int main(void) { return 3; } /\\\r\n/ comment\r\n", main);
+      ("/* split by a splice", "int main(void) { return 3; } /\\\n* block */\n", main);
+      ("*/ split by a splice", "int main(void) { return 3; } /* block *\\\n/\n", main);
+      ("*/ split by two splices", "a /* x *\\\r\n\\\n/ b", [ "a"; "b" ]);
+      ("/* split by a CRLF splice", "a /\\\r\n* x */ b", [ "a"; "b" ]);
+      ("a lone slash before a splice", "a /\\\n b", [ "a"; "/"; "b" ]);
+      ("a slash-assign split by a splice", "a /\\\n= b", [ "a"; "/="; "b" ]);
+      ("a star before a splice in a comment", "a /* *\\\n x */ b", [ "a"; "b" ]);
+    ];
+  let spellings, rendered = lex_diag "a /* open *\\\n" in
+  Alcotest.(check (list string)) "an unclosed comment ends the buffer" [ "a" ] spellings;
+  check_contains ~what:"unterminated" rendered "unterminated /* comment"
+
 let test_errors () =
   let sm = Srcmgr.create () in
   let diag = Diag.create sm in
@@ -228,6 +257,7 @@ let suite =
     tc "a splice inside a string literal" test_splice_in_string;
     tc "a CRLF line splice" test_crlf_splice;
     tc "a // comment ending in a splice" test_line_comment_splice;
+    tc "a splice inside a comment delimiter" test_splice_in_comment_delimiter;
     tc "lexical errors" test_errors;
     relex_prop;
   ]

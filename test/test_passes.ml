@@ -372,6 +372,142 @@ let test_pass_manager () =
   | exception Invalid_argument msg -> check_contains ~what:"unknown" msg "nonsense"
   | _ -> Alcotest.fail "unknown pass should raise")
 
+(* ---- change reports and the verifier skip ----------------------------- *)
+
+module Pass_audit = Mc_fuzz.Pass_audit
+module Stats = Mc_support.Stats
+
+(* Every function whose printed form an -O1 pass moved is one the pass
+   reported changing, over the IR golden's inputs and the wide unit,
+   under both lowerings: the verifier skip is checked, not trusted. *)
+let test_change_report_audit () =
+  let inputs =
+    Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples")
+    @ [ ("wide_unit", wide_unit ~edit:11) ]
+  in
+  match
+    List.concat_map (fun (name, source) -> Pass_audit.audit_source ~name source) inputs
+  with
+  | [] -> ()
+  | findings ->
+    Alcotest.failf "%d unreported change(s), first:\n%s"
+      (List.length findings)
+      (String.concat "\n"
+         (List.map
+            (fun (f : Pass_audit.finding) ->
+              Printf.sprintf "%s (%s): %s moved %s" f.pa_name f.pa_lowering
+                f.pa_pass f.pa_detail)
+            findings))
+
+let two_functions =
+  "int f(int x) { return x + 1; }\nint main(void) { return f(2); }"
+
+let lower_classic source =
+  match Pass_audit.lower ~irbuilder:false ~name:"two.c" source with
+  | Ok m -> m
+  | Error e -> Alcotest.failf "does not lower:\n%s" e
+
+(* A test pass that strips the terminator of [f]'s entry block, and
+   reports the change only when told to. *)
+let break_f ~report =
+  {
+    Pass_manager.name = "break-f";
+    run_func =
+      (fun fn ->
+        fn.f_name = "f"
+        && begin
+          (entry_block fn).b_term <- No_term;
+          report
+        end);
+  }
+
+let test_broken_pass_reported () =
+  let m = lower_classic two_functions in
+  let passes =
+    [ Pass_manager.named "simplifycfg"; break_f ~report:true; Pass_manager.named "dce" ]
+  in
+  match Pass_manager.run_passes ~verify_between:true passes m with
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "caught at the breaking pass, which is named"
+      (Printf.sprintf "IR verification failed after pass 'break-f':\nf/%s: block has no terminator"
+         (entry_block (Option.get (find_function m "f"))).b_name)
+      msg
+  | _ -> Alcotest.fail "a reported broken function passed verification"
+
+let test_broken_pass_unreported () =
+  (* The manager trusts the report, so the unreported break slips past
+     the between-pass check... *)
+  let m = lower_classic two_functions in
+  ignore
+    (Pass_manager.run_passes ~verify_between:true [ break_f ~report:false ] m);
+  Alcotest.(check bool) "the skipped function is broken" true
+    (Verifier.verify_module m <> []);
+  (* ...and the audit is what catches it. *)
+  Alcotest.(check (list (pair string string)))
+    "the audit names the pass and the function"
+    [ ("break-f", "f") ]
+    (Pass_audit.audit_module
+       ~passes:[ Pass_manager.named "simplifycfg"; break_f ~report:false ]
+       (lower_classic two_functions))
+
+let counter registry name =
+  Option.value ~default:0 (List.assoc_opt name (Stats.snapshot ~registry ()))
+
+let test_verifier_skips_unchanged () =
+  let m = lower_classic two_functions in
+  let noop = { Pass_manager.name = "noop"; run_func = (fun _ -> false) } in
+  let timings, registry =
+    Stats.with_scoped_registry (fun () ->
+        Pass_manager.run_passes ~verify_between:true [ noop; noop ] m)
+  in
+  Alcotest.(check (list (list string))) "nothing reported" [ []; [] ]
+    (List.map (fun pt -> pt.Pass_manager.pt_changed_funcs) timings);
+  Alcotest.(check int) "no function verified" 0
+    (counter registry "verifier.functions-verified");
+  Alcotest.(check int) "both functions skipped twice" 4
+    (counter registry "verifier.unchanged-skipped");
+  (* Over -O1, each pass verifies what it reported and skips the rest. *)
+  let m = lower_classic two_functions in
+  let report, registry =
+    Stats.with_scoped_registry (fun () ->
+        Pass_manager.run ~verify_between:true ~passes:Pass_manager.o1 m)
+  in
+  let reported =
+    List.fold_left
+      (fun n pt -> n + List.length pt.Pass_manager.pt_changed_funcs)
+      0 report.Pass_manager.pass_timings
+  in
+  Alcotest.(check bool) "some pass changed something" true (reported > 0);
+  Alcotest.(check int) "verified = reported" reported
+    (counter registry "verifier.functions-verified");
+  Alcotest.(check int) "verified + skipped = passes x functions"
+    (2 * List.length Pass_manager.o1)
+    (reported + counter registry "verifier.unchanged-skipped")
+
+(* A request LoopUnroll skips still loses its metadata, which the printed
+   IR shows, so the run reports the function changed. *)
+let test_unroll_reports_skipped_request () =
+  let source =
+    "void record(long x);\nint main(void) {\nint n = 10;\nint i = 0;\n\
+     #pragma clang loop unroll_count(4)\nwhile (i < n) { if (i == 3) n = 6; \
+     record(i); i += 1; }\nreturn 0; }"
+  in
+  let m = lower_classic source in
+  let upto_unroll =
+    List.filteri (fun k _ -> k < 4) Pass_manager.o1
+  in
+  ignore (Pass_manager.run ~passes:upto_unroll m);
+  let report = Pass_manager.run ~passes:[ "loop-unroll" ] m in
+  let s = report.Pass_manager.unroll_stats in
+  Alcotest.(check (list int)) "one request, skipped" [ 0; 0; 1 ]
+    [ s.Loop_unroll.fully_unrolled; s.partially_unrolled; s.skipped ];
+  Alcotest.(check (list string)) "main reported changed" [ "main" ]
+    (List.concat_map (fun pt -> pt.Pass_manager.pt_changed_funcs)
+       report.Pass_manager.pass_timings);
+  (* Without a request left, the next run changes nothing. *)
+  Alcotest.(check bool) "no request left" false
+    (snd (List.hd (Pass_manager.run ~passes:[ "loop-unroll" ] m).Pass_manager.pass_results))
+
 (* ---- the shared predecessor index ------------------------------------ *)
 
 (* The scan the index replaced, kept as the reference: every block of
@@ -722,6 +858,16 @@ let suite =
     tc "while/do loops unroll via LoopHintAttr" test_while_loop_unrolls;
     tc "C4: heuristic factor choice" test_heuristic_factor;
     tc "pass manager" test_pass_manager;
+    tc "change report: every moved function was reported"
+      test_change_report_audit;
+    tc "a broken pass that reports is caught at that pass"
+      test_broken_pass_reported;
+    tc "a broken pass that does not report is caught by the audit"
+      test_broken_pass_unreported;
+    tc "between passes only reported functions are verified"
+      test_verifier_skips_unchanged;
+    tc "loop-unroll reports a skipped request as a change"
+      test_unroll_reports_skipped_request;
     tc "predecessor index equals the reference scan after every pass"
       test_pred_index_matches_scan;
     tc "constprop: phi cycles in dead loops terminate"

@@ -188,6 +188,43 @@ let test_if_arithmetic_types () =
       ("~0u == 0xFFFFFFFFFFFFFFFF", true);
     ]
 
+(* C11 6.5.13-6.5.15: the right operand of a decided && or || and the
+   arm ?: does not take are not evaluated, so they raise no evaluation
+   error; they are still parsed and the arm still sets the type. *)
+let test_if_unevaluated_operands () =
+  let run cond =
+    let items, diag =
+      preprocess ~expect_errors:true
+        (Printf.sprintf "#if %s\nyes\n#else\nno\n#endif" cond)
+    in
+    (spellings items, Diag.render_all diag)
+  in
+  List.iter
+    (fun (cond, expected) ->
+      Alcotest.(check (pair (list string) string)) cond (expected, "") (run cond))
+    [
+      ("0 && (1 / 0)", [ "no" ]);
+      ("1 || (1 / 0)", [ "yes" ]);
+      ("1 ? 2 : (1 / 0)", [ "yes" ]);
+      ("0 ? (1 % 0) : 0", [ "no" ]);
+      ("0 && 1 / 0 || 1", [ "yes" ]);
+      ("1 || (0 && 1 / 0) / 0", [ "yes" ]);
+      ("(1 ? -1 : 0u) < 0", [ "no" ]);
+      ("(0 ? 0u : -1) < 0", [ "no" ]);
+    ];
+  List.iter
+    (fun (cond, expected, message) ->
+      Alcotest.(check (pair (list string) string))
+        cond
+        (expected, Printf.sprintf "pp.c:1:1: error: %s\n#if %s\n^\n" message cond)
+        (run cond))
+    [
+      ("1 && (1 / 0)", [ "no" ], "division by zero in #if");
+      ("0 || (1 % 0)", [ "no" ], "modulo by zero in #if");
+      ("0 ? 1 : (1 / 0)", [ "no" ], "division by zero in #if");
+      ("0 && (1 +)", [ "no" ], "expected expression in preprocessor condition");
+    ]
+
 (* C11 6.10.3.1: an argument that is no operand of # or ## is
    macro-replaced completely before substitution. *)
 let test_argument_pre_expansion () =
@@ -256,6 +293,7 @@ let suite =
     tc "stringize (#) and paste (##)" test_stringize_and_paste;
     tc "predefined macros (-D)" test_predefine;
     tc "#if arithmetic in intmax_t and uintmax_t" test_if_arithmetic_types;
+    tc "#if leaves unevaluated operands unevaluated" test_if_unevaluated_operands;
     tc "arguments expand before substitution" test_argument_pre_expansion;
     tc "# spells whitespace as the argument had it" test_stringize_spacing;
   ]
