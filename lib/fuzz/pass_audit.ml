@@ -47,7 +47,7 @@ let audit_module ?(passes = List.map Pm.named Pm.o1) m =
         (digests m))
     passes
 
-let audit_source ?passes ~name source =
+let audit_source ~name source =
   List.concat_map
     (fun (lowering, irbuilder) ->
       let finding pass detail =
@@ -57,7 +57,7 @@ let audit_source ?passes ~name source =
       match lower ~irbuilder ~name source with
       | Error e -> [ finding "" e ]
       | Ok m ->
-        List.map (fun (pass, fn) -> finding pass fn) (audit_module ?passes m))
+        List.map (fun (pass, fn) -> finding pass fn) (audit_module m))
     lowerings
 
 let run ~n ~seed () =

@@ -33,10 +33,9 @@ val audit_module :
     returns, for each, the [(pass, function)] pairs whose printed form
     moved although the pass did not report the function. *)
 
-val audit_source :
-  ?passes:Mc_passes.Pass_manager.pass list -> name:string -> string -> finding list
-(** [audit_module] over the source's CodeGen output under both
-    lowerings. *)
+val audit_source : name:string -> string -> finding list
+(** [audit_module] with -O1's passes over the source's CodeGen output
+    under both lowerings. *)
 
 val run : n:int -> seed:int -> unit -> report
 (** [audit_source] over [n] {!Differential.gen_program} programs from

@@ -370,9 +370,3 @@ let run_func ?(threshold = 4096) func =
     process ();
     !stats
   end
-
-let run ?threshold m =
-  List.fold_left
-    (fun acc f -> add_stats acc (run_func ?threshold f))
-    empty_stats
-    (List.filter (fun f -> not f.f_is_decl) m.m_funcs)

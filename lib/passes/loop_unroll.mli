@@ -41,8 +41,6 @@ val run_func : ?threshold:int -> Mc_ir.Ir.func -> stats
     [md_unroll] returns at once, before any dominator or loop
     analysis. *)
 
-val run : ?threshold:int -> Mc_ir.Ir.modul -> stats
-
 val choose_heuristic_factor : body_size:int -> trip_count:int64 option -> int option
 (** Exposed for the C4/A3 benchmarks: [None] means full unroll is
     preferred, [Some 1] means don't unroll. *)

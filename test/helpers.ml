@@ -82,6 +82,33 @@ let check_contains ~what haystack needle =
    beside the token golden, which lexes it. *)
 let wide_unit ~edit = Tok_digest.wide_unit ~edit ()
 
+(* The IR golden's inputs (examples/*.c and fixed-seed generated
+   programs) and the 24-function unit. *)
+let ir_inputs () =
+  Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples")
+  @ [ ("wide_unit", wide_unit ~edit:11) ]
+
+(* CodeGen's output for each of [ir_inputs] under both lowerings, then
+   the module after each -O1 pass in turn, verified between passes;
+   [visit] sees every snapshot before the next pass runs. *)
+let each_snapshot visit =
+  List.iter
+    (fun (name, source) ->
+      List.iter
+        (fun (lowering, irbuilder) ->
+          match Mc_fuzz.Pass_audit.lower ~irbuilder ~name source with
+          | Error e -> Alcotest.failf "%s (%s) does not lower:\n%s" name lowering e
+          | Ok m ->
+            visit (Printf.sprintf "%s (%s) after codegen" name lowering) m;
+            List.iter
+              (fun pass ->
+                ignore
+                  (Mc_passes.Pass_manager.run ~verify_between:true ~passes:[ pass ] m);
+                visit (Printf.sprintf "%s (%s) after %s" name lowering pass) m)
+              Mc_passes.Pass_manager.o1)
+        Mc_fuzz.Pass_audit.lowerings)
+    (ir_inputs ())
+
 (* A full cache hit runs no stage, so it spends no time in any. *)
 let check_no_stage_ran what (r : Driver.result) =
   let t = r.Driver.timings in

@@ -381,12 +381,10 @@ module Stats = Mc_support.Stats
    reported changing, over the IR golden's inputs and the wide unit,
    under both lowerings: the verifier skip is checked, not trusted. *)
 let test_change_report_audit () =
-  let inputs =
-    Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples")
-    @ [ ("wide_unit", wide_unit ~edit:11) ]
-  in
   match
-    List.concat_map (fun (name, source) -> Pass_audit.audit_source ~name source) inputs
+    List.concat_map
+      (fun (name, source) -> Pass_audit.audit_source ~name source)
+      (ir_inputs ())
   with
   | [] -> ()
   | findings ->
@@ -532,35 +530,11 @@ let check_pred_index ~what m =
       end)
     m.m_funcs
 
-(* Codegen output for the IR digest golden's inputs (examples/*.c and
-   fixed-seed generated programs) under both lowerings, then every -O1
-   pass in turn: after each, the index must list exactly the reference
+(* After CodeGen and after each -O1 pass, over every snapshot of
+   [Helpers.each_snapshot], the index must list exactly the reference
    scan's blocks, in its order. *)
 let test_pred_index_matches_scan () =
-  List.iter
-    (fun (name, source) ->
-      List.iter
-        (fun options ->
-          let diag, tu = Driver.frontend ~options ~name source in
-          if Mc_diag.Diagnostics.has_errors diag then
-            Alcotest.failf "%s does not compile:\n%s" name
-              (Mc_diag.Diagnostics.render_all diag);
-          let mode =
-            if options.Driver.use_irbuilder then Mc_codegen.Codegen.Irbuilder
-            else Mc_codegen.Codegen.Classic
-          in
-          let m = Mc_codegen.Codegen.emit_translation_unit ~mode tu in
-          let lowering = if options.Driver.use_irbuilder then "irbuilder" else "classic" in
-          check_pred_index ~what:(Printf.sprintf "%s (%s) after codegen" name lowering) m;
-          List.iter
-            (fun pass ->
-              ignore (Pass_manager.run ~verify_between:true ~passes:[ pass ] m);
-              check_pred_index
-                ~what:(Printf.sprintf "%s (%s) after %s" name lowering pass)
-                m)
-            Pass_manager.o1)
-        [ classic; irbuilder ])
-    (Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples"))
+  each_snapshot (fun what m -> check_pred_index ~what m)
 
 (* ---- simplifycfg: one sweep vs restarting from the entry --------------- *)
 

@@ -6,32 +6,7 @@
 open Helpers
 open Mc_ir.Ir
 module Verifier = Mc_ir.Verifier
-module Pass_manager = Mc_passes.Pass_manager
-module Pass_audit = Mc_fuzz.Pass_audit
 module Rng = Mc_fuzz.Fuzz.Rng
-
-let inputs () =
-  Ir_digest.inputs ~examples_dir:(Filename.concat ".." "examples")
-  @ [ ("wide_unit", wide_unit ~edit:11) ]
-
-(* Codegen output, then the module after each -O1 pass in turn; [visit]
-   sees each snapshot before the next pass runs. *)
-let each_snapshot visit =
-  List.iter
-    (fun (name, source) ->
-      List.iter
-        (fun (lowering, irbuilder) ->
-          match Pass_audit.lower ~irbuilder ~name source with
-          | Error e -> Alcotest.failf "%s (%s) does not lower:\n%s" name lowering e
-          | Ok m ->
-            visit (Printf.sprintf "%s (%s) after codegen" name lowering) m;
-            List.iter
-              (fun pass ->
-                ignore (Pass_manager.run ~passes:[ pass ] m);
-                visit (Printf.sprintf "%s (%s) after %s" name lowering pass) m)
-              Pass_manager.o1)
-        Pass_audit.lowerings)
-    (inputs ())
 
 let show issues =
   String.concat "\n"
