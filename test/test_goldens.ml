@@ -342,6 +342,17 @@ let test_tok_digests () =
        tok_digest.ml"
     (Tok_digest.lines ~examples_dir)
 
+(* The committed analysis report digests (test/andigest): every
+   finding, note and verdict of the --analyze report, text and JSON,
+   must stay exactly what the golden was generated with (see
+   an_digest.ml). *)
+let test_an_digests () =
+  check_golden ~file:"andigest/an_digests.txt"
+    ~regenerate:
+      "regenerate it only for an intended change to a report; see \
+       an_digest.ml"
+    (An_digest.lines ~examples_dir)
+
 let suite =
   [
     tc "paper 1.1: intro example equivalence" test_intro_equivalence;
@@ -357,4 +368,5 @@ let suite =
     tc "Fig 8: range-for helper variables" test_fig8_rangefor_desugar;
     tc "IR digests match the committed golden" test_ir_digests;
     tc "token digests match the committed golden" test_tok_digests;
+    tc "analysis digests match the committed golden" test_an_digests;
   ]
