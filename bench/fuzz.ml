@@ -15,6 +15,24 @@
    mismatches — into the output directory, and exit non-zero iff the
    invariant was violated. *)
 
+(* Writes one failing input into [out_dir]: [base].c, [base].transfo
+   when there is a script and [base].txt when there are lines for it.
+   Then prints [verdict] on stderr, followed by "  LABEL: PATH.c" when a
+   [label] points the reader at the written input. *)
+let write_finding ~out_dir ~base ?script ?(txt = []) ?label ~source verdict =
+  (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
+  let path = Filename.concat out_dir base in
+  let write ext text =
+    Out_channel.with_open_text (path ^ ext) (fun oc ->
+        Out_channel.output_string oc text)
+  in
+  write ".c" source;
+  Option.iter (write ".transfo") script;
+  if txt <> [] then
+    write ".txt" (String.concat "" (List.map (fun l -> l ^ "\n") txt));
+  Printf.eprintf "%s\n" verdict;
+  Option.iter (fun label -> Printf.eprintf "  %s: %s.c\n" label path) label
+
 let run_crash_mode ~n ~seed ~jobs ~corpus_dir ~out_dir =
   let corpus =
     match Sys.readdir corpus_dir with
@@ -37,22 +55,18 @@ let run_crash_mode ~n ~seed ~jobs ~corpus_dir ~out_dir =
       report.Mc_fuzz.Fuzz.total seed (List.length corpus)
       (String.concat "," (List.map string_of_int jobs))
   | failures ->
-    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     List.iteri
-      (fun i f ->
-        let base = Filename.concat out_dir (Printf.sprintf "fail-%d" i) in
-        Out_channel.with_open_text (base ^ ".c") (fun oc ->
-            Out_channel.output_string oc f.Mc_fuzz.Fuzz.fz_source);
-        Out_channel.with_open_text (base ^ ".txt") (fun oc ->
-            Printf.fprintf oc "input: %s\njobs: %d\n%s\n"
-              f.Mc_fuzz.Fuzz.fz_name f.Mc_fuzz.Fuzz.fz_jobs
-              f.Mc_fuzz.Fuzz.fz_message);
-        Printf.eprintf "fuzz: FAIL %s (-j %d): %s\n  minimized: %s.c\n"
-          f.Mc_fuzz.Fuzz.fz_name f.Mc_fuzz.Fuzz.fz_jobs
-          (match String.index_opt f.Mc_fuzz.Fuzz.fz_message '\n' with
-          | Some nl -> String.sub f.Mc_fuzz.Fuzz.fz_message 0 nl
-          | None -> f.Mc_fuzz.Fuzz.fz_message)
-          base)
+      (fun i (f : Mc_fuzz.Fuzz.failure) ->
+        write_finding ~out_dir ~base:(Printf.sprintf "fail-%d" i)
+          ~source:f.fz_source
+          ~txt:
+            [ "input: " ^ f.fz_name; Printf.sprintf "jobs: %d" f.fz_jobs;
+              f.fz_message ]
+          ~label:"minimized"
+          (Printf.sprintf "fuzz: FAIL %s (-j %d): %s" f.fz_name f.fz_jobs
+             (match String.index_opt f.fz_message '\n' with
+             | Some nl -> String.sub f.fz_message 0 nl
+             | None -> f.fz_message)))
       failures;
     Printf.eprintf "fuzz: %d/%d inputs violated crash containment\n"
       (List.length failures) report.Mc_fuzz.Fuzz.total;
@@ -68,31 +82,21 @@ let run_diff_mode ~n ~seed ~jobs ~out_dir =
       report.Mc_fuzz.Differential.dm_total seed
       (String.concat "," (List.map string_of_int jobs))
   | mismatches ->
-    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     List.iteri
-      (fun i m ->
-        let base = Filename.concat out_dir (Printf.sprintf "mismatch-%d" i) in
-        Out_channel.with_open_text (base ^ ".c") (fun oc ->
-            Out_channel.output_string oc m.Mc_fuzz.Differential.dm_source);
-        (match m.Mc_fuzz.Differential.dm_script with
-        | Some script ->
-          Out_channel.with_open_text (base ^ ".transfo") (fun oc ->
-              Out_channel.output_string oc script)
-        | None -> ());
-        Out_channel.with_open_text (base ^ ".txt") (fun oc ->
-            Printf.fprintf oc "input: %s\nconfig: %s\n%s\n"
-              m.Mc_fuzz.Differential.dm_name m.Mc_fuzz.Differential.dm_config
-              m.Mc_fuzz.Differential.dm_detail;
-            match m.Mc_fuzz.Differential.dm_script with
+      (fun i (m : Mc_fuzz.Differential.mismatch) ->
+        let base = Printf.sprintf "mismatch-%d" i in
+        write_finding ~out_dir ~base ?script:m.dm_script ~source:m.dm_source
+          ~txt:
+            ([ "input: " ^ m.dm_name; "config: " ^ m.dm_config; m.dm_detail ]
+            @
+            match m.dm_script with
             | Some _ ->
-              Printf.fprintf oc
-                "reproduce: mcc --transfo-script %s.transfo %s.c\n"
-                (Printf.sprintf "mismatch-%d" i)
-                (Printf.sprintf "mismatch-%d" i)
-            | None -> ());
-        Printf.eprintf "fuzz: MISMATCH %s [%s]: %s\n  minimized: %s.c\n"
-          m.Mc_fuzz.Differential.dm_name m.Mc_fuzz.Differential.dm_config
-          m.Mc_fuzz.Differential.dm_detail base)
+              [ Printf.sprintf "reproduce: mcc --transfo-script %s.transfo %s.c"
+                  base base ]
+            | None -> [])
+          ~label:"minimized"
+          (Printf.sprintf "fuzz: MISMATCH %s [%s]: %s" m.dm_name m.dm_config
+             m.dm_detail))
       mismatches;
     Printf.eprintf "fuzz: %d/%d inputs diverged from their reference\n"
       (List.length mismatches) report.Mc_fuzz.Differential.dm_total;
@@ -111,18 +115,22 @@ let run_audit_mode ~n ~seed ~out_dir =
        function an -O1 pass moved was reported changed\n"
       report.Mc_fuzz.Pass_audit.pa_total seed
   | findings ->
-    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     List.iter
       (fun (f : Mc_fuzz.Pass_audit.finding) ->
-        let base = Filename.concat out_dir (Filename.remove_extension f.pa_name) in
-        Out_channel.with_open_text (base ^ ".c") (fun oc ->
-            Out_channel.output_string oc f.pa_source);
+        let write =
+          write_finding ~out_dir ~base:(Filename.remove_extension f.pa_name)
+            ~source:f.pa_source
+        in
         if f.pa_pass = "" then
-          Printf.eprintf "fuzz: %s [%s] did not lower: %s\n" f.pa_name f.pa_lowering
-            f.pa_detail
+          write
+            (Printf.sprintf "fuzz: %s [%s] did not lower: %s" f.pa_name
+               f.pa_lowering f.pa_detail)
         else
-          Printf.eprintf "fuzz: UNREPORTED %s [%s]: pass '%s' changed '%s' without reporting it\n  input: %s.c\n"
-            f.pa_name f.pa_lowering f.pa_pass f.pa_detail base)
+          write ~label:"input"
+            (Printf.sprintf
+               "fuzz: UNREPORTED %s [%s]: pass '%s' changed '%s' without \
+                reporting it"
+               f.pa_name f.pa_lowering f.pa_pass f.pa_detail))
       findings;
     Printf.eprintf "fuzz: %d finding(s) over %d audit inputs\n" (List.length findings)
       report.Mc_fuzz.Pass_audit.pa_total;
@@ -137,21 +145,14 @@ let run_analyze_mode ~n ~seed ~out_dir =
        verdicts, no missed or spurious uninitialized-read findings\n"
       report.Mc_fuzz.Analysis_oracle.av_total seed
   | violations ->
-    (try Sys.mkdir out_dir 0o755 with Sys_error _ -> ());
     List.iteri
-      (fun i v ->
-        let base = Filename.concat out_dir (Printf.sprintf "violation-%d" i) in
-        Out_channel.with_open_text (base ^ ".c") (fun oc ->
-            Out_channel.output_string oc v.Mc_fuzz.Analysis_oracle.av_source);
-        Out_channel.with_open_text (base ^ ".txt") (fun oc ->
-            Printf.fprintf oc "input: %s\noracle: %s\n%s\n"
-              v.Mc_fuzz.Analysis_oracle.av_name
-              v.Mc_fuzz.Analysis_oracle.av_oracle
-              v.Mc_fuzz.Analysis_oracle.av_detail);
-        Printf.eprintf "fuzz: VIOLATION %s [%s]: %s\n  input: %s.c\n"
-          v.Mc_fuzz.Analysis_oracle.av_name
-          v.Mc_fuzz.Analysis_oracle.av_oracle
-          v.Mc_fuzz.Analysis_oracle.av_detail base)
+      (fun i (v : Mc_fuzz.Analysis_oracle.violation) ->
+        write_finding ~out_dir ~base:(Printf.sprintf "violation-%d" i)
+          ~source:v.av_source
+          ~txt:[ "input: " ^ v.av_name; "oracle: " ^ v.av_oracle; v.av_detail ]
+          ~label:"input"
+          (Printf.sprintf "fuzz: VIOLATION %s [%s]: %s" v.av_name v.av_oracle
+             v.av_detail))
       violations;
     Printf.eprintf "fuzz: %d/%d inputs violated an analysis oracle\n"
       (List.length violations) report.Mc_fuzz.Analysis_oracle.av_total;

@@ -2,10 +2,9 @@
 
    Four passes, all built on the [Dataflow] engine and the [Cfg] view:
 
-   - "uninit":      reaching definitions with a synthetic uninitialized
-                    definition per scalar slot; a load that can observe
-                    the synthetic def may read the variable before any
-                    store.
+   - "uninit":      forward may-analysis of the scalar slots that may
+                    still be unwritten; a load of such a slot may read
+                    the variable before any store.
    - "unreachable": CFG reachability; a source statement whose every
                     lowered instruction lives in dominator-unreachable
                     blocks can never execute.
@@ -59,13 +58,18 @@ let normalize_passes = function
    stored, passed to a call, returned...) is out of scope entirely. *)
 type usage = {
   u_slot : Ir.inst;
-  mutable u_loads : Ir.inst list; (* direct Load, program order *)
+  (* The four lists are in program order once [classify] returns. *)
+  mutable u_loads : Ir.inst list; (* direct Load *)
   mutable u_stores : Ir.inst list; (* direct Store *)
   mutable u_elem_loads : Ir.inst list; (* Load through a GEP on this base *)
   mutable u_elem_stores : Ir.inst list; (* Store through a GEP *)
   mutable u_gep : bool;
   mutable u_escaped : bool;
 }
+
+(* Every slot's usage, in first-seen order, and the same usages by slot
+   id. *)
+type slots = { usages : usage list; by_id : (int, usage) Hashtbl.t }
 
 let slot_name (s : Ir.inst) = if s.Ir.i_name = "" then "<anon>" else s.Ir.i_name
 
@@ -74,17 +78,17 @@ let rec strip_casts (v : Ir.value) =
   | Ir.Inst_ref { Ir.i_kind = Ir.Cast (_, x); _ } -> strip_casts x
   | v -> v
 
-let classify (f : Ir.func) : usage list =
-  let table = Hashtbl.create 16 and order = ref [] in
+let classify (f : Ir.func) : slots =
+  let by_id = Hashtbl.create 16 and order = ref [] in
   let usage (s : Ir.inst) =
-    match Hashtbl.find_opt table s.Ir.i_id with
+    match Hashtbl.find_opt by_id s.Ir.i_id with
     | Some u -> u
     | None ->
       let u =
         { u_slot = s; u_loads = []; u_stores = []; u_elem_loads = [];
           u_elem_stores = []; u_gep = false; u_escaped = false }
       in
-      Hashtbl.replace table s.Ir.i_id u;
+      Hashtbl.replace by_id s.Ir.i_id u;
       order := u :: !order;
       u
   in
@@ -98,17 +102,25 @@ let classify (f : Ir.func) : usage list =
     | Ir.Alloca _ -> ignore (usage i)
     | Ir.Load { ptr } -> (
       match Dataflow.slot_of_ptr ptr with
-      | Some s -> (usage s).u_loads <- (usage s).u_loads @ [ i ]
+      | Some s ->
+        let u = usage s in
+        u.u_loads <- i :: u.u_loads
       | None -> (
         match Dataflow.base_slot ptr with
-        | Some s -> (usage s).u_elem_loads <- (usage s).u_elem_loads @ [ i ]
+        | Some s ->
+          let u = usage s in
+          u.u_elem_loads <- i :: u.u_elem_loads
         | None -> ()))
     | Ir.Store { ptr; v } -> (
       (match Dataflow.slot_of_ptr ptr with
-      | Some s -> (usage s).u_stores <- (usage s).u_stores @ [ i ]
+      | Some s ->
+        let u = usage s in
+        u.u_stores <- i :: u.u_stores
       | None -> (
         match Dataflow.base_slot ptr with
-        | Some s -> (usage s).u_elem_stores <- (usage s).u_elem_stores @ [ i ]
+        | Some s ->
+          let u = usage s in
+          u.u_elem_stores <- i :: u.u_elem_stores
         | None -> ()));
       (* storing a slot's *address* is an escape *)
       escape v)
@@ -129,7 +141,15 @@ let classify (f : Ir.func) : usage list =
       List.iter walk_inst (Ir.block_insts b);
       match b.Ir.b_term with Ir.Ret (Some v) -> escape v | _ -> ())
     f.Ir.f_blocks;
-  List.rev !order
+  let usages = List.rev !order in
+  List.iter
+    (fun u ->
+      u.u_loads <- List.rev u.u_loads;
+      u.u_stores <- List.rev u.u_stores;
+      u.u_elem_loads <- List.rev u.u_elem_loads;
+      u.u_elem_stores <- List.rev u.u_elem_stores)
+    usages;
+  { usages; by_id }
 
 let is_scalar u =
   (not u.u_escaped) && (not u.u_gep) && u.u_elem_loads = [] && u.u_elem_stores = []
@@ -159,13 +179,22 @@ let callee_name = function
   | Ir.Direct f -> f.Ir.f_name
   | Ir.Runtime s -> s
 
-let uninit_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding list =
-  let scalar_ids = Hashtbl.create 8 in
-  List.iter
-    (fun u -> if is_scalar u then Hashtbl.replace scalar_ids u.u_slot.Ir.i_id ())
-    usages;
-  let tracked (s : Ir.inst) = Hashtbl.mem scalar_ids s.Ir.i_id in
-  let rd = Dataflow.reaching_defs cfg ~tracked in
+(* The fact is the set of scalar slots that may still be unwritten: all
+   of them on entry, a store removes its slot, and facts join by union. *)
+let uninit_pass ~describe (f : Ir.func) (cfg : Cfg.t) slots : Report.finding list =
+  let unwritten =
+    List.fold_left
+      (fun acc u -> if is_scalar u then Int_set.add u.u_slot.Ir.i_id acc else acc)
+      Int_set.empty slots.usages
+  in
+  let step (i : Ir.inst) fact =
+    match i.Ir.i_kind with
+    | Ir.Store { ptr; _ } -> (
+      match Dataflow.slot_of_ptr ptr with
+      | Some s -> Int_set.remove s.Ir.i_id fact
+      | None -> fact)
+    | _ -> fact
+  in
   let reported = Hashtbl.create 4 and findings = ref [] in
   let report (slot : Ir.inst) (load : Ir.inst) =
     if not (Hashtbl.mem reported slot.Ir.i_id) then begin
@@ -185,22 +214,18 @@ let uninit_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding li
         :: !findings
     end
   in
+  let check (i : Ir.inst) fact =
+    (match i.Ir.i_kind with
+    | Ir.Load { ptr } -> (
+      match Dataflow.slot_of_ptr ptr with
+      | Some slot when Int_set.mem slot.Ir.i_id fact -> report slot i
+      | _ -> ())
+    | _ -> ());
+    step i fact
+  in
+  let sol = Dataflow.solve cfg ~boundary:unwritten ~step in
   List.iter
-    (fun b ->
-      let fact = ref (rd.Dataflow.rd_entry b) in
-      List.iter
-        (fun (i : Ir.inst) ->
-          (match i.Ir.i_kind with
-          | Ir.Load { ptr } -> (
-            match Dataflow.slot_of_ptr ptr with
-            | Some slot when tracked slot -> (
-              match rd.Dataflow.rd_uninit slot.Ir.i_id with
-              | Some ix when Int_set.mem ix !fact -> report slot i
-              | _ -> ())
-            | _ -> ())
-          | _ -> ());
-          fact := rd.Dataflow.rd_step i !fact)
-        (Ir.block_insts b))
+    (fun b -> ignore (Dataflow.transfer check b (sol.Dataflow.entry_fact b)))
     cfg.Cfg.rpo;
   (* Aggregates are checked flow-insensitively: an array that is read
      through GEPs but never written anywhere is uninitialized on every
@@ -222,7 +247,7 @@ let uninit_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding li
               f_notes = [] }
             :: !findings
         | [] -> ())
-    usages;
+    slots.usages;
   List.rev !findings
 
 (* ---- pass: unreachable --------------------------------------------------- *)
@@ -265,7 +290,7 @@ let is_call_to names (i : Ir.inst) =
   | Ir.Call { callee; _ } -> List.mem (callee_name callee) names
   | _ -> false
 
-let leak_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding list =
+let leak_pass ~describe (f : Ir.func) (cfg : Cfg.t) slots : Report.finding list =
   (* Candidate slots: scalar pointer slots that are ever assigned the
      result of an acquire call, and whose loaded value never escapes
      into anything but a release call, a dereference, or a compare. *)
@@ -286,7 +311,7 @@ let leak_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding list
                 Hashtbl.replace acquire_store u.u_slot.Ir.i_id st
             | _ -> ())
           u.u_stores)
-    usages;
+    slots.usages;
   let release_arg (i : Ir.inst) =
     (* the slot a release call releases, if its argument is a direct load *)
     match i.Ir.i_kind with
@@ -327,7 +352,7 @@ let leak_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding list
         Hashtbl.mem acquire_store u.u_slot.Ir.i_id
         && not (List.exists value_escapes u.u_loads)
       then Hashtbl.replace tracked u.u_slot.Ir.i_id u.u_slot)
-    usages;
+    slots.usages;
   if Hashtbl.length tracked = 0 then []
   else begin
     let step (i : Ir.inst) fact =
@@ -344,21 +369,13 @@ let leak_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.finding list
         | None -> fact)
       | _ -> fact
     in
-    let transfer b fact =
-      List.fold_left (fun f i -> step i f) fact (Ir.block_insts b)
-    in
-    let sol =
-      Dataflow.solve cfg
-        { Dataflow.direction = Dataflow.Forward; boundary = Int_set.empty;
-          init = Int_set.empty; join = Int_set.union; equal = Int_set.equal;
-          transfer }
-    in
+    let sol = Dataflow.solve cfg ~boundary:Int_set.empty ~step in
     let findings = ref [] in
     List.iter
       (fun b ->
         match b.Ir.b_term with
         | Ir.Ret _ ->
-          let held = transfer b (sol.Dataflow.entry_fact b) in
+          let held = Dataflow.transfer step b (sol.Dataflow.entry_fact b) in
           Int_set.iter
             (fun slot_id ->
               let slot = Hashtbl.find tracked slot_id in
@@ -509,7 +526,7 @@ let assoc_comm_ops = [ Ir.Add; Ir.Mul; Ir.And; Ir.Or; Ir.Xor ]
 
 let collect_effects ~describe (f : Ir.func) (loop : Loop_info.loop)
     ~(iv_ids : (int, unit) Hashtbl.t) (* control slots: every IV in this loop *)
-    ~(inner_blocks : (int, unit) Hashtbl.t) usages : effects =
+    ~(inner_blocks : (int, unit) Hashtbl.t) slots : effects =
   let eff =
     { e_accesses = []; e_unknowns = []; e_reduction_slots = [];
       e_outside_inner = false }
@@ -524,9 +541,7 @@ let collect_effects ~describe (f : Ir.func) (loop : Loop_info.loop)
     | Some b -> Loop_info.loop_contains loop b
     | None -> false
   in
-  let usage_of s =
-    List.find_opt (fun u -> u.u_slot == s) usages
-  in
+  let usage_of (s : Ir.inst) = Hashtbl.find_opt slots.by_id s.Ir.i_id in
   let stores_in_loop s =
     match usage_of s with
     | Some u -> List.filter in_loop u.u_stores
@@ -625,9 +640,7 @@ let collect_effects ~describe (f : Ir.func) (loop : Loop_info.loop)
          f.Ir.f_blocks)
   in
   let slot_by_id id =
-    List.find_map
-      (fun u -> if u.u_slot.Ir.i_id = id then Some u.u_slot else None)
-      usages
+    Option.map (fun u -> u.u_slot) (Hashtbl.find_opt slots.by_id id)
   in
   List.iter
     (fun slot_id ->
@@ -813,12 +826,12 @@ let carried_in ~describe iv_id (accesses : (int * string * access list) list) =
     accesses;
   (!witnesses, !unknowns)
 
-let deps_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.loop_report list
+let deps_pass ~describe (f : Ir.func) (cfg : Cfg.t) slots : Report.loop_report list
     =
   let scalar_ids = Hashtbl.create 8 in
   List.iter
     (fun u -> if is_scalar u then Hashtbl.replace scalar_ids u.u_slot.Ir.i_id ())
-    usages;
+    slots.usages;
   let loops = Loop_info.find_loops cfg.Cfg.dom in
   let ivs = List.map (fun l -> (l, recognize_iv l scalar_ids)) loops in
   let contains outer inner_loop =
@@ -879,7 +892,7 @@ let deps_pass ~describe (f : Ir.func) (cfg : Cfg.t) usages : Report.loop_report 
               ivs
           in
           let eff =
-            collect_effects ~describe f loop ~iv_ids ~inner_blocks usages
+            collect_effects ~describe f loop ~iv_ids ~inner_blocks slots
           in
           let witnesses, unknowns =
             carried_in ~describe iv.iv_slot.Ir.i_id eff.e_accesses
@@ -966,19 +979,19 @@ let analyze_func ~passes ~describe (f : Ir.func) : Report.func_report =
     { Report.fr_func = f.Ir.f_name; fr_findings = []; fr_loops = [] }
   else begin
     let cfg = Cfg.build f in
-    let usages = classify f in
+    let slots = classify f in
     let findings =
       List.concat_map
         (fun p ->
           match p with
-          | "uninit" -> uninit_pass ~describe f cfg usages
+          | "uninit" -> uninit_pass ~describe f cfg slots
           | "unreachable" -> unreachable_pass ~describe f cfg
-          | "leak" -> leak_pass ~describe f cfg usages
+          | "leak" -> leak_pass ~describe f cfg slots
           | _ -> [])
         passes
     in
     let loops =
-      if List.mem "deps" passes then deps_pass ~describe f cfg usages else []
+      if List.mem "deps" passes then deps_pass ~describe f cfg slots else []
     in
     { Report.fr_func = f.Ir.f_name; fr_findings = findings; fr_loops = loops }
   end

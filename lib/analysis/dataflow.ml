@@ -1,63 +1,33 @@
-(* Generic iterative dataflow over an annotated CFG, plus the two
-   classic instantiations the analyser passes build on.
+(* The forward dataflow solver the analysis passes share, plus the
+   slot-resolution helpers they all use.
 
-   The engine is direction- and lattice-agnostic: a [problem] names the
-   direction, the boundary fact (entry of the entry block for a forward
-   problem; exit of every Ret/Unreachable block for a backward one), the
-   optimistic initial fact, the join (may = union, must = intersection —
-   the engine does not care), and a whole-block transfer function.  The
-   solver is a FIFO worklist seeded in reverse postorder (postorder for
-   backward problems), so acyclic graphs converge in one sweep and loops
-   in a handful; [iterations] counts block-transfer applications, which
-   the tests use to pin convergence behaviour on diamonds and loops. *)
+   A fact is a set of ids (the [uninit] pass tracks the slots that may
+   still be unwritten, [leak] the slots that may still hold a resource).
+   Facts join by union, so every solution is a may-analysis, and every
+   block but the entry starts from the empty set.  The caller supplies
+   the fact on entry to the function and a per-instruction [step]; the
+   solver folds [step] over each block itself.  It is a FIFO worklist
+   seeded in reverse postorder, so acyclic graphs converge in one sweep
+   and loops in a handful; [iterations] counts block transfers, which
+   the tests use to pin convergence on diamonds and loops. *)
 
 open Mc_ir
 module Int_set = Set.Make (Int)
 
-type direction = Forward | Backward
-
-type 'fact problem = {
-  direction : direction;
-  boundary : 'fact; (* fact at the graph's entry edge(s) *)
-  init : 'fact; (* optimistic starting fact for every other block *)
-  join : 'fact -> 'fact -> 'fact;
-  equal : 'fact -> 'fact -> bool;
-  transfer : Ir.block -> 'fact -> 'fact;
-}
-
-type 'fact solution = {
-  entry_fact : Ir.block -> 'fact; (* fact holding at block entry *)
-  exit_fact : Ir.block -> 'fact; (* fact holding at block exit *)
+type solution = {
+  entry_fact : Ir.block -> Int_set.t; (* fact holding at block entry *)
   iterations : int; (* block transfers applied before the fixpoint *)
 }
 
-let solve (cfg : Cfg.t) (p : 'fact problem) : 'fact solution =
-  let blocks =
-    match p.direction with Forward -> cfg.Cfg.rpo | Backward -> List.rev cfg.Cfg.rpo
-  in
-  let into b =
-    (* edges whose facts flow into [b]'s transfer *)
-    match p.direction with
-    | Forward -> Cfg.predecessors cfg b
-    | Backward -> Ir.successors b
-  in
-  let out_of b =
-    match p.direction with
-    | Forward -> Ir.successors b
-    | Backward -> Cfg.predecessors cfg b
-  in
-  let at_boundary b =
-    match p.direction with
-    | Forward -> (match cfg.Cfg.rpo with e :: _ -> e == b | [] -> false)
-    | Backward -> (
-      (* every block the function can end in contributes the boundary *)
-      match b.Ir.b_term with
-      | Ir.Ret _ | Ir.Unreachable | Ir.No_term -> true
-      | Ir.Br _ | Ir.Cond_br _ -> false)
-  in
+(* [step] folded over a block's instructions, in program order. *)
+let transfer step b fact =
+  List.fold_left (fun f i -> step i f) fact (Ir.block_insts b)
+
+let solve (cfg : Cfg.t) ~boundary ~step : solution =
+  let is_entry b = match cfg.Cfg.rpo with e :: _ -> e == b | [] -> false in
   let pre = Hashtbl.create 16 (* fact before transfer, per b_id *)
   and post = Hashtbl.create 16 (* fact after transfer, per b_id *) in
-  List.iter (fun b -> Hashtbl.replace post b.Ir.b_id p.init) blocks;
+  List.iter (fun b -> Hashtbl.replace post b.Ir.b_id Int_set.empty) cfg.Cfg.rpo;
   let queue = Queue.create () in
   let queued = Hashtbl.create 16 in
   let enqueue b =
@@ -66,7 +36,7 @@ let solve (cfg : Cfg.t) (p : 'fact problem) : 'fact solution =
       Queue.add b queue
     end
   in
-  List.iter enqueue blocks;
+  List.iter enqueue cfg.Cfg.rpo;
   let iterations = ref 0 in
   while not (Queue.is_empty queue) do
     let b = Queue.pop queue in
@@ -76,36 +46,29 @@ let solve (cfg : Cfg.t) (p : 'fact problem) : 'fact solution =
       List.fold_left
         (fun acc src ->
           match Hashtbl.find_opt post src.Ir.b_id with
-          | Some f -> p.join acc f
+          | Some f -> Int_set.union acc f
           | None -> acc (* unreachable feeder: contributes nothing *))
-        (if at_boundary b then p.boundary else p.init)
-        (into b)
+        (if is_entry b then boundary else Int_set.empty)
+        (Cfg.predecessors cfg b)
     in
     Hashtbl.replace pre b.Ir.b_id incoming;
-    let outgoing = p.transfer b incoming in
+    let outgoing = transfer step b incoming in
     let changed =
       match Hashtbl.find_opt post b.Ir.b_id with
-      | Some old -> not (p.equal old outgoing)
+      | Some old -> not (Int_set.equal old outgoing)
       | None -> true
     in
     if changed then begin
       Hashtbl.replace post b.Ir.b_id outgoing;
-      List.iter enqueue (out_of b)
+      List.iter enqueue (Ir.successors b)
     end
   done;
-  let fact_in tbl fallback b =
-    match Hashtbl.find_opt tbl b.Ir.b_id with Some f -> f | None -> fallback
-  in
-  let pre_of = fact_in pre p.init and post_of = fact_in post p.init in
   {
     entry_fact =
-      (match p.direction with Forward -> pre_of | Backward -> post_of);
-    exit_fact =
-      (match p.direction with Forward -> post_of | Backward -> pre_of);
+      (fun b ->
+        Option.value (Hashtbl.find_opt pre b.Ir.b_id) ~default:Int_set.empty);
     iterations = !iterations;
   }
-
-(* ---- shared helpers ------------------------------------------------------ *)
 
 (* Resolve a pointer operand to the alloca slot it addresses directly
    (through casts, but not through GEPs — a GEP'd access is an element
@@ -130,145 +93,3 @@ let rec base_slot (v : Ir.value) : Ir.inst option =
     | Ir.Gep { base; _ } -> base_slot base
     | _ -> None)
   | _ -> None
-
-(* ---- reaching definitions ------------------------------------------------ *)
-
-(* Forward may-analysis over a tracked set of alloca slots.  The
-   definition sites are the Store instructions whose pointer is a
-   tracked slot, plus one synthetic "uninitialized" definition per slot
-   that holds on function entry; a store kills every other definition of
-   its slot.  A load observing the synthetic definition may therefore
-   read the slot before any store — the uninit pass's core fact. *)
-
-type rd_def = {
-  rd_slot : Ir.inst; (* the alloca being defined *)
-  rd_store : Ir.inst option; (* None = the synthetic uninitialized def *)
-}
-
-type rd = {
-  rd_defs : rd_def array; (* def index -> site *)
-  rd_entry : Ir.block -> Int_set.t; (* defs reaching block entry *)
-  rd_uninit : int -> int option; (* slot i_id -> its uninit def index *)
-  rd_step : Ir.inst -> Int_set.t -> Int_set.t; (* per-inst transfer *)
-  rd_iterations : int;
-}
-
-let reaching_defs (cfg : Cfg.t) ~(tracked : Ir.inst -> bool) : rd =
-  let defs = ref [] and n_defs = ref 0 in
-  let add_def d =
-    let ix = !n_defs in
-    defs := d :: !defs;
-    incr n_defs;
-    ix
-  in
-  let uninit_ix = Hashtbl.create 8 (* slot i_id -> def index *)
-  and store_ix = Hashtbl.create 16 (* store i_id -> def index *)
-  and slot_defs = Hashtbl.create 8 (* slot i_id -> Int_set of def indices *) in
-  let note_slot_def slot ix =
-    let cur =
-      Option.value
-        (Hashtbl.find_opt slot_defs slot.Ir.i_id)
-        ~default:Int_set.empty
-    in
-    Hashtbl.replace slot_defs slot.Ir.i_id (Int_set.add ix cur)
-  in
-  let boundary = ref Int_set.empty in
-  let consider_slot (i : Ir.inst) =
-    match i.Ir.i_kind with
-    | Ir.Alloca _ when tracked i && not (Hashtbl.mem uninit_ix i.Ir.i_id) ->
-      let ix = add_def { rd_slot = i; rd_store = None } in
-      Hashtbl.replace uninit_ix i.Ir.i_id ix;
-      note_slot_def i ix;
-      boundary := Int_set.add ix !boundary
-    | _ -> ()
-  in
-  List.iter
-    (fun b -> List.iter consider_slot (Ir.block_insts b))
-    cfg.Cfg.func.Ir.f_blocks;
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (i : Ir.inst) ->
-          match i.Ir.i_kind with
-          | Ir.Store { ptr; _ } -> (
-            match slot_of_ptr ptr with
-            | Some slot when tracked slot ->
-              let ix = add_def { rd_slot = slot; rd_store = Some i } in
-              Hashtbl.replace store_ix i.Ir.i_id ix;
-              note_slot_def slot ix
-            | _ -> ())
-          | _ -> ())
-        (Ir.block_insts b))
-    cfg.Cfg.func.Ir.f_blocks;
-  let defs = Array.of_list (List.rev !defs) in
-  let step (i : Ir.inst) fact =
-    match Hashtbl.find_opt store_ix i.Ir.i_id with
-    | None -> fact
-    | Some ix ->
-      let slot = defs.(ix).rd_slot in
-      let killed =
-        Option.value
-          (Hashtbl.find_opt slot_defs slot.Ir.i_id)
-          ~default:Int_set.empty
-      in
-      Int_set.add ix (Int_set.diff fact killed)
-  in
-  let transfer b fact = List.fold_left (fun f i -> step i f) fact (Ir.block_insts b) in
-  let sol =
-    solve cfg
-      {
-        direction = Forward;
-        boundary = !boundary;
-        init = Int_set.empty;
-        join = Int_set.union;
-        equal = Int_set.equal;
-        transfer;
-      }
-  in
-  {
-    rd_defs = defs;
-    rd_entry = sol.entry_fact;
-    rd_uninit = (fun slot_id -> Hashtbl.find_opt uninit_ix slot_id);
-    rd_step = step;
-    rd_iterations = sol.iterations;
-  }
-
-(* ---- liveness ------------------------------------------------------------ *)
-
-(* Backward may-analysis: a tracked slot is live at a point if some path
-   from it reaches a Load of the slot before any Store to it. *)
-
-type live = {
-  lv_entry : Ir.block -> Int_set.t; (* slot ids live at block entry *)
-  lv_exit : Ir.block -> Int_set.t;
-  lv_iterations : int;
-}
-
-let liveness (cfg : Cfg.t) ~(tracked : Ir.inst -> bool) : live =
-  let step_back (i : Ir.inst) fact =
-    match i.Ir.i_kind with
-    | Ir.Store { ptr; _ } -> (
-      match slot_of_ptr ptr with
-      | Some slot when tracked slot -> Int_set.remove slot.Ir.i_id fact
-      | _ -> fact)
-    | Ir.Load { ptr } -> (
-      match slot_of_ptr ptr with
-      | Some slot when tracked slot -> Int_set.add slot.Ir.i_id fact
-      | _ -> fact)
-    | _ -> fact
-  in
-  let transfer b fact =
-    List.fold_left (fun f i -> step_back i f) fact (List.rev (Ir.block_insts b))
-  in
-  let sol =
-    solve cfg
-      {
-        direction = Backward;
-        boundary = Int_set.empty;
-        init = Int_set.empty;
-        join = Int_set.union;
-        equal = Int_set.equal;
-        transfer;
-      }
-  in
-  { lv_entry = sol.entry_fact; lv_exit = sol.exit_fact; lv_iterations = sol.iterations }

@@ -77,8 +77,6 @@ let clause_class_name = function
   | C_simdlen _ -> "OMPSimdlenClause"
   | C_if _ -> "OMPIfClause"
 
-let is_omp_executable_directive (_ : directive_kind) = true
-
 let is_omp_loop_directive = function
   | D_for | D_parallel_for | D_simd | D_for_simd | D_parallel_for_simd -> true
   | D_parallel | D_unroll | D_tile | D_reverse | D_interchange | D_stripe
@@ -112,15 +110,3 @@ let stmt_ancestry s =
   | _ -> [ stmt_class_name s; "Stmt" ]
 
 let clause_ancestry c = [ clause_class_name c; "OMPClause" ]
-
-let loop_association_depth d =
-  if not (is_omp_loop_based_directive d.dir_kind) then 0
-  else begin
-    let rec from_clauses = function
-      | [] -> 1
-      | C_collapse (n, _) :: _ -> n
-      | C_sizes sizes :: _ -> List.length sizes
-      | _ :: rest -> from_clauses rest
-    in
-    from_clauses d.dir_clauses
-  end

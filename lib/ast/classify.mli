@@ -21,9 +21,6 @@ val stmt_ancestry : stmt -> string list
 val clause_ancestry : clause -> string list
 (** Ends in ["OMPClause"]. *)
 
-val is_omp_executable_directive : directive_kind -> bool
-(** All directives placeable where a statement can appear (every kind). *)
-
 val is_omp_loop_based_directive : directive_kind -> bool
 (** The Fig. 4 layer: loop directives plus the transformations. *)
 
@@ -32,8 +29,3 @@ val is_omp_loop_directive : directive_kind -> bool
 
 val is_loop_transformation : directive_kind -> bool
 (** [unroll] and [tile]. *)
-
-val loop_association_depth : directive -> int
-(** How many perfectly nested canonical loops the directive consumes: the
-    [collapse]/[sizes] arity, 1 for other loop-based directives, 0 for
-    non-loop directives. *)

@@ -11,7 +11,6 @@ let uint_t = Int Int_ops.u32
 let ulong_t = Int Int_ops.u64
 let float_t = Float 32
 let double_t = Float 64
-let bool_t = Bool
 let size_t = ulong_t
 
 let rec to_string = function
@@ -56,7 +55,6 @@ let is_floating = function Float _ -> true | _ -> false
 let is_arithmetic t = is_integer t || is_floating t
 let is_pointer = function Ptr _ -> true | _ -> false
 let is_scalar t = is_arithmetic t || is_pointer t
-let is_array = function Array _ -> true | _ -> false
 
 let element_type = function
   | Array (t, _) -> Some t

@@ -21,7 +21,6 @@ val is_floating : ctype -> bool
 val is_arithmetic : ctype -> bool
 val is_pointer : ctype -> bool
 val is_scalar : ctype -> bool
-val is_array : ctype -> bool
 
 val element_type : ctype -> ctype option
 (** Of an array or pointer. *)
@@ -36,7 +35,6 @@ val uint_t : ctype
 val ulong_t : ctype
 val float_t : ctype
 val double_t : ctype
-val bool_t : ctype
 val size_t : ctype
 (** Modelled as [unsigned long] (64-bit), as on LP64 targets. *)
 

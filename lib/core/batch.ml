@@ -29,8 +29,6 @@ type t = {
   jobs : int;
 }
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let compile_units ?cache ~jobs ~invocation inputs =
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in

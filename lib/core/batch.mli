@@ -40,9 +40,6 @@ type t = {
   jobs : int; (** domains actually used *)
 }
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
-
 val compile :
   ?jobs:int ->
   ?cache:Cache.t ->

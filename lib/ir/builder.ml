@@ -230,10 +230,6 @@ let min_u t ?(name = "") a b =
   let c = icmp t Iult a b in
   select t ~name c a b
 
-let min_s t ?(name = "") a b =
-  let c = icmp t Islt a b in
-  select t ~name c a b
-
 let ptr_diff t ?(name = "") a b =
   insert t (mk_inst ~name ~ty:I64 (Binop (Sub, a, b)))
 

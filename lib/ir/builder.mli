@@ -63,8 +63,6 @@ val unreachable : t -> unit
 val min_u : t -> ?name:string -> value -> value -> value
 (** Unsigned minimum via icmp+select; used by worksharing bounds clamping. *)
 
-val min_s : t -> ?name:string -> value -> value -> value
-
 val ptr_diff : t -> ?name:string -> value -> value -> value
 (** Pointer difference in bytes: a [sub] of two pointers typed [i64]. *)
 

@@ -235,15 +235,3 @@ let func_to_string f =
 
 let module_to_string m =
   String.concat "\n" (List.map func_to_string m.m_funcs)
-
-let value_to_string v =
-  match v with
-  | Inst_ref i ->
-    let name = if i.i_name = "" then Printf.sprintf "inst:%d" i.i_id else i.i_name in
-    "%" ^ name
-  | _ ->
-    let names =
-      { inst_names = Hashtbl.create 1; block_names = Hashtbl.create 1;
-        used = Hashtbl.create 1 }
-    in
-    value_str names v

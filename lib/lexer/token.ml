@@ -219,6 +219,5 @@ let describe = function
   | Eof -> "end of file"
 
 let is_eof t = match t.kind with Eof -> true | _ -> false
-let is_ident t name = match t.kind with Ident s -> String.equal s name | _ -> false
 let is_punct t p = match t.kind with Punct q -> p = q | _ -> false
 let is_keyword t kw = match t.kind with Keyword k -> k = kw | _ -> false

@@ -113,6 +113,5 @@ val describe : kind -> string
 (** Short human-readable form for diagnostics, e.g. ["'+='"], ["identifier"]. *)
 
 val is_eof : t -> bool
-val is_ident : t -> string -> bool
 val is_punct : t -> punct -> bool
 val is_keyword : t -> keyword -> bool

@@ -4,7 +4,6 @@ type mapping = {
   bmap : block Id_tbl.t;
   imap : inst Id_tbl.t;
   seed : value -> value;
-  clones : block list;
 }
 
 let mapped_block m b =
@@ -19,7 +18,7 @@ let mapped_value m v =
   | _ -> m.seed v
 
 let clone_region f ~blocks ~seed ~suffix =
-  let m = { bmap = Id_tbl.create 16; imap = Id_tbl.create 64; seed; clones = [] } in
+  let m = { bmap = Id_tbl.create 16; imap = Id_tbl.create 64; seed } in
   (* Phase 1: shells.  All instructions are created with their original
      operands so that intra-region forward references (phi back edges of
      nested loops) resolve in phase 2. *)
@@ -64,6 +63,4 @@ let clone_region f ~blocks ~seed ~suffix =
         | Unreachable -> Unreachable
         | No_term -> No_term))
     clones;
-  { m with clones = List.map snd clones }
-
-let cloned_blocks m = m.clones
+  m

@@ -22,6 +22,3 @@ val mapped_block : mapping -> Ir.block -> Ir.block
 
 val mapped_value : mapping -> Ir.value -> Ir.value
 (** Applies the region map, falling back to [seed]. *)
-
-val cloned_blocks : mapping -> Ir.block list
-(** The new blocks, in the order of the originals. *)

@@ -6,5 +6,3 @@
 
 val run_func : Mc_ir.Ir.func -> bool
 (** [true] when anything changed. *)
-
-val run : Mc_ir.Ir.modul -> bool

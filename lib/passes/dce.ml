@@ -45,9 +45,3 @@ let run_func f =
       f.f_blocks;
     !changed
   end
-
-let run m =
-  List.fold_left
-    (fun acc f -> run_func f || acc)
-    false
-    (List.filter (fun f -> not f.f_is_decl) m.m_funcs)

@@ -2,4 +2,3 @@
     results are never used, transitively. *)
 
 val run_func : Mc_ir.Ir.func -> bool
-val run : Mc_ir.Ir.modul -> bool

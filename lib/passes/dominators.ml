@@ -130,8 +130,6 @@ let dominates t a b =
     pre_a <= pre_b && post_b <= post_a
   | _ -> false
 
-let strictly_dominates t a b = (not (a == b)) && dominates t a b
-
 let dominance_frontier t b =
   Option.value (Id_tbl.find_opt t.frontiers b.b_id) ~default:[]
 

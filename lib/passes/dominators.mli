@@ -26,8 +26,6 @@ val idom : t -> Ir.block -> Ir.block option
 val dominates : t -> Ir.block -> Ir.block -> bool
 (** [dominates t a b]: does [a] dominate [b]?  Reflexive. *)
 
-val strictly_dominates : t -> Ir.block -> Ir.block -> bool
-
 val dominance_frontier : t -> Ir.block -> Ir.block list
 
 val children : t -> Ir.block -> Ir.block list

@@ -192,9 +192,3 @@ let run_func f =
       List.length allocas
     end
   end
-
-let run m =
-  List.fold_left
-    (fun acc f -> acc + run_func f)
-    0
-    (List.filter (fun f -> not f.f_is_decl) m.m_funcs)

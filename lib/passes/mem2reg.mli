@@ -8,5 +8,3 @@
 
 val run_func : Mc_ir.Ir.func -> int
 (** Returns the number of allocas promoted. *)
-
-val run : Mc_ir.Ir.modul -> int

@@ -14,7 +14,6 @@ type pass_timing = {
 }
 
 type report = {
-  pass_results : (string * bool) list;
   unroll_stats : Loop_unroll.stats;
   pass_timings : pass_timing list;
 }
@@ -51,9 +50,6 @@ let o1 =
     "simplifycfg";
     "dce";
   ]
-
-let available =
-  [ "simplifycfg"; "mem2reg"; "constprop"; "dce"; "loop-unroll" ]
 
 let named ?(on_unroll = ignore) name =
   let run_func =
@@ -123,8 +119,4 @@ let run ?verify_between ~passes m =
   let unroll = ref Loop_unroll.empty_stats in
   let on_unroll s = unroll := Loop_unroll.add_stats !unroll s in
   let timings = run_passes ?verify_between (List.map (named ~on_unroll) passes) m in
-  {
-    pass_results = List.map (fun pt -> (pt.pt_name, pt.pt_changed)) timings;
-    unroll_stats = !unroll;
-    pass_timings = timings;
-  }
+  { unroll_stats = !unroll; pass_timings = timings }

@@ -28,7 +28,6 @@ type pass_timing = {
 }
 
 type report = {
-  pass_results : (string * bool) list; (* pass name, changed? *)
   unroll_stats : Loop_unroll.stats;
   pass_timings : pass_timing list; (* per-pass wall time + size delta *)
 }
@@ -41,11 +40,10 @@ val o1 : string list
     simplifycfg → mem2reg → constprop → dce → loop-unroll → constprop →
     simplifycfg → dce. *)
 
-val available : string list
-
 val named : ?on_unroll:(Loop_unroll.stats -> unit) -> string -> pass
-(** The pass of that name in {!available}; raises [Invalid_argument] on
-    an unknown name.  LoopUnroll hands each function's statistics to
+(** The built-in pass of that name (["simplifycfg"], ["mem2reg"],
+    ["constprop"], ["dce"] or ["loop-unroll"]); raises [Invalid_argument]
+    on an unknown name.  LoopUnroll hands each function's statistics to
     [on_unroll]. *)
 
 val run_passes :

@@ -3,4 +3,3 @@
     fixed point. *)
 
 val run_func : Mc_ir.Ir.func -> bool
-val run : Mc_ir.Ir.modul -> bool

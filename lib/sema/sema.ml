@@ -309,9 +309,6 @@ let act_on_string_literal _t ~value ~loc =
     ~ty:(Array (Ctype.char_t, Some (String.length value + 1)))
     ~loc (String_lit value)
 
-let act_on_bool_literal _t ~value ~loc =
-  mk_expr ~ty:Ctype.int_t ~loc (Int_lit (if value then 1L else 0L))
-
 let mk_ref v =
   v.v_used <- true;
   mk_expr ~ty:v.v_ty ~loc:v.v_loc (Decl_ref v)

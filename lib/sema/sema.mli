@@ -88,7 +88,6 @@ val act_on_int_literal :
 val act_on_float_literal : t -> value:float -> loc:loc -> expr
 val act_on_char_literal : t -> value:int -> loc:loc -> expr
 val act_on_string_literal : t -> value:string -> loc:loc -> expr
-val act_on_bool_literal : t -> value:bool -> loc:loc -> expr
 
 val act_on_recovery : t -> ?subexprs:expr list -> loc:loc -> unit -> expr
 (** Builds a [Recovery_expr] (Clang's RecoveryExpr): an [int]-typed

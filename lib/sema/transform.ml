@@ -35,15 +35,6 @@ let of_directive = function
   | D_parallel_for_simd | D_barrier | D_single | D_master | D_critical _ ->
     None
 
-let directive_of = function
-  | Unroll -> D_unroll
-  | Tile -> D_tile
-  | Stripe -> D_stripe
-  | Reverse -> D_reverse
-  | Interchange -> D_interchange
-  | Fuse -> D_fuse
-  | Fission -> D_fission
-
 let params_of_clauses ?perm clauses =
   let factor =
     List.find_map

@@ -28,8 +28,6 @@ val of_directive : directive_kind -> kind option
 (** [Some kind] for the seven loop transformations, [None] for worksharing
     and region directives. *)
 
-val directive_of : kind -> directive_kind
-
 val params_of_clauses : ?perm:int list -> clause list -> params
 (** Interprets the transformation clauses of a directive ([full],
     [partial], [sizes]); [perm] supplies the already-validated 0-based

@@ -12,7 +12,6 @@ let create ~name ~contents = { name; contents; digest = None }
 let name t = t.name
 let contents t = t.contents
 let length t = String.length t.contents
-let char_at t i = t.contents.[i]
 let sub t ~pos ~len = String.sub t.contents pos len
 
 let digest t =

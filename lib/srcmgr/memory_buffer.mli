@@ -9,9 +9,6 @@ val name : t -> string
 val contents : t -> string
 val length : t -> int
 
-val char_at : t -> int -> char
-(** Raises [Invalid_argument] when out of bounds. *)
-
 val sub : t -> pos:int -> len:int -> string
 
 val digest : t -> string

@@ -45,8 +45,6 @@ let phase () = (Domain.DLS.get key).phase
 let note_source_position ~file ~offset =
   (Domain.DLS.get key).position <- Some (file, offset)
 
-let clear_source_position () = (Domain.DLS.get key).position <- None
-let source_position () = (Domain.DLS.get key).position
 let set_position_renderer f = (Domain.DLS.get key).renderer <- Some f
 
 let rendered_position () =

@@ -37,9 +37,6 @@ val note_source_position : file:int -> offset:int -> unit
 (** The parser's watermark: the raw (file id, byte offset) of the last
     consumed token, cheap enough to update per token. *)
 
-val clear_source_position : unit -> unit
-val source_position : unit -> (int * int) option
-
 val set_position_renderer : (file:int -> offset:int -> string) -> unit
 (** Installed by whoever owns the source manager (the driver), so an ICE
     can render the watermark as "file:line:col" without this module

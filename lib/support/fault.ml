@@ -150,22 +150,9 @@ let disarm name =
       | Some p -> Mutex.protect p.p_lock (fun () -> disarm_point_unlocked p)
       | None -> ())
 
-let disarm_all () =
-  Mutex.protect table_lock (fun () ->
-      Hashtbl.iter
-        (fun _ p -> Mutex.protect p.p_lock (fun () -> disarm_point_unlocked p))
-        table)
-
 let armed point_name =
   let p = point point_name in
   p.p_armed
-
-let any_armed () =
-  (* Force the env spec so "armed only via MCC_FAULTS, point not yet
-     registered" still answers truthfully. *)
-  List.iter (fun (n, _) -> ignore (point n)) (Lazy.force env_specs);
-  Mutex.protect table_lock (fun () ->
-      Hashtbl.fold (fun _ p acc -> acc || p.p_armed) table false)
 
 let arm_from_env () =
   List.iter (fun (n, _) -> ignore (point n)) (Lazy.force env_specs)

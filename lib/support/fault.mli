@@ -31,16 +31,11 @@ val arm : string -> probability:float -> seed:int -> unit
     stream: arming twice with the same seed replays the same schedule. *)
 
 val disarm : string -> unit
-val disarm_all : unit -> unit
 
 val armed : string -> bool
 (** Is the point currently armed?  Tests use this to relax
     exact-counter assertions when a CI fault matrix ([MCC_FAULTS]) is
     injecting failures underneath them. *)
-
-val any_armed : unit -> bool
-(** Any point armed, including ones armed via [MCC_FAULTS] that no code
-    path has registered yet. *)
 
 val arm_from_env : unit -> unit
 (** Forces [MCC_FAULTS] parsing and arms every point it names.  Point

@@ -33,7 +33,6 @@ let cFun name : t = [ In_fun name ]
 let cFor v : t = [ For_var v ]
 let cSeq : t = [ Loop_seq ]
 let nested_in outer inner : t = outer @ inner
-let with_depth t n : t = t @ [ With_depth n ]
 let occurrence t k : t = t @ [ Occurrence k ]
 
 (* ---- structural predicates ---------------------------------------------- *)

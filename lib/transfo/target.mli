@@ -21,7 +21,6 @@ val cFun : string -> t
 val cFor : string -> t
 val cSeq : t
 val nested_in : t -> t -> t
-val with_depth : t -> int -> t
 val occurrence : t -> int -> t
 
 val unwrap_single : Mc_ast.Tree.stmt -> Mc_ast.Tree.stmt

@@ -5,9 +5,10 @@
    a resource acquired twice, carried and symbolic dependences), a
    fixed-seed set of generated programs, and the same programs with the
    accumulator's initializer dropped ([int acc;]), which reads it before
-   any store, so [uninit] findings are in the set.  The fuzz oracles check verdicts one way
-   only; this pins every finding, note and verdict, in order, so a
-   rewrite of an analysis cannot move a report without failing a test.
+   any store, so [uninit] findings are in the set.  The fuzz oracles
+   check verdicts one way only; this pins every finding, note and
+   verdict, in order, so a rewrite of an analysis cannot move a report
+   without failing a test.
 
    Regenerate only for an intended change to a report, from the root of
    the repository, and name the moved entries in CHANGES.md:

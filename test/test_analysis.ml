@@ -74,70 +74,88 @@ let check_verdict msg want report ~func ~directive =
 
 (* ---- the engine ---------------------------------------------------------- *)
 
+(* A step of the tests' own for the solver: the slots stored on some
+   path to a point. *)
+let stored_on_some_path (i : Ir.inst) fact =
+  match i.Ir.i_kind with
+  | Ir.Store { ptr; _ } -> (
+    match Dataflow.slot_of_ptr ptr with
+    | Some s -> Dataflow.Int_set.add s.Ir.i_id fact
+    | None -> fact)
+  | _ -> fact
+
+let slot_named (cfg : Cfg.t) name =
+  let slot =
+    List.find_map
+      (fun b ->
+        List.find_opt
+          (fun (i : Ir.inst) ->
+            i.Ir.i_name = name
+            && match i.Ir.i_kind with Ir.Alloca _ -> true | _ -> false)
+          (Ir.block_insts b))
+      cfg.Cfg.rpo
+  in
+  match slot with
+  | Some i -> i.Ir.i_id
+  | None -> Alcotest.failf "no slot '%s'" name
+
+let return_block (cfg : Cfg.t) =
+  List.find
+    (fun (b : Ir.block) ->
+      match b.Ir.b_term with Ir.Ret _ -> true | _ -> false)
+    cfg.Cfg.rpo
+
 (* An if/else diamond is acyclic: the FIFO worklist seeded in RPO must
    converge in one sweep (every block transferred exactly once), and the
-   definitions from both arms must reach the join. *)
+   facts from both arms must reach the join. *)
 let test_engine_diamond_converges () =
   let m, _ =
     compile_ir
-      "long f(long n) {\n  long x;\n  if (n > 0) x = 1; else x = 2;\n\
-      \  return x;\n}\nint main(void) { return 0; }"
+      "long f(long n) {\n  long x;\n  long y;\n\
+      \  if (n > 0) x = 1; else y = 2;\n  return n;\n}\n\
+       int main(void) { return 0; }"
   in
   let cfg = Cfg.build (func_named m "f") in
   let n_blocks = List.length cfg.Cfg.rpo in
-  let rd =
-    Dataflow.reaching_defs cfg ~tracked:(fun _ -> true)
+  let sol =
+    Dataflow.solve cfg ~boundary:Dataflow.Int_set.empty
+      ~step:stored_on_some_path
   in
   Alcotest.(check int) "acyclic graph: one transfer per block" n_blocks
-    rd.Dataflow.rd_iterations;
-  (* the return block joins a definition of x from each arm *)
-  let exit_block =
-    List.find
-      (fun (b : Ir.block) ->
-        match b.Ir.b_term with Ir.Ret _ -> true | _ -> false)
-      cfg.Cfg.rpo
-  in
-  let by_slot = Hashtbl.create 4 in
-  Dataflow.Int_set.iter
-    (fun ix ->
-      let d = rd.Dataflow.rd_defs.(ix) in
-      match d.Dataflow.rd_store with
-      | Some _ ->
-        let k = d.Dataflow.rd_slot.Ir.i_id in
-        Hashtbl.replace by_slot k
-          (1 + Option.value ~default:0 (Hashtbl.find_opt by_slot k))
-      | None -> ())
-    (rd.Dataflow.rd_entry exit_block);
-  (* x's slot joins one store from each arm; n's parameter spill is the
-     only other reaching store *)
-  let max_per_slot = Hashtbl.fold (fun _ v acc -> max v acc) by_slot 0 in
-  Alcotest.(check int) "both arm definitions reach the join" 2 max_per_slot
+    sol.Dataflow.iterations;
+  (* each arm stores its own slot; the return block joins both *)
+  let at_join = sol.Dataflow.entry_fact (return_block cfg) in
+  Alcotest.(check (pair bool bool)) "facts from both arms reach the join"
+    (true, true)
+    ( Dataflow.Int_set.mem (slot_named cfg "x") at_join,
+      Dataflow.Int_set.mem (slot_named cfg "y") at_join )
 
 (* A loop needs a second visit of the header (the latch feeds facts
    back), strictly more transfers than blocks — and still terminates. *)
 let test_engine_loop_converges () =
   let m, _ =
     compile_ir
-      "long g(long n) {\n  long s = 0;\n\
-      \  for (long i = 0; i < n; i += 1) s = s + i;\n  return s;\n}\n\
+      "long g(long n) {\n  long s = 0;\n  long last;\n\
+      \  for (long i = 0; i < n; i += 1) { s = s + i; last = i; }\n\
+      \  return s;\n}\n\
        int main(void) { return 0; }"
   in
   let cfg = Cfg.build (func_named m "g") in
   let n_blocks = List.length cfg.Cfg.rpo in
-  let lv = Dataflow.liveness cfg ~tracked:(fun _ -> true) in
-  Alcotest.(check bool) "cyclic graph: needed a re-visit" true
-    (lv.Dataflow.lv_iterations > n_blocks);
-  Alcotest.(check bool) "and converged in few sweeps" true
-    (lv.Dataflow.lv_iterations <= 4 * n_blocks);
-  (* s and i are live around the back edge: the loop header's entry set
-     is non-empty *)
-  let header_live =
-    List.exists
-      (fun b -> not (Dataflow.Int_set.is_empty (lv.Dataflow.lv_entry b)))
-      cfg.Cfg.rpo
+  let sol =
+    Dataflow.solve cfg ~boundary:Dataflow.Int_set.empty
+      ~step:stored_on_some_path
   in
-  Alcotest.(check bool) "loop-carried slots are live somewhere" true
-    header_live
+  Alcotest.(check bool) "cyclic graph: needed a re-visit" true
+    (sol.Dataflow.iterations > n_blocks);
+  Alcotest.(check bool) "and converged in few sweeps" true
+    (sol.Dataflow.iterations <= 4 * n_blocks);
+  (* 'last' is stored only in the body, so it reaches the exit only
+     around the back edge *)
+  Alcotest.(check bool) "the body's fact reaches the exit around the back edge"
+    true
+    (Dataflow.Int_set.mem (slot_named cfg "last")
+       (sol.Dataflow.entry_fact (return_block cfg)))
 
 (* ---- uninit -------------------------------------------------------------- *)
 

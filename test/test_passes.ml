@@ -162,7 +162,7 @@ let test_mem2reg_promotes () =
   in
   let m, _ = compile_ir ~options:(o0 classic) source in
   let before = Interp.run_main m in
-  let promoted = Mem2reg.run m in
+  let promoted = Mem2reg.run_func (Option.get (find_function m "main")) in
   (match Verifier.check m with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid after mem2reg:\n%s" e);
@@ -183,7 +183,7 @@ let test_mem2reg_respects_address_taken () =
      int main(void) { int x = 1; bump(&x); record(x); return 0; }"
   in
   let m, _ = compile_ir ~options:(o0 classic) source in
-  ignore (Mem2reg.run m);
+  ignore (Pass_manager.run ~passes:[ "mem2reg" ] m);
   let outcome = Interp.run_main m in
   Alcotest.(check string) "escaped alloca survives" "2"
     (trace_to_string outcome.Interp.trace)
@@ -205,9 +205,9 @@ let test_const_prop_and_dce () =
   B.ret b (Some (i32_const 111));
   B.set_insertion_point b live_b;
   B.ret b (Some x);
-  Alcotest.(check bool) "constprop changed" true (Const_prop.run m);
-  ignore (Dce.run m);
-  Alcotest.(check bool) "simplifycfg changed" true (Simplify_cfg.run m);
+  Alcotest.(check bool) "constprop changed" true (Const_prop.run_func f);
+  ignore (Dce.run_func f);
+  Alcotest.(check bool) "simplifycfg changed" true (Simplify_cfg.run_func f);
   (match Verifier.check m with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invalid:\n%s" e);
@@ -223,8 +223,7 @@ let test_trip_count_analysis () =
      for (int i = 3; i < 40; i += 4) sum += i;\nreturn sum; }"
   in
   let m, _ = compile_ir ~options:(o0 classic) source in
-  ignore (Simplify_cfg.run m);
-  ignore (Mem2reg.run m);
+  ignore (Pass_manager.run ~passes:[ "simplifycfg"; "mem2reg" ] m);
   let main = Option.get (find_function m "main") in
   let dom = Dominators.compute main in
   match Loop_info.find_loops dom with
@@ -367,7 +366,7 @@ let test_pass_manager () =
   let m, _ = compile_ir ~options:(o0 classic) source in
   let report = Pass_manager.run ~verify_between:true ~passes:Pass_manager.o1 m in
   Alcotest.(check int) "all passes ran" (List.length Pass_manager.o1)
-    (List.length report.Pass_manager.pass_results);
+    (List.length report.Pass_manager.pass_timings);
   (match Pass_manager.run ~passes:[ "nonsense" ] m with
   | exception Invalid_argument msg -> check_contains ~what:"unknown" msg "nonsense"
   | _ -> Alcotest.fail "unknown pass should raise")
@@ -504,7 +503,8 @@ let test_unroll_reports_skipped_request () =
        report.Pass_manager.pass_timings);
   (* Without a request left, the next run changes nothing. *)
   Alcotest.(check bool) "no request left" false
-    (snd (List.hd (Pass_manager.run ~passes:[ "loop-unroll" ] m).Pass_manager.pass_results))
+    (List.hd (Pass_manager.run ~passes:[ "loop-unroll" ] m).Pass_manager.pass_timings)
+      .Pass_manager.pt_changed
 
 (* ---- the shared predecessor index ------------------------------------ *)
 
